@@ -8,8 +8,7 @@
 //! * [`experiments`] — one function per table/figure, each returning a
 //!   rendered report plus structured numbers.
 //!
-//! The `repro` binary dispatches to these; the Criterion benches time
-//! the per-epoch/per-call kernels of each experiment.
+//! The `repro` binary dispatches to these.
 
 pub mod ablations;
 pub mod experiments;

@@ -15,8 +15,8 @@ use crate::epoll::WakePipe;
 use crate::metrics::GatewayMetrics;
 use parking_lot::{Mutex, RwLock};
 use pge_core::{CachedModel, EmbeddingCache, PgeModel};
+use pge_obs::json::Json;
 use pge_obs::{span, Stage, Tracer};
-use pge_serve::json::Json;
 use pge_serve::queue::BoundedQueue;
 use pge_serve::{ItemScore, ScoreItem};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -272,7 +272,7 @@ mod tests {
             },
         ];
         let body = render_scores(&scores);
-        let parsed = pge_serve::json::parse(&body).unwrap();
+        let parsed = pge_obs::json::parse(&body).unwrap();
         let arr = parsed.as_array().unwrap();
         assert_eq!(arr[0].get("plausibility").unwrap().as_f64(), Some(-1.5));
         assert_eq!(arr[0].get("is_error").unwrap().as_bool(), Some(true));

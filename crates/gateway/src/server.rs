@@ -31,12 +31,12 @@ use crate::replica::{worker_loop, Completion, CompletionSink, Job, ModelState, R
 use crate::ring::HashRing;
 use pge_core::{load_model_auto_path, Detector, PersistError, PgeModel};
 use pge_graph::{LabeledTriple, ProductGraph};
+use pge_obs::json::{self, Json};
 use pge_obs::trace::{DEFAULT_RETAIN_CAP, DEFAULT_RING_CAPACITY, DEFAULT_SLOW_MS};
 use pge_obs::{
     gateway_event, manifest_event, spans_event, trace_event, RetainedTrace, RunLog, Stage, Tracer,
 };
 use pge_serve::http::{self, ReadError};
-use pge_serve::json::{self, Json};
 use pge_serve::ScoreItem;
 use pge_store::{MmapMode, DEFAULT_RESIDENT_BUDGET};
 use std::collections::HashMap;
@@ -396,8 +396,7 @@ pub fn start(
         graph,
         valid,
         // Trace IDs are deterministic under the fixed seed; the ring
-        // is always on — its overhead budget is enforced by the
-        // gateway_probe soak.
+        // is always on.
         tracer: Tracer::new(DEFAULT_RING_CAPACITY, 0, cfg.trace_slow, DEFAULT_RETAIN_CAP),
         cfg: cfg.clone(),
         runlog,
@@ -639,8 +638,12 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
             let spawned = std::thread::Builder::new()
                 .name("pge-gw-reload".into())
                 .spawn(move || {
-                    let _guard = guard;
-                    let (status, body) = match shared.reload_from_path(&path) {
+                    let loaded = shared.reload_from_path(&path);
+                    // Released before the answer is published: a client
+                    // that retries the instant it reads a 503 must not
+                    // find `reload_busy` still set and get a 409.
+                    drop(guard);
+                    let (status, body) = match loaded {
                         Ok(v) => (
                             200,
                             Json::Obj(vec![

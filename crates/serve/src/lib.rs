@@ -18,7 +18,6 @@
 //! full picture.
 
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod server;

@@ -19,12 +19,12 @@
 //! of cache hits, evictions, or batch boundaries.
 
 use crate::http::{self, ReadError, Request};
-use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::queue::{BoundedQueue, PushError};
 use pge_core::api::plausibility_parallel;
 use pge_core::{CachedModel, EmbeddingCache, ErrorDetector, PgeModel};
 use pge_graph::{AttrId, ProductGraph, ProductId, Triple, ValueId};
+use pge_obs::json::{self, Json};
 use pge_obs::trace::{DEFAULT_RETAIN_CAP, DEFAULT_RING_CAPACITY, DEFAULT_SLOW_MS};
 use pge_obs::{manifest_event, serve_event, trace_event, RetainedTrace, RunLog, Stage, Tracer};
 use std::io::{self, BufReader, Write};

@@ -8,7 +8,8 @@
 //!   routing are bit-identical to offline [`Detector::scores`] at
 //!   every replica count;
 //! * **hot-swap is zero-downtime** — requests racing a model swap all
-//!   succeed, and every answer bit-matches one of the two snapshots;
+//!   succeed, and every answer bit-matches one of the two snapshots,
+//!   with hundreds of keep-alive connections in the epoll set;
 //! * **pipelined responses come back in request order**;
 //! * **graceful shutdown** answers every admitted request;
 //! * **a corrupt snapshot is rejected** and the old model keeps
@@ -23,8 +24,8 @@ use pge::core::{
 use pge::datagen::{generate_catalog, CatalogConfig};
 use pge::gateway::{start, GatewayConfig, GatewayHandle};
 use pge::graph::{Dataset, DeltaOp, DeltaWindow, TripleDelta};
+use pge::obs::json::{self, Json};
 use pge::obs::Stage;
-use pge::serve::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -268,6 +269,32 @@ fn served_scores_bit_identical_to_offline_at_every_replica_count() {
     }
 }
 
+/// Write a pipelined pair of single-triple requests on every
+/// connection before reading anything back, so hundreds of sockets are
+/// readable in the epoll set at once. Every answer must be a 200 that
+/// bit-matches `want`, in request order.
+fn pipelined_pair_on_each(conns: &mut [(TcpStream, Vec<u8>)], data: &Dataset, want: &[f32]) {
+    let n = data.test.len();
+    for (k, (stream, _)) in conns.iter_mut().enumerate() {
+        let pair = [k % n, (k + 1) % n]
+            .map(|i| score_request(&body_for(data, &[i]), true))
+            .concat();
+        stream.write_all(pair.as_bytes()).expect("send pair");
+    }
+    for (k, (stream, buf)) in conns.iter_mut().enumerate() {
+        for i in [k % n, (k + 1) % n] {
+            let (status, resp) = read_one_response(stream, buf)
+                .unwrap_or_else(|| panic!("connection {k} dropped with a request in flight"));
+            assert_eq!(status, 200, "connection {k} triple {i}: {resp}");
+            assert_eq!(
+                parse_plausibilities(&resp)[0].to_bits(),
+                want[i].to_bits(),
+                "connection {k} triple {i} not served by the current snapshot"
+            );
+        }
+    }
+}
+
 #[test]
 fn concurrent_hot_swap_never_drops_a_request_and_scores_stay_exact() {
     let data = tiny_data();
@@ -290,11 +317,22 @@ fn concurrent_hot_swap_never_drops_a_request_and_scores_stay_exact() {
         GatewayConfig {
             addr: "127.0.0.1:0".into(),
             replicas: 2,
+            // Room for the 512 requests the idle connections pipeline
+            // at once; shedding is not what this test is about.
+            queue_cap: 1024,
             ..GatewayConfig::default()
         },
     );
     let addr = handle.local_addr();
     let n = data.test.len();
+
+    // 256 keep-alive connections sit in the event loop's epoll set
+    // through every swap below: one pipelined pair each before the
+    // first swap, one after the last.
+    let mut idle: Vec<(TcpStream, Vec<u8>)> = (0..256)
+        .map(|_| (TcpStream::connect(addr).expect("connect"), Vec::new()))
+        .collect();
+    pipelined_pair_on_each(&mut idle, &data, &offline_a);
 
     std::thread::scope(|scope| {
         // Four clients hammer keep-alive connections while the main
@@ -336,6 +374,9 @@ fn concurrent_hot_swap_never_drops_a_request_and_scores_stay_exact() {
     });
 
     assert_eq!(handle.version(), 4, "four swaps completed");
+    // The last swap installed a retrained A on cold caches: the old
+    // connections must be answered by it, not by a stale B.
+    pipelined_pair_on_each(&mut idle, &data, &offline_a);
     let text = handle.metrics_text();
     assert!(text.contains("pge_gateway_swaps_total 4"), "{text}");
     handle.shutdown();
@@ -609,7 +650,9 @@ fn reload_swaps_mapped_pgebin2_snapshot() {
 /// `reload_busy` clear so the retry is admitted, and the retry against
 /// the completed file swaps cleanly. This is the exact sequence the
 /// incremental trainer's push loop produces when it races the
-/// writer's rename-free snapshot publication.
+/// writer's rename-free snapshot publication. The client retries on
+/// one keep-alive connection the moment each answer is read, 67
+/// times per cut: `reload_busy` must be clear by then, never a 409.
 #[test]
 fn reload_of_partially_written_snapshot_is_retryable() {
     let data = tiny_data();
@@ -639,27 +682,35 @@ fn reload_of_partially_written_snapshot_is_retryable() {
         Json::Str(good.to_string_lossy().into_owned())
     );
     let raw = format!(
-        "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
+        "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{}",
         body.len(),
         body
     );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut buf = Vec::new();
+    let mut reload = || {
+        stream.write_all(raw.as_bytes()).expect("send");
+        read_one_response(&mut stream, &mut buf).expect("reload answered before EOF")
+    };
 
     // Truncate at several cut points a concurrent writer could be
     // caught at: mid-header, mid-section, just short of the footer.
     for cut in [8, full.len() / 3, full.len() - 4] {
         std::fs::write(&good, &full[..cut]).expect("write partial");
-        let (status, resp) = roundtrip(addr, &raw);
-        assert_eq!(
-            status, 503,
-            "cut at {cut}: partial snapshot must be retryable, got {resp}"
-        );
-        assert!(resp.contains("\"retryable\":true"), "cut at {cut}: {resp}");
-        assert_eq!(handle.version(), 0, "partial snapshot must not swap");
+        for attempt in 0..67 {
+            let (status, resp) = reload();
+            assert_eq!(
+                status, 503,
+                "cut at {cut}, attempt {attempt}: partial snapshot must be retryable, got {resp}"
+            );
+            assert!(resp.contains("\"retryable\":true"), "cut at {cut}: {resp}");
+            assert_eq!(handle.version(), 0, "partial snapshot must not swap");
+        }
     }
 
     // The writer finishes; the retry that a 503 invites now succeeds.
     std::fs::write(&good, &full).expect("write complete");
-    let (status, resp) = roundtrip(addr, &raw);
+    let (status, resp) = reload();
     assert_eq!(status, 200, "completed snapshot must reload: {resp}");
     assert_eq!(handle.version(), 1);
 

@@ -9,7 +9,7 @@
 use pge::core::{train_pge, Detector, PgeConfig, PgeModel};
 use pge::datagen::{generate_catalog, CatalogConfig};
 use pge::graph::Dataset;
-use pge::serve::json::{self, Json};
+use pge::obs::json::{self, Json};
 use pge::serve::{start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
