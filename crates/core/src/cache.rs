@@ -12,7 +12,7 @@
 //! can therefore never change a score, only its latency.
 
 use crate::api::ErrorDetector;
-use crate::model::PgeModel;
+use crate::model::{EncodeScratch, PgeModel};
 use parking_lot::RwLock;
 use pge_graph::{AttrId, ProductGraph, Triple};
 use pge_obs::AtomicHistogram;
@@ -278,6 +278,9 @@ pub struct ScoreScratch {
     /// dominate the hit path at scale.
     memo_title: String,
     memo_owner: usize,
+    /// Encoder buffers for cache misses: a miss allocates only the
+    /// row the cache keeps.
+    enc: EncodeScratch,
 }
 
 impl<'a> CachedModel<'a> {
@@ -342,8 +345,9 @@ impl<'a> CachedModel<'a> {
         if s.memo_owner == owner && !s.memo_title.is_empty() && s.memo_title == title {
             self.cache.note_memo_hit();
         } else {
-            self.cache
-                .copy_or_compute(title, &mut s.h, || self.model.embed_text(title));
+            self.cache.copy_or_compute(title, &mut s.h, || {
+                self.model.embed_text_with(title, &mut s.enc)
+            });
             s.memo_title.clear();
             s.memo_title.push_str(title);
             s.memo_owner = owner;
@@ -351,8 +355,9 @@ impl<'a> CachedModel<'a> {
         if let Some(score) = self.cache.with_cached(value, |v| prep.score(&s.h, v)) {
             return score;
         }
-        self.cache
-            .copy_or_compute(value, &mut s.v, || self.model.embed_text(value));
+        self.cache.copy_or_compute(value, &mut s.v, || {
+            self.model.embed_text_with(value, &mut s.enc)
+        });
         prep.score(&s.h, &s.v)
     }
 

@@ -132,7 +132,7 @@ pub struct TrainerState {
 }
 
 /// FNV-1a 64-bit, the workspace's zero-dependency stable hash.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     let mut h = h;
     for &b in bytes {
         h ^= b as u64;
@@ -141,7 +141,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv_u64(h: u64, x: u64) -> u64 {
     fnv1a(h, &x.to_le_bytes())

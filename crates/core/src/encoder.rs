@@ -74,6 +74,18 @@ impl TextEncoder {
         }
     }
 
+    /// [`TextEncoder::infer`] reusing `cache`'s buffers: the CNN's only
+    /// allocation is the returned vector.
+    pub fn infer_with(&self, tokens: &[u32], cache: &mut pge_nn::conv::CnnEncCache) -> Vec<f32> {
+        match self {
+            TextEncoder::Cnn(e) => {
+                e.forward_into(tokens, cache);
+                cache.embedding().to_vec()
+            }
+            TextEncoder::Bert(e) => e.infer(tokens),
+        }
+    }
+
     /// Training forward.
     pub fn forward(&self, tokens: &[u32]) -> (Vec<f32>, EncCache) {
         match self {

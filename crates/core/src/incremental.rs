@@ -43,7 +43,7 @@ use crate::encoder::{EncoderKind, TextEncoder};
 use crate::model::PgeModel;
 use crate::persist::{save_model_store, PersistError};
 use crate::trainer::{
-    resolve_threads, run_lanes, shuffle_seed, BatchCtx, Lane, PgeConfig, GRAD_LANES,
+    resolve_threads, run_lanes, shuffle_seed, BatchCtx, Lane, LaneScratch, PgeConfig, GRAD_LANES,
 };
 use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaWindow, NegativeSampler};
 use pge_nn::AdamHparams;
@@ -224,6 +224,7 @@ pub fn train_incremental(
         };
         Lane::buffers(enc, model.scorer.rel_dim(ent_dim))
     };
+    let mut scratch: Vec<LaneScratch> = (0..workers).map(|_| LaneScratch::default()).collect();
     let mut step = state.step;
     let mut epoch_losses = state.epoch_losses.clone();
     let mut windows_done = state.windows_done;
@@ -286,15 +287,18 @@ pub fn train_incremental(
                     };
                     let per_worker = GRAD_LANES.div_ceil(workers);
                     if workers == 1 {
-                        run_lanes(&ctx, batch, &mut lanes, 0);
+                        run_lanes(&ctx, batch, &mut lanes, 0, &mut scratch[0]);
                     } else {
                         std::thread::scope(|s| {
                             let handles: Vec<_> = lanes
                                 .chunks_mut(per_worker)
+                                .zip(&mut scratch)
                                 .enumerate()
-                                .map(|(wk, chunk)| {
+                                .map(|(wk, (chunk, scratch))| {
                                     let ctx = &ctx;
-                                    s.spawn(move || run_lanes(ctx, batch, chunk, wk * per_worker))
+                                    s.spawn(move || {
+                                        run_lanes(ctx, batch, chunk, wk * per_worker, scratch)
+                                    })
                                 })
                                 .collect();
                             for h in handles {

@@ -47,7 +47,7 @@ pub use incremental::{
     push_snapshot, train_incremental, IncrementalConfig, IncrementalOutcome, PushReport,
     INCREMENTAL_CHECKPOINT_FILE,
 };
-pub use model::PgeModel;
+pub use model::{EncodeScratch, PgeModel};
 pub use persist::{
     load_model, load_model_auto, load_model_auto_path, load_model_binary, load_model_store,
     model_from_snapshot, save_model, save_model_binary, save_model_store, write_model_sections,

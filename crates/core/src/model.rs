@@ -7,6 +7,14 @@ use pge_graph::{AttrId, ProductGraph, Triple};
 use pge_nn::Embedding;
 use pge_text::{tokenize, tokenize_each, Vocab};
 
+/// Reusable buffers for [`PgeModel::embed_text_with`]: token ids and
+/// the CNN encoder's cache.
+#[derive(Default)]
+pub struct EncodeScratch {
+    ids: Vec<u32>,
+    cnn: pge_nn::conv::CnnEncCache,
+}
+
 /// A trained (or in-training) PGE model.
 ///
 /// Entities (titles and values) are *not* id-embedded: their vectors
@@ -151,6 +159,12 @@ impl PgeModel {
     /// Embed a piece of raw text (title or value) — tokenize, encode
     /// against the training vocabulary, and run the text encoder.
     pub fn embed_text(&self, text: &str) -> Vec<f32> {
+        self.embed_text_with(text, &mut EncodeScratch::default())
+    }
+
+    /// [`Self::embed_text`] reusing `scratch`: the returned vector is
+    /// the only allocation.
+    pub fn embed_text_with(&self, text: &str, scratch: &mut EncodeScratch) -> Vec<f32> {
         // A bank hit serves the precomputed row (bit-identical to the
         // encoder's output by construction) straight from the
         // snapshot backing — page cache instead of a CNN forward.
@@ -159,12 +173,7 @@ impl PgeModel {
                 return row.to_vec();
             }
         }
-        // Tokenize and encode in one streaming pass: same tokens in
-        // the same order as `vocab.encode(&tokenize(text))`, without
-        // allocating a `String` per token on the scan's miss path.
-        let mut ids = Vec::with_capacity(16);
-        tokenize_each(text, |tok| ids.push(self.vocab.get_or_unk(tok)));
-        self.encoder.infer(&ids)
+        self.encode_text(text, scratch)
     }
 
     /// [`Self::embed_text`] bypassing the bank — always runs the
@@ -172,9 +181,16 @@ impl PgeModel {
     /// come from the encoder, not from a previously attached bank),
     /// and bit-identity tests compare the two paths.
     pub fn embed_text_uncached(&self, text: &str) -> Vec<f32> {
-        let mut ids = Vec::with_capacity(16);
-        tokenize_each(text, |tok| ids.push(self.vocab.get_or_unk(tok)));
-        self.encoder.infer(&ids)
+        self.encode_text(text, &mut EncodeScratch::default())
+    }
+
+    fn encode_text(&self, text: &str, scratch: &mut EncodeScratch) -> Vec<f32> {
+        // Tokenize and encode in one streaming pass: same tokens in
+        // the same order as `vocab.encode(&tokenize(text))`, without
+        // allocating a `String` per token on the scan's miss path.
+        scratch.ids.clear();
+        tokenize_each(text, |tok| scratch.ids.push(self.vocab.get_or_unk(tok)));
+        self.encoder.infer_with(&scratch.ids, &mut scratch.cnn)
     }
 
     /// Score a fact given *raw text* — the fully inductive entry

@@ -29,6 +29,7 @@ use crate::model::PgeModel;
 use crate::persist::PersistError;
 use crate::score::{ScoreKind, Scorer};
 use pge_graph::{Dataset, NegativeSampler, SamplingMode, Triple};
+use pge_nn::conv::CnnEncCache;
 use pge_nn::{
     AdamHparams, CnnConfig, Embedding, SparseRowGrads, TextCnnEncoder, TransformerConfig,
 };
@@ -276,16 +277,44 @@ pub(crate) struct BatchCtx<'a> {
     pub(crate) seed: u64,
 }
 
+/// One worker's buffers, allocated once per run and reused by every
+/// batch: an encode cache each for the title, the value and the
+/// negative being scored, and the scorer's gradient vectors.
+#[derive(Default)]
+pub(crate) struct LaneScratch {
+    title: CnnEncCache,
+    value: CnnEncCache,
+    neg: CnnEncCache,
+    dh: Vec<f32>,
+    dr: Vec<f32>,
+    dv: Vec<f32>,
+    f_negs: Vec<f32>,
+}
+
 /// Process this worker's lanes for one batch: lane `first_lane + j`
 /// (for `lanes[j]`) owns batch positions `≡ lane (mod GRAD_LANES)`.
 /// Pure accumulation — nothing here mutates shared state, so workers
 /// run concurrently against the same `BatchCtx`.
-pub(crate) fn run_lanes(ctx: &BatchCtx, batch: &[usize], lanes: &mut [Lane], first_lane: usize) {
+pub(crate) fn run_lanes(
+    ctx: &BatchCtx,
+    batch: &[usize],
+    lanes: &mut [Lane],
+    first_lane: usize,
+    scratch: &mut LaneScratch,
+) {
     let ent_dim = ctx.enc.out_dim();
-    let mut dh = vec![0.0f32; ent_dim];
-    let mut dr = vec![0.0f32; ctx.scorer.rel_dim(ent_dim)];
-    let mut dv = vec![0.0f32; ent_dim];
-    let mut f_negs: Vec<f32> = Vec::new();
+    let LaneScratch {
+        title,
+        value,
+        neg,
+        dh,
+        dr,
+        dv,
+        f_negs,
+    } = scratch;
+    dh.resize(ent_dim, 0.0);
+    dr.resize(ctx.scorer.rel_dim(ent_dim), 0.0);
+    dv.resize(ent_dim, 0.0);
     for (j, lane) in lanes.iter_mut().enumerate() {
         for p in (first_lane + j..batch.len()).step_by(GRAD_LANES) {
             let i = batch[p];
@@ -297,12 +326,13 @@ pub(crate) fn run_lanes(ctx: &BatchCtx, batch: &[usize], lanes: &mut [Lane], fir
             if negs.is_empty() {
                 continue;
             }
-            let title_tokens = &ctx.title_tokens[triple.product.0 as usize];
-            let value_tokens = &ctx.value_tokens[triple.value.0 as usize];
-            let (e_t, cache_t) = ctx.enc.forward(title_tokens);
-            let (e_v, cache_v) = ctx.enc.forward(value_tokens);
+            ctx.enc
+                .forward_into(&ctx.title_tokens[triple.product.0 as usize], title);
+            ctx.enc
+                .forward_into(&ctx.value_tokens[triple.value.0 as usize], value);
+            let (e_t, e_v) = (title.embedding(), value.embedding());
             let r = ctx.relations.row(triple.attr.0 as u32);
-            let f_pos = ctx.scorer.score(&e_t, r, &e_v);
+            let f_pos = ctx.scorer.score(e_t, r, e_v);
             lane.negs += negs.len();
             // Loss bookkeeping (Eq. 3 per-triple term).
             let mut l_i = -ops::log_sigmoid(f_pos);
@@ -311,42 +341,40 @@ pub(crate) fn run_lanes(ctx: &BatchCtx, batch: &[usize], lanes: &mut [Lane], fir
             } else {
                 1.0
             };
-            dh.iter_mut().for_each(|x| *x = 0.0);
-            dr.iter_mut().for_each(|x| *x = 0.0);
+            dh.fill(0.0);
+            dr.fill(0.0);
             if w > 0.0 {
                 // Positive term: dL/df⁺ = −σ(−f⁺).
-                dv.iter_mut().for_each(|x| *x = 0.0);
+                dv.fill(0.0);
                 let df_pos = -w * ops::sigmoid(-f_pos);
-                ctx.scorer
-                    .backward(&e_t, r, &e_v, df_pos, &mut dh, &mut dr, &mut dv);
-                ctx.enc.backward_into(&cache_v, &dv, &mut lane.grads);
+                ctx.scorer.backward(e_t, r, e_v, df_pos, dh, dr, dv);
+                ctx.enc.backward_into(value, dv, &mut lane.grads);
             }
             let inv_k = 1.0 / negs.len() as f32;
             f_negs.clear();
-            for &neg in &negs {
-                let neg_tokens = &ctx.value_tokens[neg.0 as usize];
-                let (e_n, cache_n) = ctx.enc.forward(neg_tokens);
-                let f_neg = ctx.scorer.score(&e_t, r, &e_n);
+            for &n in &negs {
+                ctx.enc.forward_into(&ctx.value_tokens[n.0 as usize], neg);
+                let e_n = neg.embedding();
+                let f_neg = ctx.scorer.score(e_t, r, e_n);
                 l_i += -inv_k * ops::log_sigmoid(-f_neg);
                 if ctx.capture_contrast {
                     f_negs.push(f_neg);
                 }
                 if w > 0.0 {
                     // Negative term: dL/df⁻ = σ(f⁻)/k.
-                    dv.iter_mut().for_each(|x| *x = 0.0);
+                    dv.fill(0.0);
                     let df_neg = w * inv_k * ops::sigmoid(f_neg);
-                    ctx.scorer
-                        .backward(&e_t, r, &e_n, df_neg, &mut dh, &mut dr, &mut dv);
-                    ctx.enc.backward_into(&cache_n, &dv, &mut lane.grads);
+                    ctx.scorer.backward(e_t, r, e_n, df_neg, dh, dr, dv);
+                    ctx.enc.backward_into(neg, dv, &mut lane.grads);
                 }
             }
             if w > 0.0 {
-                ctx.enc.backward_into(&cache_t, &dh, &mut lane.grads);
-                lane.rel.add_row(triple.attr.0 as usize, &dr);
+                ctx.enc.backward_into(title, dh, &mut lane.grads);
+                lane.rel.add_row(triple.attr.0 as usize, dr);
             }
             if ctx.confidence_active {
                 let (contrast, value_emb) = if ctx.capture_contrast {
-                    (info_nce(f_pos, &f_negs), e_v.clone())
+                    (info_nce(f_pos, f_negs), e_v.to_vec())
                 } else {
                     (0.0, Vec::new())
                 };
@@ -550,6 +578,7 @@ pub fn train_pge_resumable(
         Vec::new()
     };
     let mut worker_busy = vec![0.0f64; workers];
+    let mut scratch: Vec<LaneScratch> = (0..workers).map(|_| LaneScratch::default()).collect();
     // Legacy serial scratch (BERT path).
     let mut dh = vec![0.0f32; ent_dim];
     let mut dr = vec![0.0f32; model.scorer.rel_dim(ent_dim)];
@@ -613,18 +642,19 @@ pub fn train_pge_resumable(
                     let per_worker = GRAD_LANES.div_ceil(workers);
                     if workers == 1 {
                         let t0 = Instant::now();
-                        run_lanes(&ctx, batch, &mut lanes, 0);
+                        run_lanes(&ctx, batch, &mut lanes, 0, &mut scratch[0]);
                         worker_busy[0] += t0.elapsed().as_secs_f64();
                     } else {
                         std::thread::scope(|s| {
                             let handles: Vec<_> = lanes
                                 .chunks_mut(per_worker)
+                                .zip(&mut scratch)
                                 .enumerate()
-                                .map(|(w, chunk)| {
+                                .map(|(w, (chunk, scratch))| {
                                     let ctx = &ctx;
                                     s.spawn(move || {
                                         let t0 = Instant::now();
-                                        run_lanes(ctx, batch, chunk, w * per_worker);
+                                        run_lanes(ctx, batch, chunk, w * per_worker, scratch);
                                         (w, t0.elapsed().as_secs_f64())
                                     })
                                 })
@@ -969,6 +999,41 @@ mod tests {
                 out.confidence.scores(),
                 "confidences diverged at threads={threads}"
             );
+        }
+    }
+
+    /// Epoch-loss bit patterns and parameter hash of `PgeConfig::tiny()`
+    /// on `tiny_dataset()`, recorded before the encoder was made
+    /// allocation-free and tiled. An encoder or kernel change that
+    /// moves one bit of training output fails here.
+    const GOLDEN_LOSSES: [u32; 6] = [
+        1081727284, 1079818558, 1078221859, 1076782821, 1075369997, 1074066375,
+    ];
+    const GOLDEN_PARAM_HASH: u64 = 0x3098_928a_7ab8_a067;
+
+    #[test]
+    fn training_bits_are_pinned_under_both_kernels() {
+        use pge_nn::gradcheck::HasParams;
+        use pge_tensor::{set_kernel, Kernel};
+        let d = tiny_dataset();
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            set_kernel(Some(kernel));
+            let mut out = train_pge(&d, &PgeConfig::tiny());
+            set_kernel(None);
+            let losses: Vec<u32> = out.epoch_losses.iter().map(|l| l.to_bits()).collect();
+            let mut h = crate::checkpoint::FNV_OFFSET;
+            let model = &mut out.model;
+            for p in model.encoder.params_mut() {
+                for x in p.value.as_slice() {
+                    h = crate::checkpoint::fnv1a(h, &x.to_bits().to_le_bytes());
+                }
+            }
+            for x in model.relations.table().as_slice() {
+                h = crate::checkpoint::fnv1a(h, &x.to_bits().to_le_bytes());
+            }
+            eprintln!("{kernel:?}: losses {losses:?} hash {h:#018x}");
+            assert_eq!(losses, GOLDEN_LOSSES, "epoch losses moved under {kernel:?}");
+            assert_eq!(h, GOLDEN_PARAM_HASH, "parameters moved under {kernel:?}");
         }
     }
 

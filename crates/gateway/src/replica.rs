@@ -14,7 +14,7 @@
 use crate::epoll::WakePipe;
 use crate::metrics::GatewayMetrics;
 use parking_lot::{Mutex, RwLock};
-use pge_core::{CachedModel, EmbeddingCache, PgeModel};
+use pge_core::{CachedModel, EmbeddingCache, PgeModel, ScoreScratch};
 use pge_obs::json::Json;
 use pge_obs::{span, Stage, Tracer};
 use pge_serve::queue::BoundedQueue;
@@ -53,10 +53,11 @@ impl ModelState {
     /// bit-identical to scoring the same triples offline.
     pub fn score_items(&self, items: &[ScoreItem]) -> Vec<ItemScore> {
         let cm = CachedModel::new(&self.model, &self.cache);
+        let mut scratch = ScoreScratch::default();
         items
             .iter()
-            .map(
-                |it| match cm.score_text_triple(&it.title, &it.attr, &it.value) {
+            .map(|it| {
+                match cm.score_text_triple_scratch(&it.title, &it.attr, &it.value, &mut scratch) {
                     Some(p) => ItemScore {
                         plausibility: Some(p),
                         is_error: Some(p <= self.threshold),
@@ -65,8 +66,8 @@ impl ModelState {
                         plausibility: None,
                         is_error: None,
                     },
-                },
-            )
+                }
+            })
             .collect()
     }
 }

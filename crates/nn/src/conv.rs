@@ -10,9 +10,10 @@
 use crate::adam::AdamHparams;
 use crate::embedding::Embedding;
 use crate::gradcheck::HasParams;
-use crate::linear::{Activation, Linear};
+use crate::linear::{self, Activation, Linear};
 use crate::param::Param;
-use pge_tensor::{init, kernels, ops, Matrix};
+use pge_tensor::kernels::{self, DispatchedOps, Ops, Pass};
+use pge_tensor::{init, ops, Matrix};
 use rand::Rng;
 
 /// One 1-d convolution of width `k` over a `L × in_dim` sequence,
@@ -25,14 +26,6 @@ pub struct Conv1d {
     b: Param,
     width: usize,
     in_dim: usize,
-}
-
-/// Backward cache for one [`Conv1d`] application: per filter, the
-/// position of the temporal max and the activated value there.
-#[derive(Clone, Debug)]
-pub struct ConvCache {
-    max_pos: Vec<usize>,
-    max_act: Vec<f32>,
 }
 
 impl Conv1d {
@@ -56,123 +49,38 @@ impl Conv1d {
         self.width
     }
 
-    /// Max-over-time pooled feature map for sequence `x` (`L × in_dim`,
-    /// `L ≥ width`). Writes the pooled vector into `out`.
-    pub fn infer_into(&self, x: &Matrix, out: &mut [f32]) {
-        self.apply(x, out, None);
-    }
-
-    /// Training forward: pooled features plus cache.
-    pub fn forward(&self, x: &Matrix) -> (Vec<f32>, ConvCache) {
-        let f = self.filters();
-        let mut out = vec![0.0; f];
-        let mut cache = ConvCache {
-            max_pos: vec![0; f],
-            max_act: vec![0.0; f],
-        };
-        self.apply(x, &mut out, Some(&mut cache));
-        (out, cache)
-    }
-
-    fn apply(&self, x: &Matrix, out: &mut [f32], mut cache: Option<&mut ConvCache>) {
-        debug_assert_eq!(x.cols(), self.in_dim);
+    /// Max-over-time pooled features of the sequence `x` (`L × in_dim`
+    /// row-major, `L ≥ width`) on kernel `kern`: `act[f]` is filter
+    /// f's activation at its temporal max, `arg[f]` that position.
+    #[inline(always)]
+    pub(crate) fn pool_with<O: Ops>(&self, kern: O, x: &[f32], act: &mut [f32], arg: &mut [u32]) {
+        let rows = x.len() / self.in_dim;
         assert!(
-            x.rows() >= self.width,
-            "sequence length {} shorter than filter width {}",
-            x.rows(),
+            rows >= self.width,
+            "sequence length {rows} shorter than filter width {}",
             self.width
         );
-        let positions = x.rows() - self.width + 1;
-        let window = self.width * self.in_dim;
-        let xs = x.as_slice();
-        let bias = self.b.value.as_slice();
-        let nf = out.len();
         // tanh is strictly increasing, so max-over-time of tanh(pre)
-        // is tanh(max-over-time pre): compare raw pre-activations and
-        // activate once per filter instead of once per position. The
-        // loop is position-major so one kernel-dispatched gemv scores
-        // every filter against a window, loading the window once per
-        // tile of filters instead of once per filter; each filter's
-        // pre-activation sequence (and hence its bits) is unchanged
-        // from the filter-major dot formulation.
+        // is tanh(max-over-time pre): the kernel compares raw
+        // pre-activations and each filter is activated once.
         //
         // Edge cases vs activating inside the loop: when rounding
         // maps two distinct pre-activations to the same tanh, the
-        // argmax recorded for backward is now the larger *pre* (the
-        // output value is identical); an all-NaN feature map now
-        // pools to tanh(-inf) = -1.0 rather than -inf. Both kernels
-        // share this path, so determinism is unaffected.
-        let mut pre = vec![0.0f32; nf];
-        let mut best_pre = vec![f32::NEG_INFINITY; nf];
-        let mut best_pos = vec![0usize; nf];
-        for i in 0..positions {
-            // Rows are contiguous, so a width-k window starting at
-            // row i is one contiguous slice of length k·in_dim.
-            let win = &xs[i * self.in_dim..i * self.in_dim + window];
-            kernels::gemv(self.w.value.as_slice(), win, &mut pre);
-            for f in 0..nf {
-                let p = pre[f] + bias[f];
-                if p > best_pre[f] {
-                    best_pre[f] = p;
-                    best_pos[f] = i;
-                }
-            }
-        }
-        for (f, of) in out.iter_mut().enumerate() {
-            let best = best_pre[f].tanh();
-            *of = best;
-            if let Some(c) = cache.as_deref_mut() {
-                c.max_pos[f] = best_pos[f];
-                c.max_act[f] = best;
-            }
-        }
-    }
-
-    /// Accumulate parameter grads and add the input gradient into
-    /// `dx` (same shape as the forward input).
-    pub fn backward(&mut self, x: &Matrix, cache: &ConvCache, grad_out: &[f32], dx: &mut Matrix) {
-        let Conv1d {
-            w,
-            b,
-            width,
-            in_dim,
-        } = self;
-        conv_backward_impl(
-            &w.value,
-            *width,
-            *in_dim,
+        // argmax recorded for backward is the larger *pre* (the output
+        // value is identical); an all-NaN feature map pools to
+        // tanh(-inf) = -1.0 rather than -inf. Both kernels share this
+        // definition, so determinism is unaffected.
+        kern.conv_max_pool(
+            self.w.value.as_slice(),
+            self.width * self.in_dim,
             x,
-            cache,
-            grad_out,
-            &mut w.grad,
-            b.grad.as_mut_slice(),
-            dx,
-        );
-    }
-
-    /// [`Conv1d::backward`] with `&self`, accumulating into external
-    /// buffers `dw` (`filters × k·in_dim`) and `db` (`filters`) —
-    /// the data-parallel variant.
-    pub fn backward_into(
-        &self,
-        x: &Matrix,
-        cache: &ConvCache,
-        grad_out: &[f32],
-        dw: &mut Matrix,
-        db: &mut [f32],
-        dx: &mut Matrix,
-    ) {
-        conv_backward_impl(
-            &self.w.value,
-            self.width,
             self.in_dim,
-            x,
-            cache,
-            grad_out,
-            dw,
-            db,
-            dx,
+            rows - self.width + 1,
+            self.b.value.as_slice(),
+            act,
+            arg,
         );
+        ops::tanh_inplace(act);
     }
 
     /// Fold external gradient buffers into the inline parameter
@@ -184,7 +92,7 @@ impl Conv1d {
         db.fill_zero();
     }
 
-    /// Zeroed gradient buffers shaped for [`Conv1d::backward_into`].
+    /// Zeroed gradient buffers (`dW`, `db`) shaped like the parameters.
     pub fn grad_buffer(&self) -> (Matrix, Matrix) {
         (
             Matrix::zeros(self.w.rows(), self.w.cols()),
@@ -207,36 +115,36 @@ impl Conv1d {
     }
 }
 
-/// Shared backward kernel for [`Conv1d`]: reads the weight value and
+/// Backward through [`Conv1d::pool_with`]: reads the weight value,
 /// accumulates into whichever gradient storage the caller supplies
-/// (inline `Param.grad` or an external per-worker buffer).
+/// (inline `Param.grad` or an external per-worker buffer), and adds
+/// the input gradient into `dx` (same layout as the forward `x`).
 #[allow(clippy::too_many_arguments)]
-fn conv_backward_impl(
+#[inline(always)]
+fn conv_backward<O: Ops>(
+    kern: O,
     w_value: &Matrix,
-    width: usize,
     in_dim: usize,
-    x: &Matrix,
-    cache: &ConvCache,
+    x: &[f32],
+    act: &[f32],
+    arg: &[u32],
     grad_out: &[f32],
     dw: &mut Matrix,
     db: &mut [f32],
-    dx: &mut Matrix,
+    dx: &mut [f32],
 ) {
     debug_assert_eq!(grad_out.len(), w_value.rows());
-    debug_assert_eq!((dx.rows(), dx.cols()), (x.rows(), x.cols()));
-    let window = width * in_dim;
+    debug_assert_eq!(dx.len(), x.len());
+    let window = w_value.cols();
     for (f, &g_out) in grad_out.iter().enumerate() {
         if g_out == 0.0 {
             continue;
         }
-        let t = cache.max_act[f];
-        let g = g_out * ops::tanh_deriv_from_output(t);
-        let i = cache.max_pos[f];
+        let g = g_out * ops::tanh_deriv_from_output(act[f]);
+        let lo = arg[f] as usize * in_dim;
         db[f] += g;
-        let lo = i * in_dim;
-        let xwin = &x.as_slice()[lo..lo + window];
-        ops::axpy(g, xwin, dw.row_mut(f));
-        ops::axpy(g, w_value.row(f), &mut dx.as_mut_slice()[lo..lo + window]);
+        kern.axpy(g, &x[lo..lo + window], dw.row_mut(f));
+        kern.axpy(g, w_value.row(f), &mut dx[lo..lo + window]);
     }
 }
 
@@ -286,15 +194,42 @@ pub struct CnnGrads {
     pub convs: Vec<(Matrix, Matrix)>,
     /// `(dW, db)` of the projection layer.
     pub proj: (Matrix, Matrix),
+    /// Backward scratch, reused across calls: the projection's
+    /// pre-activation gradient, dL/dh, and dL/dx.
+    dy: Vec<f32>,
+    dh: Vec<f32>,
+    dx: Vec<f32>,
 }
 
-/// Backward cache of one [`TextCnnEncoder::forward`] call.
-#[derive(Clone, Debug)]
+/// The buffers of one [`TextCnnEncoder::forward_into`]: its backward
+/// cache, and — reused from call to call — the scratch that keeps
+/// encoding allocation-free.
+#[derive(Clone, Debug, Default)]
 pub struct CnnEncCache {
+    /// Token ids after padding/truncation.
     padded: Vec<u32>,
-    x: Matrix,
-    conv: Vec<(Vec<f32>, ConvCache)>,
-    proj: crate::linear::LinearCache,
+    /// Their word vectors, `padded.len() × word_dim` row-major.
+    x: Vec<f32>,
+    /// Pooled activations of every convolution, concatenated: the
+    /// projection's input.
+    h: Vec<f32>,
+    /// Per entry of `h`, the position of its temporal max.
+    arg: Vec<u32>,
+    /// The projection's activated output: the embedding.
+    out: Vec<f32>,
+}
+
+impl CnnEncCache {
+    /// The embedding the last [`TextCnnEncoder::forward_into`] wrote.
+    pub fn embedding(&self) -> &[f32] {
+        &self.out
+    }
+
+    /// Per pooled feature (convolution-major), the position of its
+    /// temporal max — where backward routes that feature's gradient.
+    pub fn argmax(&self) -> &[u32] {
+        &self.arg
+    }
 }
 
 /// The paper's text encoder: word embeddings → parallel Conv1d +
@@ -305,6 +240,102 @@ pub struct TextCnnEncoder {
     convs: Vec<Conv1d>,
     proj: Linear,
     cfg: CnnConfig,
+}
+
+/// [`TextCnnEncoder::forward_into`] as a pass over the active kernel.
+struct Encode<'a> {
+    enc: &'a TextCnnEncoder,
+    tokens: &'a [u32],
+    cache: &'a mut CnnEncCache,
+}
+
+impl Pass for Encode<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run<O: Ops>(self, kern: O) {
+        let Encode {
+            enc,
+            tokens,
+            cache: c,
+        } = self;
+        let min = enc.min_len();
+        crate::pad_tokens_into(tokens, min, enc.cfg.max_len.max(min), 0, &mut c.padded);
+        enc.words.gather_into(&c.padded, &mut c.x);
+        let f = enc.cfg.filters_per_width;
+        c.h.resize(enc.convs.len() * f, 0.0);
+        c.arg.resize(enc.convs.len() * f, 0);
+        for (ci, conv) in enc.convs.iter().enumerate() {
+            let span = ci * f..(ci + 1) * f;
+            conv.pool_with(kern, &c.x, &mut c.h[span.clone()], &mut c.arg[span]);
+        }
+        c.out.resize(enc.cfg.out_dim, 0.0);
+        enc.proj.infer_with(kern, &c.h, &mut c.out);
+    }
+}
+
+/// [`TextCnnEncoder::backward_into`] as a pass over the active kernel.
+struct BackwardInto<'a> {
+    enc: &'a TextCnnEncoder,
+    cache: &'a CnnEncCache,
+    grad_out: &'a [f32],
+    g: &'a mut CnnGrads,
+}
+
+impl Pass for BackwardInto<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run<O: Ops>(self, kern: O) {
+        let BackwardInto {
+            enc,
+            cache: c,
+            grad_out,
+            g,
+        } = self;
+        let CnnGrads {
+            words,
+            convs,
+            proj,
+            dy,
+            dh,
+            dx,
+        } = g;
+        dy.resize(grad_out.len(), 0.0);
+        dh.resize(c.h.len(), 0.0);
+        linear::backward_with(
+            kern,
+            &enc.proj.w.value,
+            enc.proj.act,
+            &c.h,
+            &c.out,
+            grad_out,
+            &mut proj.0,
+            proj.1.as_mut_slice(),
+            dy,
+            dh,
+        );
+        dx.clear();
+        dx.resize(c.x.len(), 0.0);
+        let f = enc.cfg.filters_per_width;
+        for (ci, (conv, (dw, db))) in enc.convs.iter().zip(convs).enumerate() {
+            let span = ci * f..(ci + 1) * f;
+            conv_backward(
+                kern,
+                &conv.w.value,
+                conv.in_dim,
+                &c.x,
+                &c.h[span.clone()],
+                &c.arg[span.clone()],
+                &dh[span],
+                dw,
+                db.as_mut_slice(),
+                dx,
+            );
+        }
+        let d = enc.cfg.word_dim;
+        for (&id, row) in c.padded.iter().zip(dx.chunks_exact(d)) {
+            kern.axpy(1.0, row, words.row_mut(id as usize));
+        }
+    }
 }
 
 impl TextCnnEncoder {
@@ -349,63 +380,75 @@ impl TextCnnEncoder {
         self.cfg.widths.iter().copied().max().unwrap_or(1)
     }
 
-    fn pad(&self, tokens: &[u32]) -> Vec<u32> {
-        crate::pad_tokens(
+    /// Encode `tokens` into `cache`, reusing its buffers: the embedding
+    /// is [`CnnEncCache::embedding`], and the cache is what
+    /// [`TextCnnEncoder::backward_into`] reads. `&self` — safe to call
+    /// from many threads, each with its own cache.
+    pub fn forward_into(&self, tokens: &[u32], cache: &mut CnnEncCache) {
+        kernels::run(Encode {
+            enc: self,
             tokens,
-            self.min_len(),
-            self.cfg.max_len.max(self.min_len()),
-            0,
-        )
+            cache,
+        })
     }
 
-    /// Inference-only encoding (`&self`, no caches) — safe to call from
-    /// many threads concurrently.
+    /// Inference-only encoding: [`TextCnnEncoder::forward_into`] on a
+    /// scratch cache.
     pub fn infer(&self, tokens: &[u32]) -> Vec<f32> {
-        let padded = self.pad(tokens);
-        let x = self.words.gather(&padded);
-        let f = self.cfg.filters_per_width;
-        let mut h = vec![0.0; self.convs.len() * f];
-        for (ci, conv) in self.convs.iter().enumerate() {
-            conv.infer_into(&x, &mut h[ci * f..(ci + 1) * f]);
-        }
-        self.proj.infer(&h)
+        let mut cache = CnnEncCache::default();
+        self.forward_into(tokens, &mut cache);
+        cache.out
     }
 
     /// Training forward: final embedding plus backward cache.
     pub fn forward(&self, tokens: &[u32]) -> (Vec<f32>, CnnEncCache) {
-        let padded = self.pad(tokens);
-        let x = self.words.gather(&padded);
-        let f = self.cfg.filters_per_width;
-        let mut h = vec![0.0; self.convs.len() * f];
-        let mut conv_caches = Vec::with_capacity(self.convs.len());
-        for (ci, conv) in self.convs.iter().enumerate() {
-            let (out, cache) = conv.forward(&x);
-            h[ci * f..(ci + 1) * f].copy_from_slice(&out);
-            conv_caches.push((out, cache));
-        }
-        let (e, proj_cache) = self.proj.forward(&h);
-        (
-            e,
-            CnnEncCache {
-                padded,
-                x,
-                conv: conv_caches,
-                proj: proj_cache,
-            },
-        )
+        let mut cache = CnnEncCache::default();
+        self.forward_into(tokens, &mut cache);
+        (cache.out.clone(), cache)
     }
 
     /// Backward from dL/d(embedding); accumulates into all parameter
     /// grads including the word-embedding rows used by this sequence.
-    pub fn backward(&mut self, cache: &CnnEncCache, grad_out: &[f32]) {
-        let dh = self.proj.backward(&cache.proj, grad_out);
-        let f = self.cfg.filters_per_width;
-        let mut dx = Matrix::zeros(cache.x.rows(), cache.x.cols());
-        for (ci, conv) in self.convs.iter_mut().enumerate() {
-            let (_, conv_cache) = &cache.conv[ci];
-            conv.backward(&cache.x, conv_cache, &dh[ci * f..(ci + 1) * f], &mut dx);
+    pub fn backward(&mut self, c: &CnnEncCache, grad_out: &[f32]) {
+        let TextCnnEncoder {
+            words,
+            convs,
+            proj,
+            cfg,
+        } = self;
+        let mut dy = vec![0.0; grad_out.len()];
+        let mut dh = vec![0.0; c.h.len()];
+        linear::backward_with(
+            DispatchedOps,
+            &proj.w.value,
+            proj.act,
+            &c.h,
+            &c.out,
+            grad_out,
+            &mut proj.w.grad,
+            proj.b.grad.as_mut_slice(),
+            &mut dy,
+            &mut dh,
+        );
+        let mut dx = Matrix::zeros(c.padded.len(), cfg.word_dim);
+        let f = cfg.filters_per_width;
+        for (ci, conv) in convs.iter_mut().enumerate() {
+            let span = ci * f..(ci + 1) * f;
+            let Conv1d { w, b, in_dim, .. } = conv;
+            conv_backward(
+                DispatchedOps,
+                &w.value,
+                *in_dim,
+                &c.x,
+                &c.h[span.clone()],
+                &c.arg[span.clone()],
+                &dh[span],
+                &mut w.grad,
+                b.grad.as_mut_slice(),
+                dx.as_mut_slice(),
+            );
         }
-        self.words.accumulate_seq_grad(&cache.padded, &dx);
+        words.accumulate_seq_grad(&c.padded, &dx);
     }
 
     /// A zeroed [`CnnGrads`] buffer shaped for this encoder.
@@ -414,31 +457,24 @@ impl TextCnnEncoder {
             words: crate::grad::SparseRowGrads::new(self.cfg.word_dim),
             convs: self.convs.iter().map(Conv1d::grad_buffer).collect(),
             proj: self.proj.grad_buffer(),
+            dy: Vec::new(),
+            dh: Vec::new(),
+            dx: Vec::new(),
         }
     }
 
     /// [`TextCnnEncoder::backward`] with `&self`, accumulating into an
     /// external [`CnnGrads`] buffer instead of the inline parameter
-    /// gradients — the data-parallel training path.
+    /// gradients — the data-parallel training path. The kernel is
+    /// chosen once per call and the scratch lives in `g`, so a call
+    /// allocates nothing once `g` has seen the longest text.
     pub fn backward_into(&self, cache: &CnnEncCache, grad_out: &[f32], g: &mut CnnGrads) {
-        let dh = self
-            .proj
-            .backward_into(&cache.proj, grad_out, &mut g.proj.0, &mut g.proj.1);
-        let f = self.cfg.filters_per_width;
-        let mut dx = Matrix::zeros(cache.x.rows(), cache.x.cols());
-        for (ci, conv) in self.convs.iter().enumerate() {
-            let (_, conv_cache) = &cache.conv[ci];
-            let (dw, db) = &mut g.convs[ci];
-            conv.backward_into(
-                &cache.x,
-                conv_cache,
-                &dh[ci * f..(ci + 1) * f],
-                dw,
-                db.as_mut_slice(),
-                &mut dx,
-            );
-        }
-        g.words.add_seq(&cache.padded, &dx);
+        kernels::run(BackwardInto {
+            enc: self,
+            cache,
+            grad_out,
+            g,
+        })
     }
 
     /// Fold one gradient buffer into the inline parameter gradients
@@ -521,9 +557,9 @@ mod tests {
         ps[1].value = Matrix::zeros(1, 1);
         drop(ps);
         // width-1, identity filter: output = max(tanh(x_i))
-        let x = Matrix::from_rows(&[vec![-0.5], vec![0.8], vec![0.2]]);
+        let x = [-0.5, 0.8, 0.2];
         let mut out = [0.0];
-        conv.infer_into(&x, &mut out);
+        conv.pool_with(DispatchedOps, &x, &mut out, &mut [0]);
         assert!((out[0] - 0.8f32.tanh()).abs() < 1e-6);
     }
 
@@ -535,9 +571,9 @@ mod tests {
         ps[0].value = Matrix::from_rows(&[vec![1.0]]);
         ps[1].value = Matrix::zeros(1, 1);
         drop(ps);
-        let x = Matrix::from_rows(&[vec![0.1], vec![0.9], vec![0.3]]);
-        let (_, cache) = conv.forward(&x);
-        assert_eq!(cache.max_pos, vec![1]);
+        let mut arg = [0];
+        conv.pool_with(DispatchedOps, &[0.1, 0.9, 0.3], &mut [0.0], &mut arg);
+        assert_eq!(arg, [1]);
     }
 
     #[test]
@@ -545,9 +581,7 @@ mod tests {
     fn conv_rejects_short_sequences() {
         let mut rng = StdRng::seed_from_u64(3);
         let conv = Conv1d::new(&mut rng, 3, 2, 1);
-        let x = Matrix::zeros(2, 2);
-        let mut out = [0.0];
-        conv.infer_into(&x, &mut out);
+        conv.pool_with(DispatchedOps, &[0.0; 4], &mut [0.0], &mut [0]);
     }
 
     #[test]

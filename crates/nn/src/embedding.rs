@@ -76,11 +76,17 @@ impl Embedding {
 
     /// Gather rows for a token sequence into an `L × dim` matrix.
     pub fn gather(&self, ids: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(ids.len(), self.dim());
-        for (r, &id) in ids.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(self.row(id));
+        let mut out = Vec::with_capacity(ids.len() * self.dim());
+        self.gather_into(ids, &mut out);
+        Matrix::from_vec(ids.len(), self.dim(), out)
+    }
+
+    /// [`Embedding::gather`] into a reused row-major buffer.
+    pub fn gather_into(&self, ids: &[u32], out: &mut Vec<f32>) {
+        out.clear();
+        for &id in ids {
+            out.extend_from_slice(self.row(id));
         }
-        out
     }
 
     /// Accumulate `grad` into the row for `id`, tracking it for the

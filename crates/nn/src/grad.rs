@@ -15,8 +15,7 @@
 //! order" produces bit-identical floats regardless of how many OS
 //! threads actually ran the workers.
 
-use pge_tensor::{ops, Matrix};
-use std::collections::HashMap;
+use pge_tensor::{ops, FxHashMap, Matrix};
 
 /// A sparse row-wise gradient buffer for an embedding table.
 ///
@@ -29,7 +28,7 @@ use std::collections::HashMap;
 pub struct SparseRowGrads {
     dim: usize,
     /// row id → slot in `rows`/`grads`.
-    index: HashMap<usize, usize>,
+    index: FxHashMap<usize, usize>,
     /// Row ids in first-touch order.
     rows: Vec<usize>,
     /// Gradient storage; slots `0..rows.len()` are active, the rest
@@ -65,6 +64,12 @@ impl SparseRowGrads {
     /// Accumulate `grad` into the buffer row for table row `row`.
     pub fn add_row(&mut self, row: usize, grad: &[f32]) {
         debug_assert_eq!(grad.len(), self.dim);
+        ops::axpy(1.0, grad, self.row_mut(row));
+    }
+
+    /// The buffer row for table row `row`, zeroed on its first touch
+    /// since the last [`clear`](Self::clear).
+    pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
         let slot = match self.index.get(&row) {
             Some(&s) => s,
             None => {
@@ -79,7 +84,7 @@ impl SparseRowGrads {
                 s
             }
         };
-        ops::axpy(1.0, grad, &mut self.grads[slot]);
+        &mut self.grads[slot]
     }
 
     /// Scatter a sequence-gradient matrix (one row per token) back

@@ -52,11 +52,24 @@ pub use transformer::{TransformerConfig, TransformerEncoder};
 /// Every sequence encoder in this crate requires at least one token
 /// (convolutions additionally require `min_len >= widest filter`).
 pub fn pad_tokens(tokens: &[u32], min_len: usize, max_len: usize, pad_id: u32) -> Vec<u32> {
-    let mut out: Vec<u32> = tokens.iter().copied().take(max_len).collect();
-    while out.len() < min_len {
-        out.push(pad_id);
-    }
+    let mut out = Vec::with_capacity(max_len.max(min_len));
+    pad_tokens_into(tokens, min_len, max_len, pad_id, &mut out);
     out
+}
+
+/// [`pad_tokens`] into a reused buffer.
+pub fn pad_tokens_into(
+    tokens: &[u32],
+    min_len: usize,
+    max_len: usize,
+    pad_id: u32,
+    out: &mut Vec<u32>,
+) {
+    out.clear();
+    out.extend(tokens.iter().copied().take(max_len));
+    if out.len() < min_len {
+        out.resize(min_len, pad_id);
+    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use crate::adam::AdamHparams;
 use crate::param::Param;
+use pge_tensor::kernels::{DispatchedOps, Ops};
 use pge_tensor::{init, ops, Matrix};
 use rand::Rng;
 
@@ -61,9 +62,9 @@ pub struct LinearCache {
 /// optional activation.
 #[derive(Clone, Debug)]
 pub struct Linear {
-    w: Param,
-    b: Param,
-    act: Activation,
+    pub(crate) w: Param,
+    pub(crate) b: Param,
+    pub(crate) act: Activation,
 }
 
 impl Linear {
@@ -88,17 +89,18 @@ impl Linear {
 
     /// Inference-only forward pass: no cache, `&self`.
     pub fn infer(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = self.affine(x);
-        self.act.apply(&mut y);
+        let mut y = vec![0.0f32; self.output_dim()];
+        self.infer_with(DispatchedOps, x, &mut y);
         y
     }
 
-    fn affine(&self, x: &[f32]) -> Vec<f32> {
+    /// [`Linear::infer`] into a caller-owned `y`, on kernel `kern`.
+    #[inline(always)]
+    pub(crate) fn infer_with<O: Ops>(&self, kern: O, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.input_dim());
         // One gemv over all output rows; `b[o] + dot(row_o, x)` is
         // bit-identical to the previous per-row `y[o] += dot(...)`.
-        let mut y = vec![0.0f32; self.output_dim()];
-        pge_tensor::kernels::gemv(self.w.value.as_slice(), x, &mut y);
+        kern.gemv(self.w.value.as_slice(), x, y);
         for (yo, &bo) in y.iter_mut().zip(self.b.value.as_slice()) {
             // `bo + dot` keeps the historical operand order; only the
             // NaN-payload carve-out distinguishes it from `+=`.
@@ -107,7 +109,7 @@ impl Linear {
                 *yo = bo + *yo;
             }
         }
-        y
+        self.act.apply(y);
     }
 
     /// Training forward pass returning the output and a backward cache.
@@ -121,7 +123,21 @@ impl Linear {
     /// `grad_out` is dL/dy (post-activation).
     pub fn backward(&mut self, cache: &LinearCache, grad_out: &[f32]) -> Vec<f32> {
         let Linear { w, b, act } = self;
-        backward_impl(&w.value, *act, cache, grad_out, &mut w.grad, &mut b.grad)
+        let mut g = vec![0.0; grad_out.len()];
+        let mut dx = vec![0.0; w.cols()];
+        backward_with(
+            DispatchedOps,
+            &w.value,
+            *act,
+            &cache.x,
+            &cache.y,
+            grad_out,
+            &mut w.grad,
+            b.grad.as_mut_slice(),
+            &mut g,
+            &mut dx,
+        );
+        dx
     }
 
     /// [`Linear::backward`] with `&self`, accumulating into external
@@ -135,7 +151,21 @@ impl Linear {
         dw: &mut Matrix,
         db: &mut Matrix,
     ) -> Vec<f32> {
-        backward_impl(&self.w.value, self.act, cache, grad_out, dw, db)
+        let mut g = vec![0.0; grad_out.len()];
+        let mut dx = vec![0.0; self.input_dim()];
+        backward_with(
+            DispatchedOps,
+            &self.w.value,
+            self.act,
+            &cache.x,
+            &cache.y,
+            grad_out,
+            dw,
+            db.as_mut_slice(),
+            &mut g,
+            &mut dx,
+        );
+        dx
     }
 
     /// Fold external gradient buffers (from [`Linear::backward_into`])
@@ -174,29 +204,36 @@ impl Linear {
 
 /// Shared backward kernel: reads the weight value, accumulates into
 /// whichever gradient storage the caller supplies (inline `Param.grad`
-/// or an external per-worker buffer), and returns dL/dx.
-fn backward_impl(
+/// or an external per-worker buffer), and overwrites `dx` with dL/dx.
+/// `x` and `y` are the forward input and activated output; `g` is
+/// scratch of the output width.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn backward_with<O: Ops>(
+    kern: O,
     w_value: &Matrix,
     act: Activation,
-    cache: &LinearCache,
+    x: &[f32],
+    y: &[f32],
     grad_out: &[f32],
     dw: &mut Matrix,
-    db: &mut Matrix,
-) -> Vec<f32> {
+    db: &mut [f32],
+    g: &mut [f32],
+    dx: &mut [f32],
+) {
     debug_assert_eq!(grad_out.len(), w_value.rows());
-    let mut g = grad_out.to_vec();
-    act.backprop(&cache.y, &mut g);
+    g.copy_from_slice(grad_out);
+    act.backprop(y, g);
     // db += g ; dW[o] += g[o] * x ; dx += Σ_o g[o] * W[o]
-    ops::axpy(1.0, &g, db.as_mut_slice());
-    let mut dx = vec![0.0; w_value.cols()];
+    kern.axpy(1.0, g, db);
+    dx.fill(0.0);
     for (o, &go) in g.iter().enumerate() {
         if go == 0.0 {
             continue;
         }
-        ops::axpy(go, &cache.x, dw.row_mut(o));
-        ops::axpy(go, w_value.row(o), &mut dx);
+        kern.axpy(go, x, dw.row_mut(o));
+        kern.axpy(go, w_value.row(o), dx);
     }
-    dx
 }
 
 impl crate::gradcheck::HasParams for Linear {

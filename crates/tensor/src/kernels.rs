@@ -229,6 +229,92 @@ pub fn gemv(w: &[f32], x: &[f32], out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
+// conv_max_pool — a 1-d convolution with max-over-time pooling fused
+// in: for filter f, the largest `dot(w_f, window_i) + bias[f]` over
+// positions i, and the first i that attains it. Window i is the
+// contiguous slice `x[i·stride .. i·stride + window]`. Each
+// pre-activation is defined as exactly `gemv`'s row f, so the scalar
+// reference is one `gemv_scalar` per window followed by `p > best`;
+// the AVX2 path scores a tile of eight filters against each window
+// and reduces the eight accumulators together (see `avx2::reduce8`).
+// ---------------------------------------------------------------------------
+
+/// Scalar reference for [`conv_max_pool`]: `w` is row-major
+/// `best.len()` filters of `window` columns. A filter whose every
+/// pre-activation is NaN (never `> best`) keeps `-inf` at position 0.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_max_pool_scalar(
+    w: &[f32],
+    window: usize,
+    x: &[f32],
+    stride: usize,
+    positions: usize,
+    bias: &[f32],
+    best: &mut [f32],
+    arg: &mut [u32],
+) {
+    debug_assert_eq!(w.len(), window * best.len());
+    debug_assert!(bias.len() == best.len() && arg.len() == best.len());
+    best.fill(f32::NEG_INFINITY);
+    arg.fill(0);
+    for i in 0..positions {
+        let win = &x[i * stride..i * stride + window];
+        // `gemv_scalar(w, win, ·)` one row at a time, so no buffer.
+        for f in 0..best.len() {
+            let p = dot_scalar(&w[f * window..(f + 1) * window], win) + bias[f];
+            if p > best[f] {
+                best[f] = p;
+                arg[f] = i as u32;
+            }
+        }
+    }
+}
+
+/// AVX2 implementation of [`conv_max_pool`]; scalar fallback without
+/// AVX2.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_max_pool_simd(
+    w: &[f32],
+    window: usize,
+    x: &[f32],
+    stride: usize,
+    positions: usize,
+    bias: &[f32],
+    best: &mut [f32],
+    arg: &mut [u32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_supported() {
+        // SAFETY: AVX2 availability just confirmed.
+        unsafe { avx2::conv_max_pool(w, window, x, stride, positions, bias, best, arg) };
+        return;
+    }
+    conv_max_pool_scalar(w, window, x, stride, positions, bias, best, arg)
+}
+
+/// Convolution + max-over-time pooling dispatched to the active
+/// kernel: `best[f]` is the largest `dot(w_f, window_i) + bias[f]`
+/// (bit for bit `gemv`'s row f plus the bias) and `arg[f]` the first
+/// position attaining it.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn conv_max_pool(
+    w: &[f32],
+    window: usize,
+    x: &[f32],
+    stride: usize,
+    positions: usize,
+    bias: &[f32],
+    best: &mut [f32],
+    arg: &mut [u32],
+) {
+    match active_kernel() {
+        Kernel::Simd => conv_max_pool_simd(w, window, x, stride, positions, bias, best, arg),
+        Kernel::Scalar => conv_max_pool_scalar(w, window, x, stride, positions, bias, best, arg),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // axpy (y += alpha * x) — elementwise, so both paths are trivially
 // bit-identical; SIMD only changes speed.
 // ---------------------------------------------------------------------------
@@ -429,6 +515,112 @@ pub fn rotate_dist(
 }
 
 // ---------------------------------------------------------------------------
+// Resolve once per pass. A layer pass that runs many small primitives
+// (the CNN encoder's backward is ~160 `axpy`s per text) is written
+// once, generic over `Ops`, and `run` picks the kernel a single time.
+// Under AVX2 the whole pass is compiled inside a `target_feature`
+// function, so the primitives inline into it instead of being called
+// through the per-call dispatch above. Either instantiation performs
+// the same IEEE operations as the dispatched entry points.
+// ---------------------------------------------------------------------------
+
+/// A kernel's primitives, each bit-identical to the dispatched entry
+/// point of the same name.
+pub trait Ops: Copy {
+    fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]);
+    fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]);
+    #[allow(clippy::too_many_arguments)]
+    fn conv_max_pool(
+        self,
+        w: &[f32],
+        window: usize,
+        x: &[f32],
+        stride: usize,
+        positions: usize,
+        bias: &[f32],
+        best: &mut [f32],
+        arg: &mut [u32],
+    );
+}
+
+/// A computation generic over the kernel; see [`run`].
+pub trait Pass {
+    type Output;
+    fn run<O: Ops>(self, ops: O) -> Self::Output;
+}
+
+/// The scalar references.
+#[derive(Clone, Copy, Debug)]
+struct ScalarOps;
+
+impl Ops for ScalarOps {
+    #[inline(always)]
+    fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
+        gemv_scalar(w, x, out)
+    }
+    #[inline(always)]
+    fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]) {
+        axpy_scalar(alpha, x, y)
+    }
+    #[inline(always)]
+    fn conv_max_pool(
+        self,
+        w: &[f32],
+        window: usize,
+        x: &[f32],
+        stride: usize,
+        positions: usize,
+        bias: &[f32],
+        best: &mut [f32],
+        arg: &mut [u32],
+    ) {
+        conv_max_pool_scalar(w, window, x, stride, positions, bias, best, arg)
+    }
+}
+
+/// The dispatched entry points themselves: the kernel is re-read on
+/// every call. For code off the hot path that shares a generic body
+/// with a pass run through [`run`].
+#[derive(Clone, Copy, Debug)]
+pub struct DispatchedOps;
+
+impl Ops for DispatchedOps {
+    #[inline]
+    fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
+        gemv(w, x, out)
+    }
+    #[inline]
+    fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]) {
+        axpy(alpha, x, y)
+    }
+    #[inline]
+    fn conv_max_pool(
+        self,
+        w: &[f32],
+        window: usize,
+        x: &[f32],
+        stride: usize,
+        positions: usize,
+        bias: &[f32],
+        best: &mut [f32],
+        arg: &mut [u32],
+    ) {
+        conv_max_pool(w, window, x, stride, positions, bias, best, arg)
+    }
+}
+
+/// Run `pass` under the active kernel, chosen once.
+#[inline]
+pub fn run<P: Pass>(pass: P) -> P::Output {
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd && simd_supported() {
+        // SAFETY: AVX2 availability just confirmed.
+        return unsafe { avx2::run(pass) };
+    }
+    pass.run(ScalarOps)
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 implementations
 // ---------------------------------------------------------------------------
 
@@ -499,6 +691,143 @@ mod avx2 {
         }
     }
 
+    /// Lane k of the result is `reduce_lanes` of `acc[k]`'s lanes,
+    /// bit for bit. `hadd` sums adjacent lane pairs, so two rounds of
+    /// it transpose the tile while forming `(l0+l1)+(l2+l3)` and
+    /// `(l4+l5)+(l6+l7)` for every filter, and the final vertical add
+    /// joins those two halves — the tree's exact pairing. (`hadd`
+    /// computes `l1+l0` where the tree has `l0+l1`; IEEE addition is
+    /// commutative, NaN payloads aside, as for every kernel here.)
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce8(acc: &[__m256; 8]) -> __m256 {
+        let ab = _mm256_hadd_ps(acc[0], acc[1]);
+        let cd = _mm256_hadd_ps(acc[2], acc[3]);
+        let ef = _mm256_hadd_ps(acc[4], acc[5]);
+        let gh = _mm256_hadd_ps(acc[6], acc[7]);
+        // [a_lo b_lo c_lo d_lo | a_hi b_hi c_hi d_hi], likewise e..h.
+        let abcd = _mm256_hadd_ps(ab, cd);
+        let efgh = _mm256_hadd_ps(ef, gh);
+        let lo = _mm256_permute2f128_ps::<0x20>(abcd, efgh);
+        let hi = _mm256_permute2f128_ps::<0x31>(abcd, efgh);
+        _mm256_add_ps(lo, hi)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn conv_max_pool(
+        w: &[f32],
+        window: usize,
+        x: &[f32],
+        stride: usize,
+        positions: usize,
+        bias: &[f32],
+        best: &mut [f32],
+        arg: &mut [u32],
+    ) {
+        let nf = best.len();
+        debug_assert_eq!(w.len(), window * nf);
+        debug_assert!(bias.len() == nf && arg.len() == nf);
+        debug_assert!(positions == 0 || (positions - 1) * stride + window <= x.len());
+        let mut r = 0;
+        // The tile needs whole 8-wide blocks: `finish`'s tail is then
+        // empty and adds +0.0, which the tile adds too (it turns a
+        // -0.0 sum into +0.0, exactly as `dot` does).
+        if window.is_multiple_of(8) {
+            let blocks = window / 8;
+            let zero = _mm256_setzero_ps();
+            while r + 8 <= nf {
+                let rows: [*const f32; 8] =
+                    std::array::from_fn(|k| w.as_ptr().add((r + k) * window));
+                let vbias = _mm256_loadu_ps(bias.as_ptr().add(r));
+                let mut vbest = _mm256_set1_ps(f32::NEG_INFINITY);
+                let mut varg = _mm256_setzero_si256();
+                for i in 0..positions {
+                    let px = x.as_ptr().add(i * stride);
+                    let mut acc = [zero; 8];
+                    for b in 0..blocks {
+                        let vx = _mm256_loadu_ps(px.add(b * 8));
+                        for k in 0..8 {
+                            let vw = _mm256_loadu_ps(rows[k].add(b * 8));
+                            acc[k] = _mm256_add_ps(acc[k], _mm256_mul_ps(vw, vx));
+                        }
+                    }
+                    let p = _mm256_add_ps(_mm256_add_ps(reduce8(&acc), zero), vbias);
+                    // `p > best` is false for NaN on either side, as in
+                    // the scalar compare; ties keep the earlier position.
+                    let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(p, vbest);
+                    vbest = _mm256_blendv_ps(vbest, p, gt);
+                    varg = _mm256_castps_si256(_mm256_blendv_ps(
+                        _mm256_castsi256_ps(varg),
+                        _mm256_castsi256_ps(_mm256_set1_epi32(i as i32)),
+                        gt,
+                    ));
+                }
+                _mm256_storeu_ps(best.as_mut_ptr().add(r), vbest);
+                _mm256_storeu_si256(arg.as_mut_ptr().add(r) as *mut __m256i, varg);
+                r += 8;
+            }
+        }
+        // Leftover filters (and every filter of a ragged window): one
+        // `dot` per window, the scalar reference's loop.
+        for f in r..nf {
+            let row = &w[f * window..(f + 1) * window];
+            let (mut b, mut a) = (f32::NEG_INFINITY, 0u32);
+            for i in 0..positions {
+                let p = dot(row, &x[i * stride..i * stride + window]) + bias[f];
+                if p > b {
+                    b = p;
+                    a = i as u32;
+                }
+            }
+            best[f] = b;
+            arg[f] = a;
+        }
+    }
+
+    /// The AVX2 primitives. Only [`run`] constructs one, after the
+    /// caller confirmed AVX2.
+    #[derive(Clone, Copy)]
+    struct SimdOps(());
+
+    impl super::Ops for SimdOps {
+        #[inline(always)]
+        fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
+            // SAFETY: a `SimdOps` exists only inside `run`.
+            unsafe { gemv(w, x, out) }
+        }
+        #[inline(always)]
+        fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]) {
+            // SAFETY: as above.
+            unsafe { axpy(alpha, x, y) }
+        }
+        #[inline(always)]
+        fn conv_max_pool(
+            self,
+            w: &[f32],
+            window: usize,
+            x: &[f32],
+            stride: usize,
+            positions: usize,
+            bias: &[f32],
+            best: &mut [f32],
+            arg: &mut [u32],
+        ) {
+            // SAFETY: as above.
+            unsafe { conv_max_pool(w, window, x, stride, positions, bias, best, arg) }
+        }
+    }
+
+    /// Run `pass` with AVX2 primitives; the pass body is compiled
+    /// with AVX2 enabled when it inlines here.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn run<P: super::Pass>(pass: P) -> P::Output {
+        pass.run(SimdOps(()))
+    }
+
+    // `#[inline]` so a pass run through `run` can inline it across
+    // the crate boundary; the per-call entry points still call it.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), y.len());

@@ -142,6 +142,95 @@ proptest! {
     }
 }
 
+/// One `conv_max_pool` case: window, stride and positions, then the
+/// weights (one row per filter), the input and the bias.
+type ConvCase = ((usize, usize, usize), (Vec<f32>, Vec<f32>, Vec<f32>));
+
+/// Filters 1..=19 (two full 8-filter tiles plus ragged remainders),
+/// windows 1..=67 (the tile needs a multiple of 8; the rest takes the
+/// per-row path), positions 1..=24, strides up to the window.
+fn conv_case<S: Strategy<Value = f32>>(
+    value: impl Fn() -> S + Copy,
+) -> impl Strategy<Value = ConvCase> {
+    (1..=19usize, 1..=67usize, 1..=24usize).prop_flat_map(move |(rows, window, positions)| {
+        (1..=window).prop_flat_map(move |stride| {
+            (
+                Just((window, stride, positions)),
+                (
+                    prop::collection::vec(value(), rows * window),
+                    prop::collection::vec(value(), (positions - 1) * stride + window),
+                    prop::collection::vec(value(), rows),
+                ),
+            )
+        })
+    })
+}
+
+fn check_conv_max_pool(((window, stride, positions), (w, x, bias)): ConvCase) {
+    let rows = bias.len();
+    let (mut best_s, mut arg_s) = (vec![0.0; rows], vec![0; rows]);
+    let (mut best_v, mut arg_v) = (vec![0.0; rows], vec![0; rows]);
+    kernels::conv_max_pool_scalar(
+        &w,
+        window,
+        &x,
+        stride,
+        positions,
+        &bias,
+        &mut best_s,
+        &mut arg_s,
+    );
+    kernels::conv_max_pool_simd(
+        &w,
+        window,
+        &x,
+        stride,
+        positions,
+        &bias,
+        &mut best_v,
+        &mut arg_v,
+    );
+    for f in 0..rows {
+        assert_bits_eq(best_s[f], best_v[f], &format!("conv_max_pool best[{f}]"));
+    }
+    assert_eq!(arg_s, arg_v, "conv_max_pool argmax");
+}
+
+proptest! {
+    // Only windows that are a multiple of 8 with ≥ 8 filters reach the
+    // tile (~1 case in 13), so run enough cases to cover it well.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn conv_max_pool_scalar_simd_bit_identical(case in conv_case(weird_f32)) {
+        check_conv_max_pool(case);
+    }
+
+    /// With ~1 special value in 5, nearly every window's dot is inf or
+    /// NaN; finite inputs exercise the running max and argmax proper.
+    #[test]
+    fn conv_max_pool_finite_scalar_simd_bit_identical(case in conv_case(|| -1e3f32..1e3f32)) {
+        check_conv_max_pool(case);
+    }
+}
+
+/// Identical windows tie at every position: both kernels keep the
+/// first, in the tile and in the per-row remainder.
+#[test]
+fn conv_max_pool_ties_keep_the_first_position() {
+    let (rows, window, positions) = (11, 16, 5);
+    let w: Vec<f32> = (0..rows * window).map(|i| (i as f32 * 0.7).sin()).collect();
+    let x: Vec<f32> = (0..window).map(|i| (i as f32 * 0.3).cos()).collect();
+    let x = x.repeat(positions);
+    let bias = vec![0.25; rows];
+    let (mut best, mut arg) = (vec![0.0; rows], vec![9; rows]);
+    kernels::conv_max_pool_simd(
+        &w, window, &x, window, positions, &bias, &mut best, &mut arg,
+    );
+    assert_eq!(arg, vec![0; rows]);
+    check_conv_max_pool(((window, window, positions), (w, x, bias)));
+}
+
 /// The dispatching entry points agree with both per-kernel paths
 /// regardless of which kernel is globally active — flipping the
 /// override must never change results.

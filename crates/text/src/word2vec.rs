@@ -106,20 +106,12 @@ pub fn train_word2vec(vocab: &Vocab, sentences: &[Vec<u32>], cfg: &Word2VecConfi
                     }
                     grad_in.iter_mut().for_each(|g| *g = 0.0);
                     // Positive pair.
-                    sgns_pair(&mut input, &mut output, center, ctx, 1.0, lr, &mut grad_in);
+                    sgns_pair(&input, &mut output, center, ctx, 1.0, lr, &mut grad_in);
                     // Negatives.
                     for _ in 0..cfg.negatives {
                         if let Some(neg) = table.sample(&mut rng) {
                             if neg != ctx {
-                                sgns_pair(
-                                    &mut input,
-                                    &mut output,
-                                    center,
-                                    neg,
-                                    0.0,
-                                    lr,
-                                    &mut grad_in,
-                                );
+                                sgns_pair(&input, &mut output, center, neg, 0.0, lr, &mut grad_in);
                             }
                         }
                     }
@@ -133,10 +125,11 @@ pub fn train_word2vec(vocab: &Vocab, sentences: &[Vec<u32>], cfg: &Word2VecConfi
 
 /// One (center, context/negative) update. Accumulates the gradient
 /// w.r.t. the input vector into `grad_in`; updates the output vector
-/// immediately (standard word2vec scheme).
+/// immediately (standard word2vec scheme). The input vector is only
+/// read here — the caller applies `grad_in` after the last pair.
 #[inline]
 fn sgns_pair(
-    input: &mut Matrix,
+    input: &Matrix,
     output: &mut Matrix,
     center: u32,
     other: u32,
@@ -144,12 +137,12 @@ fn sgns_pair(
     lr: f32,
     grad_in: &mut [f32],
 ) {
-    let vi = input.row(center as usize).to_vec();
+    let vi = input.row(center as usize);
     let vo = output.row_mut(other as usize);
-    let score = ops::sigmoid(ops::dot(&vi, vo));
+    let score = ops::sigmoid(ops::dot(vi, vo));
     let g = score - label; // d(-log σ(±x))/dx folded into one form
     ops::axpy(g, vo, grad_in);
-    ops::axpy(-lr * g, &vi, vo);
+    ops::axpy(-lr * g, vi, vo);
 }
 
 /// Most similar words to `id` by cosine over the vector table
