@@ -441,33 +441,6 @@ fn error_json(message: &str) -> String {
     Json::Obj(vec![("error".into(), Json::Str(message.into()))]).to_string()
 }
 
-/// Parse a `/v1/score` body: a JSON array of `{title, attr, value}`.
-/// Mirrors `pge-serve`'s validation (and its error wording) exactly.
-fn parse_items(body: &[u8]) -> Result<Vec<ScoreItem>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let parsed = json::parse(text).map_err(|e| e.to_string())?;
-    let raw_items = parsed
-        .as_array()
-        .ok_or_else(|| "expected a JSON array of {title, attr, value}".to_string())?;
-    let mut items = Vec::with_capacity(raw_items.len());
-    for (i, it) in raw_items.iter().enumerate() {
-        let field = |k: &str| it.get(k).and_then(Json::as_str);
-        match (field("title"), field("attr"), field("value")) {
-            (Some(t), Some(a), Some(v)) => items.push(ScoreItem {
-                title: t.to_string(),
-                attr: a.to_string(),
-                value: v.to_string(),
-            }),
-            _ => {
-                return Err(format!(
-                    "item {i}: expected string fields title, attr, value"
-                ))
-            }
-        }
-    }
-    Ok(items)
-}
-
 /// Queue a rendered response on the connection, in sequence order.
 fn respond_inline(
     conn: &mut Conn,
@@ -545,7 +518,7 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
             inline_json(conn, 200, &body);
         }
         ("POST", "/v1/score") => {
-            let items = match parse_items(&req.body) {
+            let items = match ScoreItem::parse_batch(&req.body) {
                 Ok(items) => items,
                 Err(msg) => {
                     shared.metrics.bad_requests_total.inc();

@@ -109,8 +109,11 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn rss_readings_are_sane() {
-        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
+        // Current first: tests on other threads may allocate between
+        // the two reads, and only the later high-water mark is sure to
+        // cover what the earlier reading saw.
         let cur = current_rss_bytes().expect("VmRSS readable on Linux");
+        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
         // A running test binary resides in at least a few hundred KiB
         // and the high-water mark can never undercut the current RSS.
         assert!(peak > 100 << 10, "{peak}");

@@ -1,5 +1,6 @@
 //! Property-based tests for the shared observability primitives.
 
+use pge_obs::json::{parse, Json};
 use pge_obs::{sparkline, AtomicHistogram, MetricsRegistry};
 use proptest::prelude::*;
 
@@ -10,6 +11,30 @@ fn arb_bounds() -> impl Strategy<Value = Vec<f64>> {
         v.dedup();
         v
     })
+}
+
+/// Any `char`, weighted towards the ones a JSON string must escape or
+/// that span several UTF-8 bytes.
+fn arb_char() -> impl Strategy<Value = char> {
+    (0u8..4, 0u32..0x11_0000).prop_map(|(class, x)| {
+        let c = match class {
+            0 => x % 0x80,
+            1 => [0x00, 0x08, 0x0a, 0x1f, 0x22, 0x5c, 0x7f][x as usize % 7],
+            2 => 0x80 + x % 0xff80,
+            _ => x,
+        };
+        char::from_u32(c).unwrap_or('\u{fffd}')
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn json_strings_round_trip(chars in prop::collection::vec(arb_char(), 0..64)) {
+        let s: String = chars.into_iter().collect();
+        let original = Json::Str(s);
+        prop_assert_eq!(parse(&original.to_string()).unwrap(), original);
+    }
 }
 
 proptest! {

@@ -82,6 +82,32 @@ pub struct ScoreItem {
     pub value: String,
 }
 
+impl ScoreItem {
+    /// Decode a `/v1/score` body: a JSON array of `{title, attr,
+    /// value}` objects with string fields. Both serving tiers decode
+    /// through here; `Err` is the message of their 400 response.
+    pub fn parse_batch(body: &[u8]) -> Result<Vec<ScoreItem>, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        let parsed = json::parse(text).map_err(|e| e.to_string())?;
+        let raw_items = parsed
+            .as_array()
+            .ok_or_else(|| "expected a JSON array of {title, attr, value}".to_string())?;
+        raw_items
+            .iter()
+            .enumerate()
+            .map(|(i, it)| {
+                let field = |k: &str| it.get(k).and_then(Json::as_str).map(str::to_string);
+                match (field("title"), field("attr"), field("value")) {
+                    (Some(title), Some(attr), Some(value)) => Ok(ScoreItem { title, attr, value }),
+                    _ => Err(format!(
+                        "item {i}: expected string fields title, attr, value"
+                    )),
+                }
+            })
+            .collect()
+    }
+}
+
 /// Outcome for one item. `None` fields mean the attribute was unknown
 /// to the model (no relation vector exists to score against).
 #[derive(Debug, Clone, PartialEq)]
@@ -418,32 +444,10 @@ fn handle_score(shared: &Shared, body: &[u8]) -> (u16, ExtraHeaders, String, boo
         shared.metrics.bad_requests_total.inc();
         (400, Vec::new(), error_json(msg), false)
     };
-    let Ok(text) = std::str::from_utf8(body) else {
-        return bad("body is not UTF-8");
+    let items = match ScoreItem::parse_batch(body) {
+        Ok(items) => items,
+        Err(msg) => return bad(&msg),
     };
-    let parsed = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return bad(&e.to_string()),
-    };
-    let Some(raw_items) = parsed.as_array() else {
-        return bad("expected a JSON array of {title, attr, value}");
-    };
-    let mut items = Vec::with_capacity(raw_items.len());
-    for (i, it) in raw_items.iter().enumerate() {
-        let field = |k: &str| it.get(k).and_then(Json::as_str);
-        match (field("title"), field("attr"), field("value")) {
-            (Some(t), Some(a), Some(v)) => items.push(ScoreItem {
-                title: t.to_string(),
-                attr: a.to_string(),
-                value: v.to_string(),
-            }),
-            _ => {
-                return bad(&format!(
-                    "item {i}: expected string fields title, attr, value"
-                ))
-            }
-        }
-    }
     if items.is_empty() {
         shared.metrics.requests_total.inc();
         return (200, Vec::new(), "[]".to_string(), false);
@@ -638,6 +642,46 @@ fn worker_loop(shared: &Shared) {
                 .observe(job.enqueued.elapsed().as_secs_f64());
             // The receiver may have timed out and gone; that's fine.
             let _ = job.reply.send(result);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_batch_decodes_items_in_order() {
+        let body = r#"[{"title":"Mint Chips é","attr":"flavor","value":"mint"},
+                       {"value":"x","attr":"brand","title":"t","extra":1}]"#;
+        let items = ScoreItem::parse_batch(body.as_bytes()).unwrap();
+        let triples: Vec<_> = items
+            .iter()
+            .map(|it| (it.title.as_str(), it.attr.as_str(), it.value.as_str()))
+            .collect();
+        assert_eq!(
+            triples,
+            [("Mint Chips é", "flavor", "mint"), ("t", "brand", "x")]
+        );
+        assert!(ScoreItem::parse_batch(b"[]").unwrap().is_empty());
+    }
+
+    #[test]
+    fn parse_batch_error_wording_is_pinned() {
+        // Both tiers answer these verbatim in their 400 bodies.
+        for (body, message) in [
+            (&b"[\xff]"[..], "body is not UTF-8"),
+            (b"[{", "invalid JSON at byte 2: expected '\"'"),
+            (
+                br#"{"title":"t"}"#,
+                "expected a JSON array of {title, attr, value}",
+            ),
+            (
+                br#"[{"title":"t","attr":"a","value":"v"},{"title":"t","attr":"a","value":1}]"#,
+                "item 1: expected string fields title, attr, value",
+            ),
+        ] {
+            assert_eq!(ScoreItem::parse_batch(body).unwrap_err(), message);
         }
     }
 }
