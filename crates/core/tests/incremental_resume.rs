@@ -1,38 +1,23 @@
-//! Kill-at-every-window-boundary resume fuzz for `train --incremental`
-//! (ISSUE 10 tentpole proof).
+//! Kill-at-every-window-boundary resume fuzz for `train --incremental`.
 //!
 //! For every window boundary k, an ingest killed after k windows and
-//! resumed must finish with a **byte-identical** model snapshot and
-//! confidence table to an uninterrupted ingest — at `threads` 1 and 4,
+//! resumed must finish with bit-identical parameters and confidence
+//! table to an uninterrupted ingest — at `threads` 1 and 4,
 //! and when the kill and the resume use *different* thread counts.
 //! Per-window PGEBIN02 snapshots must also be byte-identical between
 //! the killed+resumed and uninterrupted runs. A checkpoint written
 //! under one confidence backend must be rejected by a resume under the
 //! other.
 
-use pge_core::{
-    save_model_binary, train_incremental, train_pge_resumable, CheckpointOptions,
-    ConfidenceBackend, IncrementalConfig, IncrementalOutcome, PersistError, PgeConfig,
-    CHECKPOINT_FILE,
-};
-use pge_graph::{Dataset, DeltaOp, DeltaWindow, ProductGraph, TripleDelta};
-use std::path::{Path, PathBuf};
+mod common;
 
-fn tiny_dataset() -> Dataset {
-    let mut g = ProductGraph::new();
-    let mut train = Vec::new();
-    for i in 0..24 {
-        let (flavor, ing) = if i % 2 == 0 {
-            ("spicy", "cayenne pepper")
-        } else {
-            ("sweet", "cane sugar")
-        };
-        let title = format!("brand{i} {flavor} snack chips {i}");
-        train.push(g.add_fact(&title, "flavor", flavor));
-        train.push(g.add_fact(&title, "ingredient", ing));
-    }
-    Dataset::new(g, train, vec![], vec![])
-}
+use common::{param_bits, tiny_dataset};
+use pge_core::{
+    train_incremental, train_pge_resumable, CheckpointOptions, ConfidenceBackend,
+    IncrementalConfig, IncrementalOutcome, PersistError, PgeConfig, CHECKPOINT_FILE,
+};
+use pge_graph::{Dataset, DeltaOp, DeltaWindow, TripleDelta};
+use std::path::{Path, PathBuf};
 
 fn cfg(threads: usize) -> PgeConfig {
     PgeConfig {
@@ -109,9 +94,9 @@ fn seed_base_checkpoint(base: &Dataset, cfg: &PgeConfig, dir: &Path) {
     train_pge_resumable(base, cfg, None, Some(&CheckpointOptions::new(dir))).unwrap();
 }
 
-fn fingerprint(o: &IncrementalOutcome) -> (Vec<u8>, Vec<u32>, Vec<bool>) {
+fn fingerprint(o: &IncrementalOutcome) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
     (
-        save_model_binary(&o.model).unwrap(),
+        param_bits(&o.model),
         o.confidence.scores().iter().map(|c| c.to_bits()).collect(),
         o.live.clone(),
     )

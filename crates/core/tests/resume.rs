@@ -1,34 +1,23 @@
-//! Kill-at-every-epoch-boundary resume fuzz (ISSUE 5 tentpole proof).
+//! Kill-at-every-epoch-boundary resume fuzz, and the snapshot
+//! round trip of every way a model can come to exist.
 //!
 //! For every epoch k, a run checkpointed at k and resumed must finish
-//! with a **byte-identical** model snapshot (CRC-equal by
-//! construction) and confidence table to an uninterrupted run — at
-//! `threads` 1 and 4, and even when the kill and the resume use
-//! *different* thread counts. Tampered checkpoints and mismatched
-//! corpora must be rejected with typed errors.
+//! with bit-identical parameters and confidence table to an
+//! uninterrupted run — at `threads` 1 and 4, and even when the kill
+//! and the resume use *different* thread counts. Tampered checkpoints
+//! and mismatched corpora must be rejected with typed errors.
 
+mod common;
+
+use common::{param_bits, tiny_dataset};
 use pge_core::{
-    save_model_binary, train_pge_resumable, CheckpointOptions, PersistError, PgeConfig, TrainedPge,
+    load_model_auto_path, save_model_store, train_incremental, train_pge_resumable,
+    CheckpointOptions, Detector, IncrementalConfig, PersistError, PgeConfig, PgeModel, TrainedPge,
     CHECKPOINT_FILE,
 };
-use pge_graph::{Dataset, ProductGraph};
+use pge_graph::{Dataset, DeltaOp, DeltaWindow, TripleDelta};
+use pge_store::MmapMode;
 use std::path::PathBuf;
-
-fn tiny_dataset() -> Dataset {
-    let mut g = ProductGraph::new();
-    let mut train = Vec::new();
-    for i in 0..24 {
-        let (flavor, ing) = if i % 2 == 0 {
-            ("spicy", "cayenne pepper")
-        } else {
-            ("sweet", "cane sugar")
-        };
-        let title = format!("brand{i} {flavor} snack chips {i}");
-        train.push(g.add_fact(&title, "flavor", flavor));
-        train.push(g.add_fact(&title, "ingredient", ing));
-    }
-    Dataset::new(g, train, vec![], vec![])
-}
 
 fn cfg(threads: usize) -> PgeConfig {
     PgeConfig {
@@ -49,9 +38,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn fingerprint(out: &TrainedPge) -> (Vec<u8>, Vec<u32>) {
+fn fingerprint(out: &TrainedPge) -> (Vec<u32>, Vec<u32>) {
     (
-        save_model_binary(&out.model).unwrap(),
+        param_bits(&out.model),
         out.confidence
             .scores()
             .iter()
@@ -176,4 +165,92 @@ fn resume_without_checkpoint_is_a_clear_error() {
         Err(PersistError::Io(msg)) => assert!(msg.contains("no training checkpoint"), "{msg}"),
         other => panic!("expected Io, got {:?}", other.map(|_| "TrainedPge")),
     }
+}
+
+fn add(title: &str, attr: &str, value: &str) -> TripleDelta {
+    TripleDelta {
+        op: DeltaOp::Add,
+        title: title.into(),
+        attr: attr.into(),
+        value: value.into(),
+    }
+}
+
+/// A model after incremental window 1: a base run checkpointed in
+/// `dir`, then two delta windows ingested on top of it. Returns the
+/// model with the dataset it grew.
+fn incremental_window_1(base: &Dataset, dir: &std::path::Path) -> (PgeModel, Dataset) {
+    train_pge_resumable(base, &cfg(1), None, Some(&CheckpointOptions::new(dir))).unwrap();
+    let windows = [
+        vec![
+            add("newbrand sour gummy 100", "flavor", "sour"),
+            add("newbrand sour gummy 100", "ingredient", "citric acid"),
+        ],
+        vec![add("newbrand sweet cookies 101", "flavor", "sweet")],
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(index, ops)| DeltaWindow { index, ops })
+    .collect::<Vec<_>>();
+    let inc = IncrementalConfig::new(dir.join("snapshots"));
+    let out = train_incremental(
+        base,
+        &windows,
+        &cfg(1),
+        &inc,
+        &CheckpointOptions::new(dir),
+        None,
+    )
+    .unwrap();
+    assert_eq!(out.windows_done, 2);
+    (out.model, out.dataset)
+}
+
+/// One row per provenance × backing: the model is saved with
+/// `save_model_store`, reloaded with `load_model_auto_path`, and must
+/// score every train triple bit-identically to the in-memory model.
+#[test]
+fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
+    let d = tiny_dataset();
+    let dir = scratch_dir("rows");
+    let fresh = train_pge_resumable(&d, &cfg(4), None, None).unwrap().model;
+    let resumed = {
+        let ckpt = dir.join("killed");
+        let mut opts = CheckpointOptions::new(&ckpt);
+        opts.stop_after = Some(1);
+        train_pge_resumable(&d, &cfg(4), None, Some(&opts)).unwrap();
+        train_pge_resumable(&d, &cfg(1), None, Some(&CheckpointOptions::resume(&ckpt)))
+            .unwrap()
+            .model
+    };
+    let (incremental, grown) = incremental_window_1(&d, &dir.join("incremental"));
+    let rows = [
+        ("fresh", fresh, &d),
+        ("killed at 4 threads, resumed at 1", resumed, &d),
+        ("incremental window 1", incremental, &grown),
+    ];
+    for (provenance, model, data) in rows {
+        let want: Vec<u32> = Detector::fit(&model, &data.graph, &[])
+            .scores(&data.graph, &data.train)
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        let path = dir.join("model.pgebin");
+        save_model_store(&model, &path).unwrap();
+        for mode in [MmapMode::On, MmapMode::Off] {
+            let loaded = load_model_auto_path(&path, &data.graph, mode, 0).unwrap();
+            assert_eq!(
+                param_bits(&loaded),
+                param_bits(&model),
+                "{provenance}, {mode:?}"
+            );
+            let got: Vec<u32> = Detector::fit(&loaded, &data.graph, &[])
+                .scores(&data.graph, &data.train)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(got, want, "{provenance}, {mode:?}: scores diverged");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
