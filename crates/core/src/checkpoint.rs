@@ -10,12 +10,24 @@
 //! stopped and produces a **bit-identical final model** to a run that
 //! was never interrupted, at any `--threads`.
 //!
-//! The on-disk format follows the `PGEBIN01` pattern established by
-//! model snapshots and `pge-scan` checkpoints: a `PGECKPT1` magic, a
-//! little-endian CRC-32 over the payload, then the payload. The file
-//! is replaced atomically (temp file, fsync, rename), so a kill at any
-//! instant leaves either the previous checkpoint or the new one —
-//! never a torn file.
+//! A checkpoint is a PGEBIN02 snapshot (see `pge-store`): the model's
+//! own sections ([`write_model_sections`]) plus
+//!
+//! * `ckpt.meta` — layout version, config hash, corpus fingerprint,
+//!   delta fingerprint, windows and epochs done, Adam step, and the
+//!   confidence backend's name;
+//! * `ckpt.losses` — the mean loss of every completed epoch;
+//! * `ckpt.adam_m.{i}` / `ckpt.adam_v.{i}` — the Adam moments of
+//!   `model.param.{i}`;
+//! * `ckpt.confidence` — the confidence table, positional over the
+//!   train split;
+//! * `ckpt.aux` — the confidence backend's auxiliary state.
+//!
+//! Every section carries its own CRC, so corruption is reported
+//! against a named section. The writer streams into `{file}.tmp`,
+//! fsyncs it, and renames it over the previous checkpoint, so a kill
+//! at any instant leaves either the previous checkpoint or the new one
+//! — never a torn file.
 //!
 //! Two fingerprints are stored and verified on resume:
 //!
@@ -29,21 +41,25 @@
 //!   positional, so resuming against a different corpus would silently
 //!   mis-assign both; it is rejected with a clear error instead.
 
-use crate::confidence::ConfidenceStore;
 use crate::model::PgeModel;
-use crate::persist::{load_model_binary, save_model_binary, PersistError};
+use crate::persist::{
+    io_err, model_from_snapshot, model_params, store_err, write_model_sections, PersistError,
+};
 use crate::trainer::PgeConfig;
 use pge_graph::{Dataset, ProductGraph};
-use pge_nn::gradcheck::HasParams;
+use pge_store::{MmapMode, Snapshot, SnapshotWriter, StoreError};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Leading magic of the trainer-state checkpoint format.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"PGECKPT1";
+use std::sync::Arc;
 
 /// File name of the trainer checkpoint inside the checkpoint
 /// directory.
 pub const CHECKPOINT_FILE: &str = "trainer.ckpt";
+
+/// Layout version of the `ckpt.meta` section.
+const META_VERSION: u32 = 1;
+/// Bytes of `ckpt.meta` before the backend name.
+const META_FIXED: usize = 52;
 
 /// Where (and whether) the trainer checkpoints, plus the kill switch
 /// used by tests and CI to simulate a crash at an epoch boundary.
@@ -80,22 +96,13 @@ impl CheckpointOptions {
     }
 }
 
-/// The Adam moment estimates of one parameter tensor.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MomentRecord {
-    pub rows: usize,
-    pub cols: usize,
-    /// First-moment estimate, row-major.
-    pub m: Vec<f32>,
-    /// Second-moment estimate, row-major.
-    pub v: Vec<f32>,
-}
-
-/// Everything the trainer needs to continue a run bit-identically:
-/// captured at an epoch boundary, written durably, verified on load.
+/// Everything the trainer needs to continue a run bit-identically,
+/// apart from the model and its Adam moments: those are written from
+/// the live model by [`TrainerState::store`] and rebuilt by
+/// [`Checkpoint::restore_model`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainerState {
-    /// Epochs fully completed (and reflected in the snapshot).
+    /// Epochs fully completed (and reflected in the parameters).
     pub epochs_done: usize,
     /// Global Adam step count (bias correction depends on it).
     pub step: u64,
@@ -119,16 +126,19 @@ pub struct TrainerState {
     /// Mean loss of every completed epoch, so a resumed run reports
     /// the full history.
     pub epoch_losses: Vec<f32>,
-    /// Complete `PGEBIN01` model snapshot (parameters only).
-    pub model_snapshot: Vec<u8>,
-    /// Adam moments per parameter, in `HasParams` order with the
-    /// relation table last — the same order the snapshot uses.
-    pub moments: Vec<MomentRecord>,
     /// The confidence table C(t,a,v), positional over the train split.
     pub confidence: Vec<f32>,
     /// Auxiliary confidence-backend state (the CCA neighbor cache;
     /// empty for the Eq. 6 backend).
     pub aux: Vec<f32>,
+}
+
+/// A checkpoint read back from disk: its [`TrainerState`], plus the
+/// open snapshot the model is rebuilt from once the caller knows
+/// which graph it will train on.
+pub struct Checkpoint {
+    pub state: TrainerState,
+    snap: Arc<Snapshot>,
 }
 
 /// FNV-1a 64-bit, the workspace's zero-dependency stable hash.
@@ -217,101 +227,7 @@ pub fn data_fingerprint(dataset: &Dataset) -> u64 {
     h
 }
 
-/// A forward-only cursor over the checkpoint payload; every read is
-/// bounds-checked so truncation surfaces as `Corrupt`, never a panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], PersistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| PersistError::Corrupt(format!("checkpoint truncated in {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>, PersistError> {
-        let raw = self.take(
-            n.checked_mul(4).ok_or_else(|| {
-                PersistError::Corrupt(format!("checkpoint length overflow in {what}"))
-            })?,
-            what,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-fn push_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 impl TrainerState {
-    /// Snapshot the live trainer at an epoch boundary. Gradients are
-    /// guaranteed zero there (every batch applies and clears them), so
-    /// parameters + moments + step are the complete optimizer state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn capture(
-        model: &PgeModel,
-        confidence: &ConfidenceStore,
-        epochs_done: usize,
-        step: u64,
-        config_hash: u64,
-        data_fingerprint: u64,
-        epoch_losses: &[f32],
-        backend: &str,
-        aux: &[f32],
-    ) -> Result<TrainerState, PersistError> {
-        let model_snapshot = save_model_binary(model)?;
-        let mut clone = model.clone();
-        let mut params = clone.encoder.params_mut();
-        params.push(clone.relations.param_mut());
-        let moments = params
-            .iter()
-            .map(|p| {
-                let (m, v) = p.adam_state();
-                MomentRecord {
-                    rows: p.value.rows(),
-                    cols: p.value.cols(),
-                    m: m.as_slice().to_vec(),
-                    v: v.as_slice().to_vec(),
-                }
-            })
-            .collect();
-        Ok(TrainerState {
-            epochs_done,
-            step,
-            config_hash,
-            data_fingerprint,
-            backend: backend.to_string(),
-            delta_fingerprint: 0,
-            windows_done: 0,
-            epoch_losses: epoch_losses.to_vec(),
-            model_snapshot,
-            moments,
-            confidence: confidence.scores().to_vec(),
-            aux: aux.to_vec(),
-        })
-    }
-
     /// Reject a checkpoint taken under a different config or corpus.
     /// The confidence backend is checked *first* (it also feeds the
     /// config hash): warm-starting from a table produced by another
@@ -355,197 +271,135 @@ impl TrainerState {
         Ok(())
     }
 
-    /// Rebuild the model exactly as checkpointed: load the embedded
-    /// `PGEBIN01` snapshot (CRC-verified) and install the Adam moments
-    /// back into every parameter.
-    pub fn restore_model(&self, graph: &ProductGraph) -> Result<PgeModel, PersistError> {
-        let mut model = load_model_binary(&self.model_snapshot, graph)?;
-        {
-            let mut params = model.encoder.params_mut();
-            params.push(model.relations.param_mut());
-            if params.len() != self.moments.len() {
-                return Err(PersistError::Corrupt(format!(
-                    "checkpoint has {} moment records for {} parameters",
-                    self.moments.len(),
-                    params.len()
-                )));
-            }
-            for (p, rec) in params.iter_mut().zip(&self.moments) {
-                if rec.rows != p.value.rows() || rec.cols != p.value.cols() {
-                    return Err(PersistError::Corrupt(format!(
-                        "moment shape {}x{} does not match parameter {}x{}",
-                        rec.rows,
-                        rec.cols,
-                        p.value.rows(),
-                        p.value.cols()
-                    )));
-                }
-                let (m, v) = p.adam_state_mut();
-                m.as_mut_slice().copy_from_slice(&rec.m);
-                v.as_mut_slice().copy_from_slice(&rec.v);
-            }
+    fn meta_bytes(&self) -> Vec<u8> {
+        let mut b = META_VERSION.to_le_bytes().to_vec();
+        for x in [
+            self.config_hash,
+            self.data_fingerprint,
+            self.delta_fingerprint,
+            self.windows_done as u64,
+            self.epochs_done as u64,
+            self.step,
+        ] {
+            b.extend_from_slice(&x.to_le_bytes());
         }
-        Ok(model)
+        b.extend_from_slice(self.backend.as_bytes());
+        b
     }
 
-    /// Serialize: `PGECKPT1`, CRC-32 of the payload, payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(self.model_snapshot.len() * 3 + 64);
-        p.extend_from_slice(&2u32.to_le_bytes()); // version
-        p.extend_from_slice(&self.config_hash.to_le_bytes());
-        p.extend_from_slice(&self.data_fingerprint.to_le_bytes());
-        p.extend_from_slice(&(self.backend.len() as u32).to_le_bytes());
-        p.extend_from_slice(self.backend.as_bytes());
-        p.extend_from_slice(&self.delta_fingerprint.to_le_bytes());
-        p.extend_from_slice(&(self.windows_done as u32).to_le_bytes());
-        p.extend_from_slice(&(self.epochs_done as u32).to_le_bytes());
-        p.extend_from_slice(&self.step.to_le_bytes());
-        p.extend_from_slice(&(self.epoch_losses.len() as u32).to_le_bytes());
-        push_f32s(&mut p, &self.epoch_losses);
-        p.extend_from_slice(&(self.model_snapshot.len() as u32).to_le_bytes());
-        p.extend_from_slice(&self.model_snapshot);
-        p.extend_from_slice(&(self.moments.len() as u32).to_le_bytes());
-        for rec in &self.moments {
-            p.extend_from_slice(&(rec.rows as u32).to_le_bytes());
-            p.extend_from_slice(&(rec.cols as u32).to_le_bytes());
-            push_f32s(&mut p, &rec.m);
-            push_f32s(&mut p, &rec.v);
-        }
-        p.extend_from_slice(&(self.confidence.len() as u32).to_le_bytes());
-        push_f32s(&mut p, &self.confidence);
-        p.extend_from_slice(&(self.aux.len() as u32).to_le_bytes());
-        push_f32s(&mut p, &self.aux);
-        let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 4 + p.len());
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&pge_tensor::crc32(&p).to_le_bytes());
-        out.extend_from_slice(&p);
-        out
-    }
-
-    /// Deserialize, verifying the CRC-32 before trusting a byte.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TrainerState, PersistError> {
-        let corrupt = |m: &str| PersistError::Corrupt(m.to_string());
-        let rest = bytes
-            .strip_prefix(&CHECKPOINT_MAGIC[..])
-            .ok_or_else(|| corrupt("missing PGECKPT1 magic"))?;
-        if rest.len() < 4 {
-            return Err(corrupt("checkpoint truncated before checksum"));
-        }
-        let (crc_bytes, payload) = rest.split_at(4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        let computed = pge_tensor::crc32(payload);
-        if stored != computed {
-            return Err(PersistError::Corrupt(format!(
-                "checkpoint CRC-32 mismatch (stored {stored:08x}, computed {computed:08x}) — \
-                 the file is truncated or bit-flipped; restart training from scratch \
-                 or restore the checkpoint from backup"
-            )));
-        }
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
+    /// Durably replace the checkpoint at `path` (its directory is
+    /// created if missing) with this state plus `model`'s parameters
+    /// and Adam moments: write `{path}.tmp`, fsync, rename. Gradients
+    /// are zero at an epoch boundary (every batch applies and clears
+    /// them), so parameters + moments + step are the complete
+    /// optimizer state. Returns the checkpoint size in bytes.
+    pub fn store(&self, model: &PgeModel, path: &Path) -> Result<u64, PersistError> {
+        let io = |what: &str, e: std::io::Error| {
+            PersistError::Io(format!("{what} {}: {e}", path.display()))
         };
-        if c.u32("version")? != 2 {
-            return Err(corrupt("unsupported checkpoint version"));
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir).map_err(|e| io("create the directory of", e))?;
         }
-        let config_hash = c.u64("config hash")?;
-        let data_fingerprint = c.u64("data fingerprint")?;
-        let backend_len = c.u32("backend name length")? as usize;
-        if backend_len > 64 {
-            return Err(corrupt("implausible backend name length"));
-        }
-        let backend = std::str::from_utf8(c.take(backend_len, "backend name")?)
-            .map_err(|_| corrupt("backend name is not UTF-8"))?
-            .to_string();
-        let delta_fingerprint = c.u64("delta fingerprint")?;
-        let windows_done = c.u32("window counter")? as usize;
-        let epochs_done = c.u32("epoch counter")? as usize;
-        let step = c.u64("step counter")?;
-        let n_losses = c.u32("loss count")? as usize;
-        let epoch_losses = c.f32s(n_losses, "loss history")?;
-        let snap_len = c.u32("snapshot length")? as usize;
-        let model_snapshot = c.take(snap_len, "model snapshot")?.to_vec();
-        let n_params = c.u32("parameter count")? as usize;
-        let mut moments = Vec::with_capacity(n_params.min(1024));
-        for _ in 0..n_params {
-            let rows = c.u32("moment rows")? as usize;
-            let cols = c.u32("moment cols")? as usize;
-            let n = rows
-                .checked_mul(cols)
-                .ok_or_else(|| corrupt("moment shape overflow"))?;
-            let m = c.f32s(n, "first moments")?;
-            let v = c.f32s(n, "second moments")?;
-            moments.push(MomentRecord { rows, cols, m, v });
-        }
-        let n_conf = c.u32("confidence count")? as usize;
-        let confidence = c.f32s(n_conf, "confidence table")?;
-        let n_aux = c.u32("aux count")? as usize;
-        let aux = c.f32s(n_aux, "backend aux state")?;
-        if c.pos != payload.len() {
-            return Err(corrupt("trailing bytes after backend aux state"));
-        }
-        Ok(TrainerState {
-            epochs_done,
-            step,
-            config_hash,
-            data_fingerprint,
-            backend,
-            delta_fingerprint,
-            windows_done,
-            epoch_losses,
-            model_snapshot,
-            moments,
-            confidence,
-            aux,
-        })
-    }
-
-    /// Durably replace the checkpoint in `dir` (created if missing):
-    /// temp file, fsync, rename. Returns the checkpoint size in bytes.
-    pub fn store(&self, dir: &Path) -> Result<u64, PersistError> {
-        self.store_as(dir, CHECKPOINT_FILE)
-    }
-
-    /// [`Self::store`] under an explicit file name — the incremental
-    /// trainer keeps its window checkpoints next to (not on top of)
-    /// the base run's `trainer.ckpt`.
-    pub fn store_as(&self, dir: &Path, file: &str) -> Result<u64, PersistError> {
-        let io = |what: &str, e: std::io::Error| PersistError::Io(format!("{what}: {e}"));
-        fs::create_dir_all(dir).map_err(|e| io(&format!("create {}", dir.display()), e))?;
-        let bytes = self.to_bytes();
-        let tmp = dir.join(format!("{file}.tmp"));
-        let final_path = dir.join(file);
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut w = SnapshotWriter::create(Path::new(&tmp)).map_err(|e| io("create", e))?;
+        write_model_sections(model, &mut w)?;
+        let row = |w: &mut SnapshotWriter, name: &str, xs: &[f32]| {
+            w.add_f32s(name, 1, xs.len() as u64, xs).map_err(io_err)
         };
-        write().map_err(|e| io(&format!("write {}", final_path.display()), e))?;
-        Ok(bytes.len() as u64)
+        w.add_bytes("ckpt.meta", &self.meta_bytes())
+            .map_err(io_err)?;
+        row(&mut w, "ckpt.losses", &self.epoch_losses)?;
+        let mut clone = model.clone();
+        for (i, p) in model_params(&mut clone).iter().enumerate() {
+            let (m, v) = p.adam_state();
+            row(&mut w, &format!("ckpt.adam_m.{i}"), m.as_slice())?;
+            row(&mut w, &format!("ckpt.adam_v.{i}"), v.as_slice())?;
+        }
+        row(&mut w, "ckpt.confidence", &self.confidence)?;
+        row(&mut w, "ckpt.aux", &self.aux)?;
+        w.finish().map_err(|e| io("write", e))?;
+        fs::rename(&tmp, path).map_err(|e| io("rename onto", e))?;
+        Ok(fs::metadata(path).map_err(|e| io("stat", e))?.len())
     }
+}
 
-    /// Load the checkpoint from `dir`. A missing file is an error —
-    /// resume was requested, so silently starting over would discard
-    /// the caller's intent.
-    pub fn load(dir: &Path) -> Result<TrainerState, PersistError> {
-        TrainerState::load_as(dir, CHECKPOINT_FILE)
-    }
-
-    /// [`Self::load`] under an explicit file name.
-    pub fn load_as(dir: &Path, file: &str) -> Result<TrainerState, PersistError> {
-        let path = dir.join(file);
-        let bytes = fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
+impl Checkpoint {
+    /// Open and validate the checkpoint at `path` (heap-backed: it is
+    /// read once). A missing file is an error — resume was requested,
+    /// so silently starting over would discard the caller's intent.
+    pub fn load(path: &Path) -> Result<Checkpoint, PersistError> {
+        let snap = Snapshot::open(path, MmapMode::Off).map_err(|e| match e {
+            StoreError::Io(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 PersistError::Io(format!(
                     "no training checkpoint at {} — run without --resume first",
                     path.display()
                 ))
-            } else {
-                PersistError::Io(format!("read {}: {e}", path.display()))
             }
+            e => store_err(e),
         })?;
-        TrainerState::from_bytes(&bytes)
+        let meta = snap.section("ckpt.meta").map_err(store_err)?.bytes;
+        if meta.len() < META_FIXED {
+            return Err(PersistError::Corrupt(format!(
+                "ckpt.meta is {} bytes, at least {META_FIXED} expected",
+                meta.len()
+            )));
+        }
+        let version = u32::from_le_bytes(meta[..4].try_into().unwrap());
+        if version != META_VERSION {
+            return Err(PersistError::Parse(format!(
+                "ckpt.meta layout {version}, this build reads {META_VERSION}"
+            )));
+        }
+        let u64_at = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().unwrap());
+        let backend = std::str::from_utf8(&meta[META_FIXED..])
+            .map_err(|_| PersistError::Corrupt("ckpt.meta backend name is not UTF-8".into()))?;
+        let f32s = |name: &str| -> Result<Vec<f32>, PersistError> {
+            let sec = snap.section(name).map_err(store_err)?;
+            Ok(sec.as_f32s().map_err(store_err)?.to_vec())
+        };
+        let state = TrainerState {
+            config_hash: u64_at(4),
+            data_fingerprint: u64_at(12),
+            delta_fingerprint: u64_at(20),
+            windows_done: u64_at(28) as usize,
+            epochs_done: u64_at(36) as usize,
+            step: u64_at(44),
+            backend: backend.to_string(),
+            epoch_losses: f32s("ckpt.losses")?,
+            confidence: f32s("ckpt.confidence")?,
+            aux: f32s("ckpt.aux")?,
+        };
+        Ok(Checkpoint {
+            state,
+            snap: Arc::new(snap),
+        })
+    }
+
+    /// Rebuild the model exactly as checkpointed — parameters, then
+    /// the Adam moments of every one — with token caches for `graph`.
+    pub fn restore_model(&self, graph: &ProductGraph) -> Result<PgeModel, PersistError> {
+        let mut model = model_from_snapshot(&self.snap, graph, 0)?;
+        for (i, p) in model_params(&mut model).into_iter().enumerate() {
+            let (m, v) = p.adam_state_mut();
+            for (name, dst) in [
+                (format!("ckpt.adam_m.{i}"), m),
+                (format!("ckpt.adam_v.{i}"), v),
+            ] {
+                let src = self.snap.section(&name).map_err(store_err)?;
+                let src = src.as_f32s().map_err(store_err)?;
+                if src.len() != dst.len() {
+                    return Err(PersistError::Corrupt(format!(
+                        "{name} has {} values for a {}x{} parameter",
+                        src.len(),
+                        dst.rows(),
+                        dst.cols()
+                    )));
+                }
+                dst.as_mut_slice().copy_from_slice(src);
+            }
+        }
+        Ok(model)
     }
 }
 
@@ -565,86 +419,108 @@ mod tests {
         Dataset::new(g, train, vec![], vec![])
     }
 
-    fn sample_state() -> (TrainerState, Dataset) {
+    fn sample_state() -> (TrainerState, PgeModel, Dataset) {
         let d = tiny_dataset();
         let cfg = PgeConfig {
             epochs: 2,
             ..PgeConfig::tiny()
         };
         let out = train_pge(&d, &cfg);
-        let state = TrainerState::capture(
-            &out.model,
-            &out.confidence,
-            2,
-            7,
-            config_hash(&cfg),
-            data_fingerprint(&d),
-            &out.epoch_losses,
-            cfg.confidence.name(),
-            &[],
-        )
-        .unwrap();
-        (state, d)
+        let state = TrainerState {
+            epochs_done: 2,
+            step: 7,
+            config_hash: config_hash(&cfg),
+            data_fingerprint: data_fingerprint(&d),
+            backend: cfg.confidence.name().to_string(),
+            delta_fingerprint: 0,
+            windows_done: 0,
+            epoch_losses: out.epoch_losses,
+            confidence: out.confidence.scores().to_vec(),
+            aux: Vec::new(),
+        };
+        (state, out.model, d)
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        std::env::temp_dir()
+            .join(format!("pge-train-ckpt-{}", std::process::id()))
+            .join(name)
     }
 
     #[test]
     fn byte_round_trip_is_lossless() {
-        let (state, _) = sample_state();
-        let bytes = state.to_bytes();
-        let back = TrainerState::from_bytes(&bytes).unwrap();
-        assert_eq!(back, state);
-        // Re-serialization is byte-stable.
-        assert_eq!(back.to_bytes(), bytes);
+        let (state, model, d) = sample_state();
+        let (path, again) = (tmp("round-trip.ckpt"), tmp("round-trip-again.ckpt"));
+        state.store(&model, &path).unwrap();
+        let back = Checkpoint::load(&path).unwrap();
+        assert_eq!(back.state, state);
+        // Re-storing what was loaded is byte-stable.
+        let restored = back.restore_model(&d.graph).unwrap();
+        back.state.store(&restored, &again).unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), std::fs::read(again).unwrap());
     }
 
     #[test]
     fn restore_model_reinstalls_parameters_and_moments() {
-        let (state, d) = sample_state();
-        let restored = state.restore_model(&d.graph).unwrap();
-        let reloaded = save_model_binary(&restored).unwrap();
-        assert_eq!(reloaded, state.model_snapshot);
-        // Moments survived the round trip (training leaves them
-        // nonzero, so an all-zero restore would be a silent bug).
-        let mut clone = restored.clone();
-        let mut params = clone.encoder.params_mut();
-        params.push(clone.relations.param_mut());
-        let some_nonzero = params.iter().any(|p| {
-            let (m, _) = p.adam_state();
-            m.as_slice().iter().any(|&x| x != 0.0)
-        });
-        assert!(some_nonzero, "restored moments are all zero");
-        for (p, rec) in params.iter().zip(&state.moments) {
-            let (m, v) = p.adam_state();
-            assert_eq!(m.as_slice(), &rec.m[..]);
-            assert_eq!(v.as_slice(), &rec.v[..]);
-        }
+        let (state, mut model, d) = sample_state();
+        let path = tmp("restore.ckpt");
+        state.store(&model, &path).unwrap();
+        let ck = Checkpoint::load(&path).unwrap();
+        let bits = |m: &mut PgeModel| -> Vec<[Vec<u32>; 3]> {
+            let bits = |x: &pge_tensor::Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect();
+            model_params(m)
+                .iter()
+                .map(|p| {
+                    [
+                        bits(&p.value),
+                        bits(p.adam_state().0),
+                        bits(p.adam_state().1),
+                    ]
+                })
+                .collect()
+        };
+        let want = bits(&mut model);
+        // Training leaves the moments nonzero, so an all-zero restore
+        // would be a silent bug.
+        assert!(want.iter().any(|[_, m, _]| m.iter().any(|&x| x != 0)));
+        assert_eq!(bits(&mut ck.restore_model(&d.graph).unwrap()), want);
     }
 
     #[test]
     fn every_truncation_and_bit_flip_is_rejected() {
-        let (state, _) = sample_state();
-        let bytes = state.to_bytes();
-        for cut in [0, 3, 9, 20, bytes.len() / 2, bytes.len() - 1] {
+        let (state, model, _) = sample_state();
+        let path = tmp("flips.ckpt");
+        state.store(&model, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let bad = tmp("flips-bad.ckpt");
+        for cut in [0, 3, 9, 20, 64, bytes.len() / 2, bytes.len() - 1] {
+            std::fs::write(&bad, &bytes[..cut]).unwrap();
             assert!(
-                TrainerState::from_bytes(&bytes[..cut]).is_err(),
+                Checkpoint::load(&bad).is_err(),
                 "truncation at {cut} must not load"
             );
         }
-        for ix in [12, bytes.len() / 3, bytes.len() - 2] {
-            let mut bad = bytes.clone();
-            bad[ix] ^= 0x40;
-            match TrainerState::from_bytes(&bad) {
+        // A flip inside any section is pinned to that section.
+        let sections = Snapshot::open(&path, MmapMode::Off)
+            .unwrap()
+            .sections()
+            .to_vec();
+        for sec in sections.iter().filter(|s| s.len > 0) {
+            let mut flipped = bytes.clone();
+            flipped[(sec.offset + sec.len / 2) as usize] ^= 0x40;
+            std::fs::write(&bad, &flipped).unwrap();
+            match Checkpoint::load(&bad).map(|c| c.state) {
                 Err(PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains("CRC-32"), "flip at {ix}: {msg}")
+                    assert!(msg.contains("CRC") && msg.contains(&sec.name), "{msg}")
                 }
-                other => panic!("flip at {ix}: expected CRC failure, got {other:?}"),
+                other => panic!("flip in {}: expected CRC failure, got {other:?}", sec.name),
             }
         }
     }
 
     #[test]
     fn verify_rejects_config_and_corpus_mismatches() {
-        let (state, d) = sample_state();
+        let (state, _, d) = sample_state();
         let cfg = PgeConfig {
             epochs: 2,
             ..PgeConfig::tiny()
@@ -711,7 +587,7 @@ mod tests {
 
     #[test]
     fn verify_backend_rejects_cross_backend_warm_start() {
-        let (state, _) = sample_state();
+        let (state, _, _) = sample_state();
         assert_eq!(state.backend, "pge");
         state.verify_backend("pge").unwrap();
         match state.verify_backend("cca") {
@@ -724,15 +600,15 @@ mod tests {
 
     #[test]
     fn incremental_metadata_round_trips() {
-        let (mut state, _) = sample_state();
+        let (mut state, model, _) = sample_state();
         state.delta_fingerprint = 0xdead_beef_1234_5678;
         state.windows_done = 3;
         state.aux = vec![0.5, -1.25, 7.0];
-        let back = TrainerState::from_bytes(&state.to_bytes()).unwrap();
-        assert_eq!(back, state);
-        assert_eq!(back.delta_fingerprint, 0xdead_beef_1234_5678);
-        assert_eq!(back.windows_done, 3);
-        assert_eq!(back.aux, vec![0.5, -1.25, 7.0]);
+        state.store(&model, &tmp("incremental.ckpt")).unwrap();
+        assert_eq!(
+            Checkpoint::load(&tmp("incremental.ckpt")).unwrap().state,
+            state
+        );
     }
 
     #[test]
@@ -761,19 +637,17 @@ mod tests {
 
     #[test]
     fn store_and_load_round_trip_atomically() {
-        let (state, _) = sample_state();
-        let dir = std::env::temp_dir().join(format!("pge-train-ckpt-{}", std::process::id()));
-        let bytes = state.store(&dir).unwrap();
-        assert!(bytes > 0);
+        let (state, model, _) = sample_state();
+        let dir = std::env::temp_dir().join(format!("pge-train-ckpt-dir-{}", std::process::id()));
+        let path = dir.join(CHECKPOINT_FILE);
+        let bytes = state.store(&model, &path).unwrap();
+        assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
         assert!(!dir.join(format!("{CHECKPOINT_FILE}.tmp")).exists());
-        let back = TrainerState::load(&dir).unwrap();
-        assert_eq!(back, state);
+        assert_eq!(Checkpoint::load(&path).unwrap().state, state);
         // A missing checkpoint is a clear error, not a silent restart.
-        let empty =
-            std::env::temp_dir().join(format!("pge-train-ckpt-none-{}", std::process::id()));
-        match TrainerState::load(&empty) {
+        match Checkpoint::load(&dir.join("absent.ckpt")) {
             Err(PersistError::Io(msg)) => assert!(msg.contains("no training checkpoint")),
-            other => panic!("expected Io error, got {other:?}"),
+            other => panic!("expected Io error, got {:?}", other.map(|c| c.state)),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,9 +2,9 @@
 //!
 //! A catalog churns; retraining from scratch on every batch of edits
 //! wastes almost all of its work re-learning what the model already
-//! knows. This module warm-starts from a `PGECKPT1` checkpoint (the
-//! full trainer state: parameters, Adam moments, confidence table,
-//! backend aux state) and ingests a delta stream window by window:
+//! knows. This module warm-starts from a trainer checkpoint (the full
+//! trainer state: parameters, Adam moments, confidence table, backend
+//! aux state) and ingests a delta stream window by window:
 //!
 //! 1. apply the window's adds/retractions to the dataset
 //!    ([`pge_graph::apply_window`]) and extend the model's token
@@ -36,7 +36,7 @@
 //! removes them from every future loss term.
 
 use crate::checkpoint::{
-    config_hash, data_fingerprint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
+    config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
 use crate::confidence::ConfidenceStore;
 use crate::encoder::{EncoderKind, TextEncoder};
@@ -163,11 +163,12 @@ pub fn train_incremental(
     // Warm start: the incremental checkpoint when resuming past one,
     // otherwise the base trainer checkpoint.
     let inc_ckpt = ckpt.dir.join(INCREMENTAL_CHECKPOINT_FILE);
-    let state = if ckpt.resume && inc_ckpt.exists() {
-        TrainerState::load_as(&ckpt.dir, INCREMENTAL_CHECKPOINT_FILE)?
+    let loaded = if ckpt.resume && inc_ckpt.exists() {
+        Checkpoint::load(&inc_ckpt)?
     } else {
-        TrainerState::load_as(&ckpt.dir, CHECKPOINT_FILE)?
+        Checkpoint::load(&ckpt.dir.join(CHECKPOINT_FILE))?
     };
+    let state = &loaded.state;
     state.verify_backend(cfg.confidence.name())?;
     state.verify(cfg_hash, base_fp)?;
     if state.windows_done > windows.len() {
@@ -201,7 +202,7 @@ pub fn train_incremental(
     // The restored model's token caches already cover the replayed
     // graph: `restore_model` rebuilds them from the graph we just
     // evolved.
-    let mut model = state.restore_model(&dataset.graph)?;
+    let mut model = loaded.restore_model(&dataset.graph)?;
     let ent_dim = model.encoder.out_dim();
     let mut confidence =
         ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
@@ -347,20 +348,19 @@ pub fn train_incremental(
         save_model_store(&model, &snap_path)?;
         snapshots.push(snap_path.clone());
 
-        let mut st = TrainerState::capture(
-            &model,
-            &confidence,
-            state.epochs_done,
+        let st = TrainerState {
+            epochs_done: state.epochs_done,
             step,
-            cfg_hash,
-            base_fp,
-            &epoch_losses,
-            cfg.confidence.name(),
-            &updater.aux_state(),
-        )?;
-        st.delta_fingerprint = stream_fingerprint(&windows[..=w]);
-        st.windows_done = w + 1;
-        st.store_as(&ckpt.dir, INCREMENTAL_CHECKPOINT_FILE)?;
+            config_hash: cfg_hash,
+            data_fingerprint: base_fp,
+            backend: cfg.confidence.name().to_string(),
+            delta_fingerprint: stream_fingerprint(&windows[..=w]),
+            windows_done: w + 1,
+            epoch_losses: epoch_losses.clone(),
+            confidence: confidence.scores().to_vec(),
+            aux: updater.aux_state(),
+        };
+        st.store(&model, &inc_ckpt)?;
         windows_done = w + 1;
 
         let mut push_version = -1.0f64;
@@ -631,7 +631,9 @@ mod tests {
         for p in &out.snapshots {
             assert!(p.exists(), "missing snapshot {}", p.display());
         }
-        let st = TrainerState::load_as(&dir, INCREMENTAL_CHECKPOINT_FILE).unwrap();
+        let st = Checkpoint::load(&dir.join(INCREMENTAL_CHECKPOINT_FILE))
+            .unwrap()
+            .state;
         assert_eq!(st.windows_done, 2);
         assert_eq!(st.delta_fingerprint, stream_fingerprint(&sample_windows()));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -37,8 +37,7 @@ pub mod trainer;
 pub use api::ErrorDetector;
 pub use cache::{CachedModel, EmbeddingCache, EmbeddingProvider, ScoreScratch};
 pub use checkpoint::{
-    config_hash, data_fingerprint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
-    CHECKPOINT_MAGIC,
+    config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
 pub use confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, ConfidenceUpdater};
 pub use detector::Detector;
@@ -49,9 +48,7 @@ pub use incremental::{
 };
 pub use model::{EncodeScratch, PgeModel};
 pub use persist::{
-    load_model, load_model_auto, load_model_auto_path, load_model_binary, load_model_store,
-    model_from_snapshot, save_model, save_model_binary, save_model_store, write_model_sections,
-    PersistError, BINARY_MAGIC, BINARY_MAGIC2,
+    load_model_auto_path, model_from_snapshot, save_model_store, write_model_sections, PersistError,
 };
 pub use score::{PreparedRelation, ScoreKind, Scorer};
 pub use trainer::{

@@ -1,22 +1,20 @@
-//! Model persistence: save a trained PGE model to a text artifact and
-//! reload it elsewhere.
+//! Model persistence: save a trained PGE model as a PGEBIN02 snapshot
+//! and reload it elsewhere.
 //!
 //! A production catalog pipeline trains once and scores continuously;
-//! this module is the hand-off. Two formats share one header:
+//! this module is the hand-off. A model is one PGEBIN02 file (see
+//! `pge-store`): a `model.header` text section — scorer, CNN shape,
+//! relation count and vocabulary — plus one `model.param.{i}` f32
+//! section per parameter. [`save_model_store`] writes it and
+//! [`load_model_auto_path`] reads it back bit-identically, mapped or
+//! heap-backed. Trainer checkpoints are PGEBIN02 files carrying the
+//! same sections (see [`crate::checkpoint`]).
 //!
-//! * **text** ([`save_model`]/[`load_model`]) — line-oriented, with
-//!   parameters stored as lossless `f32` bit patterns (hex); good for
-//!   diffing and debugging;
-//! * **binary** ([`save_model_binary`]) — `PGEBIN01` magic, a CRC-32
-//!   over the payload, the same text header, then raw little-endian
-//!   `f32` parameter blocks; ~2.3× smaller and checksummed, so a
-//!   truncated or bit-flipped snapshot is rejected at load instead of
-//!   silently scoring wrong.
-//!
-//! [`load_model_auto`] sniffs the magic and dispatches, so every
-//! consumer (`pge detect/eval/serve/scan`) accepts either format.
-//! Both reload *bit-identically*: a text round-trip and a binary
-//! round-trip produce byte-equal parameters.
+//! Every section carries its own CRC, but a CRC only proves the bytes
+//! are the ones written. The loader therefore checks every header
+//! dimension against the parameter sections' shapes before it
+//! allocates anything, so a crafted file is a typed error, never a
+//! panic or an allocation sized by an unchecked number.
 //!
 //! Only the CNN encoder variant is persisted — it is the paper's
 //! deployed configuration (the BERT variant exists for the Table-5
@@ -27,18 +25,23 @@ use crate::model::PgeModel;
 use crate::score::{ScoreKind, Scorer};
 use pge_graph::ProductGraph;
 use pge_nn::gradcheck::HasParams;
-use pge_nn::{CnnConfig, Embedding};
+use pge_nn::{CnnConfig, Embedding, Param};
+use pge_store::{Snapshot, SnapshotWriter, StoreError};
 use pge_text::Vocab;
 use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::Arc;
 
 /// Persistence failures.
 #[derive(Debug)]
 pub enum PersistError {
     /// Only CNN-encoder models can be saved.
     UnsupportedEncoder,
-    /// Parse failure with line number and message.
-    Parse(usize, String),
-    /// A binary snapshot failed structural or checksum validation.
+    /// A recognized file whose contents this build does not read: a
+    /// retired model or checkpoint format, an unknown version, or a
+    /// malformed model header. Retrying the same file cannot help.
+    Parse(String),
+    /// A snapshot failed structural or checksum validation.
     Corrupt(String),
     /// An I/O failure while reading or durably writing a snapshot or
     /// training checkpoint.
@@ -46,11 +49,10 @@ pub enum PersistError {
     /// A training checkpoint refers to a different config or corpus
     /// than the one being resumed against.
     Mismatch(String),
-    /// The file matches none of the known model formats (PGEBIN01,
-    /// PGEBIN02, `#pge-model` text). Carries the leading bytes seen,
-    /// so "you pointed me at the wrong file" reads as exactly that
-    /// instead of as a parse error from whichever format was tried
-    /// last.
+    /// The file's leading bytes match no format, carried in the
+    /// message so "you pointed me at the wrong file" reads as exactly
+    /// that. A PGEBIN02 writer that has not committed yet leaves a
+    /// zero header, which lands here too.
     UnknownFormat(String),
 }
 
@@ -60,7 +62,7 @@ impl std::fmt::Display for PersistError {
             PersistError::UnsupportedEncoder => {
                 write!(f, "only PGE(CNN) models support persistence")
             }
-            PersistError::Parse(line, msg) => write!(f, "parse error at line {line}: {msg}"),
+            PersistError::Parse(msg) => write!(f, "unsupported model file: {msg}"),
             PersistError::Corrupt(msg) => write!(f, "corrupt model snapshot: {msg}"),
             PersistError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
             PersistError::Mismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
@@ -73,18 +75,56 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-fn write_param_values(out: &mut String, values: &[f32]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        let _ = write!(out, "{:08x}", v.to_bits());
-    }
-    out.push('\n');
+/// Leading bytes of the model and checkpoint formats this crate no
+/// longer reads. Such a file is refused with a [`PersistError::Parse`],
+/// which a reloading gateway does not retry.
+const RETIRED_FORMATS: [(&[u8; 8], &str); 3] = [
+    (b"PGEBIN01", "PGEBIN01 binary model"),
+    (b"PGECKPT1", "PGECKPT1 training checkpoint"),
+    (b"#pge-mod", "#pge-model text model"),
+];
+
+/// Name of the snapshot section holding the text header.
+const SEC_MODEL_HEADER: &str = "model.header";
+
+/// First line of the `model.header` section.
+const HEADER_VERSION: &str = "#pge-model v1";
+
+pub(crate) fn io_err(e: std::io::Error) -> PersistError {
+    PersistError::Io(e.to_string())
 }
 
-/// The shared header: everything up to and including the `params N`
-/// line. Both the text and binary formats start with exactly this.
+pub(crate) fn store_err(e: StoreError) -> PersistError {
+    use StoreError as E;
+    match e {
+        E::UnknownFormat { magic } => match RETIRED_FORMATS.iter().find(|(m, _)| **m == magic) {
+            Some((_, what)) => PersistError::Parse(format!(
+                "{what} files are no longer read; retrain to write a PGEBIN02 snapshot"
+            )),
+            None => PersistError::UnknownFormat(format!(
+                "leading bytes {magic:02x?} are not a PGEBIN02 snapshot"
+            )),
+        },
+        E::Corrupt(m) => PersistError::Corrupt(m),
+        E::Parse(m) => PersistError::Parse(m),
+        E::MmapFailed(e) => PersistError::Io(format!("mmap failed: {e}")),
+        E::MissingSection(n) => PersistError::Corrupt(format!("missing snapshot section {n:?}")),
+        E::WrongKind { name } => {
+            PersistError::Corrupt(format!("snapshot section {name:?} has the wrong kind"))
+        }
+        E::Io(e) => PersistError::Io(e.to_string()),
+    }
+}
+
+/// A model's parameters in snapshot order: the encoder's in
+/// `HasParams` order, then the relation table.
+pub(crate) fn model_params(model: &mut PgeModel) -> Vec<&mut Param> {
+    let mut params = model.encoder.params_mut();
+    params.push(model.relations.param_mut());
+    params
+}
+
+/// The `model.header` text: everything but the parameter values.
 fn header_text(model: &PgeModel, n_params: usize) -> Result<String, PersistError> {
     let cnn = match &model.encoder {
         TextEncoder::Cnn(c) => c,
@@ -93,7 +133,7 @@ fn header_text(model: &PgeModel, n_params: usize) -> Result<String, PersistError
     let cfg = cnn.config();
     let scorer = model.scorer;
     let mut out = String::new();
-    let _ = writeln!(out, "#pge-model v1");
+    let _ = writeln!(out, "{HEADER_VERSION}");
     let _ = writeln!(
         out,
         "scorer {} {}",
@@ -120,332 +160,158 @@ fn header_text(model: &PgeModel, n_params: usize) -> Result<String, PersistError
     Ok(out)
 }
 
-/// Serialize a trained PGE(CNN) model to the text format.
-pub fn save_model(model: &PgeModel) -> Result<String, PersistError> {
-    // Parameters in HasParams order: encoder params then relations.
-    let mut clone = model.clone();
-    let mut params = clone.encoder.params_mut();
-    params.push(clone.relations.param_mut());
-    let mut out = header_text(model, params.len())?;
-    for p in params {
-        let _ = writeln!(out, "shape {} {}", p.value.rows(), p.value.cols());
-        write_param_values(&mut out, p.value.as_slice());
-    }
-    Ok(out)
+/// A parsed `model.header`: the shape of the model, not yet its
+/// parameters.
+struct Header {
+    scorer: Scorer,
+    cfg: CnnConfig,
+    relations: usize,
+    vocab: Vocab,
+    params: usize,
 }
 
-/// Leading magic of the checksummed binary snapshot format.
-pub const BINARY_MAGIC: &[u8; 8] = b"PGEBIN01";
+impl Header {
+    /// Parse the header text, rejecting every dimension the model
+    /// constructors would panic on.
+    fn parse(text: &str) -> Result<Header, PersistError> {
+        let mut lines = text.lines().enumerate();
+        let mut next = |what: &str| {
+            lines
+                .next()
+                .ok_or_else(|| PersistError::Parse(format!("{SEC_MODEL_HEADER}: missing {what}")))
+        };
+        let bad = |ln: usize, m: &str| {
+            PersistError::Parse(format!("{SEC_MODEL_HEADER} line {}: {m}", ln + 1))
+        };
+        let number = |ln: usize, field: Option<&str>, what: &str| {
+            field
+                .and_then(|x| x.parse::<usize>().ok())
+                .ok_or_else(|| bad(ln, &format!("bad {what}")))
+        };
 
-/// Serialize a trained PGE(CNN) model to the binary snapshot format:
-/// `PGEBIN01`, a little-endian CRC-32 of the payload, then the payload
-/// (`u32` header length, the text header, and per parameter `u32`
-/// rows, `u32` cols, raw `f32` little-endian values).
-pub fn save_model_binary(model: &PgeModel) -> Result<Vec<u8>, PersistError> {
-    let mut clone = model.clone();
-    let mut params = clone.encoder.params_mut();
-    params.push(clone.relations.param_mut());
-    let header = header_text(model, params.len())?;
-    let mut payload = Vec::with_capacity(header.len() + 64);
-    payload.extend_from_slice(&(header.len() as u32).to_le_bytes());
-    payload.extend_from_slice(header.as_bytes());
-    for p in params {
-        payload.extend_from_slice(&(p.value.rows() as u32).to_le_bytes());
-        payload.extend_from_slice(&(p.value.cols() as u32).to_le_bytes());
-        for v in p.value.as_slice() {
-            payload.extend_from_slice(&v.to_le_bytes());
+        let (ln, version) = next("version")?;
+        if version.trim() != HEADER_VERSION {
+            return Err(bad(ln, "bad version line"));
         }
-    }
-    let mut out = Vec::with_capacity(BINARY_MAGIC.len() + 4 + payload.len());
-    out.extend_from_slice(BINARY_MAGIC);
-    out.extend_from_slice(&pge_tensor::crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
 
-/// Parse the shared header, producing a model skeleton (every
-/// parameter still randomly initialized) plus the declared parameter
-/// count; the caller fills the parameters from its format's body.
-fn parse_header<'a>(
-    lines: &mut impl Iterator<Item = (usize, &'a str)>,
-    graph: &ProductGraph,
-) -> Result<(PgeModel, usize), PersistError> {
-    let mut next = |what: &str| -> Result<(usize, &str), PersistError> {
-        lines
-            .next()
-            .ok_or_else(|| PersistError::Parse(0, format!("missing {what}")))
-    };
-
-    let (ln, header) = next("header")?;
-    if header.trim() != "#pge-model v1" {
-        return Err(PersistError::Parse(ln + 1, "bad header".into()));
-    }
-
-    let (ln, scorer_line) = next("scorer")?;
-    let mut parts = scorer_line.split_whitespace();
-    let bad = |ln: usize, m: &str| PersistError::Parse(ln + 1, m.to_string());
-    if parts.next() != Some("scorer") {
-        return Err(bad(ln, "expected scorer line"));
-    }
-    let kind = match parts.next() {
-        Some("transe") => ScoreKind::TransE,
-        Some("rotate") => ScoreKind::RotatE,
-        Some("distmult") => ScoreKind::DistMult,
-        Some("complex") => ScoreKind::ComplEx,
-        other => return Err(bad(ln, &format!("unknown scorer {other:?}"))),
-    };
-    let gamma: f32 = parts
-        .next()
-        .and_then(|x| x.parse().ok())
-        .ok_or_else(|| bad(ln, "bad gamma"))?;
-
-    let (ln, cnn_line) = next("cnn config")?;
-    let mut parts = cnn_line.split_whitespace();
-    if parts.next() != Some("cnn") {
-        return Err(bad(ln, "expected cnn line"));
-    }
-    let mut ints = || -> Result<usize, PersistError> {
-        parts
+        let (ln, scorer_line) = next("scorer")?;
+        let mut parts = scorer_line.split_whitespace();
+        if parts.next() != Some("scorer") {
+            return Err(bad(ln, "expected scorer line"));
+        }
+        let kind = match parts.next() {
+            Some("transe") => ScoreKind::TransE,
+            Some("rotate") => ScoreKind::RotatE,
+            Some("distmult") => ScoreKind::DistMult,
+            Some("complex") => ScoreKind::ComplEx,
+            other => return Err(bad(ln, &format!("unknown scorer {other:?}"))),
+        };
+        let gamma: f32 = parts
             .next()
             .and_then(|x| x.parse().ok())
-            .ok_or_else(|| bad(ln, "bad cnn field"))
-    };
-    let vocab_n = ints()?;
-    let word_dim = ints()?;
-    let filters = ints()?;
-    let out_dim = ints()?;
-    let max_len = ints()?;
-    let widths: Vec<usize> = parts
-        .next()
-        .ok_or_else(|| bad(ln, "missing widths"))?
-        .split(',')
-        .map(|w| w.parse().map_err(|_| bad(ln, "bad width")))
-        .collect::<Result<_, _>>()?;
+            .ok_or_else(|| bad(ln, "bad gamma"))?;
 
-    let (ln, rel_line) = next("relations")?;
-    let n_rels: usize = rel_line
-        .strip_prefix("relations ")
-        .and_then(|x| x.parse().ok())
-        .ok_or_else(|| bad(ln, "bad relations line"))?;
-
-    let (ln, vocab_line) = next("vocab")?;
-    let n_words: usize = vocab_line
-        .strip_prefix("vocab ")
-        .and_then(|x| x.parse().ok())
-        .ok_or_else(|| bad(ln, "bad vocab line"))?;
-    if n_words != vocab_n {
-        return Err(bad(ln, "vocab count mismatch with cnn config"));
-    }
-    let mut vocab = Vocab::new();
-    for i in 0..n_words {
-        let (wln, word) = next("vocab word")?;
-        if i < 3 {
-            // Reserved tokens are created by Vocab::new; validate.
-            if word != vocab.word(i as u32) {
-                return Err(bad(wln, "reserved token mismatch"));
-            }
-        } else {
-            vocab.add(word);
+        let (ln, cnn_line) = next("cnn config")?;
+        let mut parts = cnn_line.split_whitespace();
+        if parts.next() != Some("cnn") {
+            return Err(bad(ln, "expected cnn line"));
         }
-    }
-
-    // Construct a model skeleton, then overwrite every parameter.
-    let mut rng = rand::rngs::mock::StepRng::new(1, 1);
-    let cfg = CnnConfig {
-        vocab: vocab_n,
-        word_dim,
-        widths,
-        filters_per_width: filters,
-        out_dim,
-        max_len,
-    };
-    let scorer = Scorer::new(kind, gamma);
-    let words = Embedding::new(&mut rng, vocab_n, word_dim);
-    let encoder = TextEncoder::cnn(&mut rng, cfg, words);
-    let relations = Embedding::new(&mut rng, n_rels, scorer.rel_dim(out_dim));
-    let model = PgeModel::new(vocab, encoder, relations, scorer, graph);
-
-    let (ln, params_line) = next("params")?;
-    let n_params: usize = params_line
-        .strip_prefix("params ")
-        .and_then(|x| x.parse().ok())
-        .ok_or_else(|| bad(ln, "bad params line"))?;
-    Ok((model, n_params))
-}
-
-/// Reload a model saved with [`save_model`]. Token caches are rebuilt
-/// for `graph` (pass the graph you intend to score).
-pub fn load_model(text: &str, graph: &ProductGraph) -> Result<PgeModel, PersistError> {
-    let mut lines = text.lines().enumerate();
-    let (mut model, n_params) = parse_header(&mut lines, graph)?;
-    let mut next = |what: &str| -> Result<(usize, &str), PersistError> {
-        lines
+        let vocab_n = number(ln, parts.next(), "vocab size")?;
+        let word_dim = number(ln, parts.next(), "word dim")?;
+        let filters = number(ln, parts.next(), "filter count")?;
+        let out_dim = number(ln, parts.next(), "output dim")?;
+        let max_len = number(ln, parts.next(), "max length")?;
+        let widths: Vec<usize> = parts
             .next()
-            .ok_or_else(|| PersistError::Parse(0, format!("missing {what}")))
-    };
-    let bad = |ln: usize, m: &str| PersistError::Parse(ln + 1, m.to_string());
-    {
-        let mut params = model.encoder.params_mut();
-        params.push(model.relations.param_mut());
-        if params.len() != n_params {
-            return Err(PersistError::Parse(0, "parameter count mismatch".into()));
+            .ok_or_else(|| bad(ln, "missing widths"))?
+            .split(',')
+            .map(|w| number(ln, Some(w), "width"))
+            .collect::<Result<_, _>>()?;
+        if word_dim == 0 || filters == 0 || out_dim == 0 || widths.contains(&0) {
+            return Err(bad(ln, "CNN dimensions must be positive"));
         }
-        for p in params {
-            let (sln, shape_line) = next("shape")?;
-            let mut parts = shape_line.split_whitespace();
-            if parts.next() != Some("shape") {
-                return Err(bad(sln, "expected shape line"));
-            }
-            let rows: usize = parts
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| bad(sln, "bad rows"))?;
-            let cols: usize = parts
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| bad(sln, "bad cols"))?;
-            if rows != p.value.rows() || cols != p.value.cols() {
-                return Err(bad(
-                    sln,
-                    &format!(
-                        "shape mismatch: file {rows}x{cols}, model {}x{}",
-                        p.value.rows(),
-                        p.value.cols()
-                    ),
-                ));
-            }
-            let (vln, value_line) = next("param values")?;
-            let slice = p.value.as_mut_slice();
-            let mut count = 0usize;
-            for (i, tok) in value_line.split_whitespace().enumerate() {
-                if i >= slice.len() {
-                    return Err(bad(vln, "too many values"));
+        if matches!(kind, ScoreKind::RotatE | ScoreKind::ComplEx) && out_dim % 2 != 0 {
+            return Err(bad(
+                ln,
+                &format!("{} needs an even output dim, not {out_dim}", kind.name()),
+            ));
+        }
+
+        let (ln, rel_line) = next("relations")?;
+        let relations = number(ln, rel_line.strip_prefix("relations "), "relations line")?;
+
+        let (ln, vocab_line) = next("vocab")?;
+        let n_words = number(ln, vocab_line.strip_prefix("vocab "), "vocab line")?;
+        if n_words != vocab_n {
+            return Err(bad(ln, "vocab count mismatch with cnn config"));
+        }
+        let mut vocab = Vocab::new();
+        for i in 0..n_words {
+            let (wln, word) = next("vocab word")?;
+            if i < 3 {
+                // Reserved tokens are created by Vocab::new; validate.
+                if word != vocab.word(i as u32) {
+                    return Err(bad(wln, "reserved token mismatch"));
                 }
-                let bits = u32::from_str_radix(tok, 16).map_err(|_| bad(vln, "bad value"))?;
-                slice[i] = f32::from_bits(bits);
-                count += 1;
-            }
-            if count != slice.len() {
-                return Err(bad(vln, "too few values"));
+            } else {
+                vocab.add(word);
             }
         }
-    }
-    Ok(model)
-}
-
-/// Reload a binary snapshot saved with [`save_model_binary`],
-/// verifying the CRC-32 before trusting a single byte of the payload.
-pub fn load_model_binary(bytes: &[u8], graph: &ProductGraph) -> Result<PgeModel, PersistError> {
-    let corrupt = |m: String| PersistError::Corrupt(m);
-    let rest = bytes
-        .strip_prefix(&BINARY_MAGIC[..])
-        .ok_or_else(|| corrupt("missing PGEBIN01 magic".into()))?;
-    if rest.len() < 4 {
-        return Err(corrupt("truncated before checksum".into()));
-    }
-    let (crc_bytes, payload) = rest.split_at(4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    let computed = pge_tensor::crc32(payload);
-    if stored != computed {
-        return Err(corrupt(format!(
-            "CRC-32 mismatch (stored {stored:08x}, computed {computed:08x}) — \
-             the snapshot is truncated or bit-flipped; re-export it"
-        )));
-    }
-    if payload.len() < 4 {
-        return Err(corrupt("payload too short for header length".into()));
-    }
-    let header_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-    let header = payload
-        .get(4..4 + header_len)
-        .ok_or_else(|| corrupt("header extends past end of payload".into()))?;
-    let header = std::str::from_utf8(header).map_err(|_| corrupt("header is not UTF-8".into()))?;
-    let mut lines = header.lines().enumerate();
-    let (mut model, n_params) = parse_header(&mut lines, graph)?;
-    let mut cur = &payload[4 + header_len..];
-    {
-        let mut params = model.encoder.params_mut();
-        params.push(model.relations.param_mut());
-        if params.len() != n_params {
-            return Err(corrupt("parameter count mismatch".into()));
+        if vocab.len() != n_words {
+            return Err(bad(ln, "vocabulary has duplicate or missing words"));
         }
-        for p in params {
-            if cur.len() < 8 {
-                return Err(corrupt("truncated parameter block".into()));
-            }
-            let rows = u32::from_le_bytes(cur[..4].try_into().unwrap()) as usize;
-            let cols = u32::from_le_bytes(cur[4..8].try_into().unwrap()) as usize;
-            cur = &cur[8..];
-            if rows != p.value.rows() || cols != p.value.cols() {
-                return Err(corrupt(format!(
-                    "shape mismatch: file {rows}x{cols}, model {}x{}",
-                    p.value.rows(),
-                    p.value.cols()
-                )));
-            }
-            let slice = p.value.as_mut_slice();
-            let need = slice.len() * 4;
-            if cur.len() < need {
-                return Err(corrupt("parameter values truncated".into()));
-            }
-            for (v, chunk) in slice.iter_mut().zip(cur[..need].chunks_exact(4)) {
-                *v = f32::from_le_bytes(chunk.try_into().unwrap());
-            }
-            cur = &cur[need..];
-        }
+
+        let (ln, params_line) = next("params")?;
+        let params = number(ln, params_line.strip_prefix("params "), "params line")?;
+        Ok(Header {
+            scorer: Scorer::new(kind, gamma),
+            cfg: CnnConfig {
+                vocab: vocab_n,
+                word_dim,
+                widths,
+                filters_per_width: filters,
+                out_dim,
+                max_len,
+            },
+            relations,
+            vocab,
+            params,
+        })
     }
-    if !cur.is_empty() {
-        return Err(corrupt("trailing bytes after parameters".into()));
-    }
-    Ok(model)
-}
 
-/// Leading magic of the sectioned PGEBIN02 snapshot container
-/// (see `pge-store`): memory-mappable, 64-byte-aligned f32 sections,
-/// per-section CRC-32, and optionally an embedding bank riding in the
-/// same file.
-pub const BINARY_MAGIC2: &[u8; 8] = pge_store::MAGIC2;
-
-/// Leading bytes of the text format (`#pge-model v1`).
-const TEXT_MAGIC: &[u8] = b"#pge-model";
-
-/// Name of the snapshot section holding the shared text header.
-const SEC_MODEL_HEADER: &str = "model.header";
-
-fn io_err(e: std::io::Error) -> PersistError {
-    PersistError::Io(e.to_string())
-}
-
-fn store_err(e: pge_store::StoreError) -> PersistError {
-    use pge_store::StoreError as E;
-    match e {
-        E::UnknownFormat { magic } => {
-            PersistError::UnknownFormat(format!("leading bytes {magic:02x?}"))
+    /// The `rows × cols` of every parameter this header declares, in
+    /// snapshot order (see `TextCnnEncoder`'s `HasParams`).
+    fn param_shapes(&self) -> Result<Vec<(usize, usize)>, PersistError> {
+        let c = &self.cfg;
+        let overflow = || PersistError::Corrupt(format!("{SEC_MODEL_HEADER}: dimensions overflow"));
+        let mut shapes = vec![(c.vocab, c.word_dim)];
+        for &w in &c.widths {
+            shapes.push((
+                c.filters_per_width,
+                w.checked_mul(c.word_dim).ok_or_else(overflow)?,
+            ));
+            shapes.push((1, c.filters_per_width));
         }
-        E::Corrupt(m) => PersistError::Corrupt(m),
-        E::Parse(m) => PersistError::Parse(0, m),
-        E::MmapFailed(e) => PersistError::Io(format!("mmap failed: {e}")),
-        E::MissingSection(n) => PersistError::Corrupt(format!("missing snapshot section {n:?}")),
-        E::WrongKind { name } => {
-            PersistError::Corrupt(format!("snapshot section {name:?} has the wrong kind"))
-        }
-        E::Io(e) => PersistError::Io(e.to_string()),
+        let concat = c
+            .widths
+            .len()
+            .checked_mul(c.filters_per_width)
+            .ok_or_else(overflow)?;
+        shapes.push((c.out_dim, concat));
+        shapes.push((1, c.out_dim));
+        shapes.push((self.relations, self.scorer.rel_dim(c.out_dim)));
+        Ok(shapes)
     }
 }
 
 /// Write the model's header and parameter sections into an open
-/// PGEBIN02 writer: `model.header` (the shared text header) plus one
-/// `model.param.{i}` f32 section per parameter, in `HasParams` order.
-/// `pge embed` appends bank sections to the same writer afterwards,
-/// which is how a bank is guaranteed to match its model — they are
-/// one file.
-pub fn write_model_sections(
-    model: &PgeModel,
-    w: &mut pge_store::SnapshotWriter,
-) -> Result<(), PersistError> {
+/// PGEBIN02 writer: `model.header` plus one `model.param.{i}` f32
+/// section per parameter, in snapshot order. `pge embed` appends bank
+/// sections to the same writer afterwards, which is how a bank is
+/// guaranteed to match its model — they are one file.
+pub fn write_model_sections(model: &PgeModel, w: &mut SnapshotWriter) -> Result<(), PersistError> {
     let mut clone = model.clone();
-    let mut params = clone.encoder.params_mut();
-    params.push(clone.relations.param_mut());
+    let params = model_params(&mut clone);
     let header = header_text(model, params.len())?;
     w.add_bytes(SEC_MODEL_HEADER, header.as_bytes())
         .map_err(io_err)?;
@@ -462,8 +328,8 @@ pub fn write_model_sections(
 }
 
 /// Serialize a trained PGE(CNN) model as a PGEBIN02 snapshot file.
-pub fn save_model_store(model: &PgeModel, path: &std::path::Path) -> Result<(), PersistError> {
-    let mut w = pge_store::SnapshotWriter::create(path).map_err(io_err)?;
+pub fn save_model_store(model: &PgeModel, path: &Path) -> Result<(), PersistError> {
+    let mut w = SnapshotWriter::create(path).map_err(io_err)?;
     write_model_sections(model, &mut w)?;
     w.finish().map_err(io_err)
 }
@@ -473,39 +339,58 @@ pub fn save_model_store(model: &PgeModel, path: &std::path::Path) -> Result<(), 
 /// the bank's touched-bytes eviction budget (see
 /// [`pge_store::EmbeddingBank`]); irrelevant for heap-backed opens.
 pub fn model_from_snapshot(
-    snap: &std::sync::Arc<pge_store::Snapshot>,
+    snap: &Arc<Snapshot>,
     graph: &ProductGraph,
     resident_budget: u64,
 ) -> Result<PgeModel, PersistError> {
     let header = snap.section(SEC_MODEL_HEADER).map_err(store_err)?;
     let header = std::str::from_utf8(header.bytes)
-        .map_err(|_| PersistError::Corrupt("model.header is not UTF-8".into()))?;
-    let mut lines = header.lines().enumerate();
-    let (mut model, n_params) = parse_header(&mut lines, graph)?;
-    {
-        let mut params = model.encoder.params_mut();
-        params.push(model.relations.param_mut());
-        if params.len() != n_params {
-            return Err(PersistError::Corrupt("parameter count mismatch".into()));
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            let sec = snap
-                .section(&format!("model.param.{i}"))
-                .map_err(store_err)?;
-            if sec.meta.rows != p.value.rows() as u64 || sec.meta.cols != p.value.cols() as u64 {
+        .map_err(|_| PersistError::Corrupt(format!("{SEC_MODEL_HEADER} is not UTF-8")))?;
+    let header = Header::parse(header)?;
+    let shapes = header.param_shapes()?;
+    if shapes.len() != header.params {
+        return Err(PersistError::Corrupt(format!(
+            "{SEC_MODEL_HEADER} declares {} parameters but its dimensions imply {}",
+            header.params,
+            shapes.len()
+        )));
+    }
+    // Every section must have the shape the header implies before a
+    // byte is allocated from the header's numbers.
+    let values = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(rows, cols))| {
+            let name = format!("model.param.{i}");
+            let sec = snap.section(&name).map_err(store_err)?;
+            if (sec.meta.rows, sec.meta.cols) != (rows as u64, cols as u64) {
                 return Err(PersistError::Corrupt(format!(
-                    "model.param.{i}: snapshot {}x{}, model {}x{}",
-                    sec.meta.rows,
-                    sec.meta.cols,
-                    p.value.rows(),
-                    p.value.cols()
+                    "{name}: snapshot {}x{}, header {rows}x{cols}",
+                    sec.meta.rows, sec.meta.cols
                 )));
             }
-            p.value
-                .as_mut_slice()
-                .copy_from_slice(sec.as_f32s().map_err(store_err)?);
-        }
+            sec.as_f32s().map_err(store_err)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // Construct a model skeleton, then overwrite every parameter.
+    let Header {
+        scorer,
+        cfg,
+        relations,
+        vocab,
+        ..
+    } = header;
+    let mut rng = rand::rngs::mock::StepRng::new(1, 1);
+    let words = Embedding::new(&mut rng, cfg.vocab, cfg.word_dim);
+    let rel_dim = scorer.rel_dim(cfg.out_dim);
+    let encoder = TextEncoder::cnn(&mut rng, cfg, words);
+    let relations = Embedding::new(&mut rng, relations, rel_dim);
+    let mut model = PgeModel::new(vocab, encoder, relations, scorer, graph);
+    for (p, v) in model_params(&mut model).into_iter().zip(values) {
+        p.value.as_mut_slice().copy_from_slice(v);
     }
+
     if let Some(bank) =
         pge_store::EmbeddingBank::open(snap.clone(), resident_budget).map_err(store_err)?
     {
@@ -516,7 +401,7 @@ pub fn model_from_snapshot(
                 model.dim()
             )));
         }
-        model.attach_bank(std::sync::Arc::new(bank));
+        model.attach_bank(Arc::new(bank));
     }
     // Everything the model serves from the heap has been copied out
     // (params above, the bank's index inside its open); drop the
@@ -525,73 +410,19 @@ pub fn model_from_snapshot(
     Ok(model)
 }
 
-/// Open a PGEBIN02 snapshot file and rebuild its model (bank
-/// attached when present). `mode` picks the backing: mapped rows are
-/// served straight off the page cache, heap is a full in-memory copy.
-pub fn load_model_store(
-    path: &std::path::Path,
-    graph: &ProductGraph,
-    mode: pge_store::MmapMode,
-    resident_budget: u64,
-) -> Result<PgeModel, PersistError> {
-    let snap = std::sync::Arc::new(pge_store::Snapshot::open(path, mode).map_err(store_err)?);
-    model_from_snapshot(&snap, graph, resident_budget)
-}
-
-/// Reload a model from any on-disk format, routed by leading magic:
-/// `PGEBIN01` → checksummed flat binary, `PGEBIN02` → sectioned
-/// snapshot (honoring `mode`), `#pge-model` → text. Anything else is
-/// a typed [`PersistError::UnknownFormat`].
+/// Open a PGEBIN02 snapshot file and rebuild its model (bank attached
+/// when present). `mode` picks the backing: mapped rows are served
+/// straight off the page cache, heap is a full in-memory copy. A file
+/// in a retired format is a [`PersistError::Parse`]; any other
+/// non-PGEBIN02 file is a [`PersistError::UnknownFormat`].
 pub fn load_model_auto_path(
-    path: &std::path::Path,
+    path: &Path,
     graph: &ProductGraph,
     mode: pge_store::MmapMode,
     resident_budget: u64,
 ) -> Result<PgeModel, PersistError> {
-    let magic = pge_store::peek_magic(path).map_err(io_err)?;
-    if &magic == BINARY_MAGIC2 {
-        return load_model_store(path, graph, mode, resident_budget);
-    }
-    let bytes = std::fs::read(path).map_err(io_err)?;
-    load_model_auto(&bytes, graph)
-}
-
-/// Reload a model from in-memory bytes, routed by leading magic (see
-/// [`load_model_auto_path`]; a PGEBIN02 snapshot loaded from bytes is
-/// always heap-backed — mapping needs a file).
-pub fn load_model_auto(bytes: &[u8], graph: &ProductGraph) -> Result<PgeModel, PersistError> {
-    if bytes.starts_with(&BINARY_MAGIC[..]) {
-        return load_model_binary(bytes, graph);
-    }
-    if bytes.starts_with(&BINARY_MAGIC2[..]) {
-        let snap = std::sync::Arc::new(pge_store::Snapshot::open_bytes(bytes).map_err(store_err)?);
-        return model_from_snapshot(&snap, graph, pge_store::DEFAULT_RESIDENT_BUDGET);
-    }
-    // A file shorter than the magic that matches a *prefix* of one is
-    // a truncated binary snapshot. Surface a corruption error rather
-    // than an unknown-format one (the two magics share a 7-byte
-    // prefix, so one check covers both).
-    if !bytes.is_empty()
-        && bytes.len() < BINARY_MAGIC.len()
-        && (BINARY_MAGIC.starts_with(bytes) || BINARY_MAGIC2.starts_with(bytes))
-    {
-        return Err(PersistError::Corrupt(format!(
-            "snapshot is truncated inside the magic ({} of {} bytes) — \
-             the file was cut off mid-write; re-export it",
-            bytes.len(),
-            BINARY_MAGIC.len()
-        )));
-    }
-    if bytes.starts_with(TEXT_MAGIC) {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| PersistError::Corrupt("text model file is not valid UTF-8".into()))?;
-        return load_model(text, graph);
-    }
-    let lead = &bytes[..bytes.len().min(8)];
-    Err(PersistError::UnknownFormat(format!(
-        "leading bytes {lead:02x?} match no model format \
-         (expected PGEBIN01, PGEBIN02, or '#pge-model' text)"
-    )))
+    let snap = Arc::new(Snapshot::open(path, mode).map_err(store_err)?);
+    model_from_snapshot(&snap, graph, resident_budget)
 }
 
 #[cfg(test)]
@@ -599,273 +430,252 @@ mod tests {
     use super::*;
     use crate::trainer::{train_pge, PgeConfig};
     use pge_graph::{Dataset, ProductGraph};
+    use pge_store::MmapMode;
 
-    fn tiny_dataset() -> Dataset {
+    fn trained(epochs: usize) -> (PgeModel, Dataset) {
         let mut g = ProductGraph::new();
         let mut train = Vec::new();
         for i in 0..20 {
             let flavor = if i % 2 == 0 { "spicy" } else { "sweet" };
             train.push(g.add_fact(&format!("brand{i} {flavor} chips {i}"), "flavor", flavor));
         }
-        Dataset::new(g, train, vec![], vec![])
+        let d = Dataset::new(g, train, vec![], vec![]);
+        let cfg = PgeConfig {
+            epochs,
+            ..PgeConfig::tiny()
+        };
+        (train_pge(&d, &cfg).model, d)
+    }
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pge-persist-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    fn load(path: &Path, d: &Dataset) -> Result<PgeModel, PersistError> {
+        load_model_auto_path(path, &d.graph, MmapMode::Off, 0)
+    }
+
+    /// Write `header` plus `params` (`rows`, `cols`, values) as a model
+    /// snapshot: valid CRCs around whatever the test crafted.
+    fn write_raw(path: &Path, header: &str, params: &[(u64, u64, Vec<f32>)]) {
+        let mut w = SnapshotWriter::create(path).unwrap();
+        w.add_bytes(SEC_MODEL_HEADER, header.as_bytes()).unwrap();
+        for (i, (rows, cols, v)) in params.iter().enumerate() {
+            w.add_f32s(&format!("model.param.{i}"), *rows, *cols, v)
+                .unwrap();
+        }
+        w.finish().unwrap();
+    }
+
+    /// `model`'s header text and parameter sections.
+    fn parts(model: &PgeModel) -> (String, Vec<(u64, u64, Vec<f32>)>) {
+        let mut clone = model.clone();
+        let params: Vec<_> = model_params(&mut clone)
+            .iter()
+            .map(|p| {
+                let v = &p.value;
+                (v.rows() as u64, v.cols() as u64, v.as_slice().to_vec())
+            })
+            .collect();
+        (header_text(model, params.len()).unwrap(), params)
     }
 
     #[test]
     fn round_trip_scores_bit_identically() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 3,
-                ..PgeConfig::tiny()
-            },
-        );
-        let text = save_model(&trained.model).unwrap();
-        let loaded = load_model(&text, &d.graph).unwrap();
-        for t in d.train.iter().take(10) {
-            assert_eq!(trained.model.score_triple(t), loaded.score_triple(t));
-        }
-        // Inductive scoring also matches.
+        let (model, d) = trained(3);
+        let path = tmp("round-trip.pgebin");
+        save_model_store(&model, &path).unwrap();
+        let loaded = load(&path, &d).unwrap();
         let attr = d.graph.lookup_attr("flavor").unwrap();
-        assert_eq!(
-            trained
-                .model
-                .score_fact("totally new spicy snack", attr, "spicy"),
-            loaded.score_fact("totally new spicy snack", attr, "spicy"),
-        );
+        let bits = |m: &PgeModel| {
+            let mut bits: Vec<u32> = d
+                .train
+                .iter()
+                .map(|t| m.score_triple(t).to_bits())
+                .collect();
+            // Inductive scoring of unseen text matches too.
+            bits.push(
+                m.score_fact("totally new spicy snack", attr, "spicy")
+                    .to_bits(),
+            );
+            bits
+        };
+        assert_eq!(bits(&loaded), bits(&model));
     }
 
     #[test]
     fn bert_models_are_rejected() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                encoder: crate::encoder::EncoderKind::Bert,
-                epochs: 1,
-                dim: 16,
-                ..PgeConfig::tiny()
-            },
-        );
+        let mut g = ProductGraph::new();
+        let train = vec![g.add_fact("spicy chips", "flavor", "spicy")];
+        let d = Dataset::new(g, train, vec![], vec![]);
+        let cfg = PgeConfig {
+            encoder: crate::encoder::EncoderKind::Bert,
+            epochs: 1,
+            ..PgeConfig::tiny()
+        };
         assert!(matches!(
-            save_model(&trained.model),
+            save_model_store(&train_pge(&d, &cfg).model, &tmp("bert.pgebin")),
             Err(PersistError::UnsupportedEncoder)
         ));
     }
 
+    /// Headers that used to reach a constructor `assert!` or size an
+    /// allocation from an unchecked number are typed errors that name
+    /// the header line.
     #[test]
     fn garbage_is_rejected_with_line_numbers() {
-        let d = tiny_dataset();
-        assert!(load_model("", &d.graph).is_err());
-        assert!(load_model("#pge-model v2\n", &d.graph).is_err());
-        let truncated = "#pge-model v1\nscorer rotate 6\n";
-        match load_model(truncated, &d.graph) {
-            Err(PersistError::Parse(_, msg)) => assert!(msg.contains("missing")),
-            other => panic!("expected parse error, got {other:?}"),
+        let (model, d) = trained(1);
+        let (header, params) = parts(&model);
+        let cnn = header.lines().nth(2).unwrap().to_string();
+        let f: Vec<&str> = cnn.split_whitespace().collect();
+        let cnn_with = |ix: usize, v: &str| {
+            let mut g = f.clone();
+            g[ix] = v;
+            header.replace(&cnn, &g.join(" "))
+        };
+        let path = tmp("garbage.pgebin");
+        assert!(header.contains("scorer rotate"), "{header}");
+        // A zero word dim with sections shaped to agree (words and
+        // both conv weights zero columns wide): only the header check
+        // stands between it and `Conv1d::new`'s assert.
+        let mut zero_wide = params.clone();
+        for i in [0, 1, 3] {
+            zero_wide[i].1 = 0;
+            zero_wide[i].2.clear();
         }
-    }
-
-    /// Every parameter matrix of a model as raw bit patterns, in
-    /// HasParams order — the ground truth for bit-identity claims.
-    fn param_bits(model: &PgeModel) -> Vec<Vec<u32>> {
-        let mut clone = model.clone();
-        let mut params = clone.encoder.params_mut();
-        params.push(clone.relations.param_mut());
-        params
-            .iter()
-            .map(|p| p.value.as_slice().iter().map(|v| v.to_bits()).collect())
-            .collect()
-    }
-
-    #[test]
-    fn binary_and_text_round_trips_are_bit_identical() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 3,
-                ..PgeConfig::tiny()
-            },
-        );
-        let text = save_model(&trained.model).unwrap();
-        let binary = save_model_binary(&trained.model).unwrap();
-        assert!(
-            binary.len() < text.len(),
-            "binary ({}) should undercut hex text ({})",
-            binary.len(),
-            text.len()
-        );
-        let from_text = load_model(&text, &d.graph).unwrap();
-        let from_binary = load_model_binary(&binary, &d.graph).unwrap();
-        assert_eq!(param_bits(&from_text), param_bits(&from_binary));
-        assert_eq!(param_bits(&trained.model), param_bits(&from_binary));
-        // A binary round-trip of the text-loaded model reproduces the
-        // original snapshot byte for byte, and vice versa.
-        assert_eq!(save_model_binary(&from_text).unwrap(), binary);
-        assert_eq!(save_model(&from_binary).unwrap(), text);
-        for t in d.train.iter().take(10) {
-            assert_eq!(
-                trained.model.score_triple(t).to_bits(),
-                from_binary.score_triple(t).to_bits()
-            );
+        let positive = "line 3: CNN dimensions must be positive";
+        let parse_cases = [
+            (cnn_with(2, "0"), &zero_wide, positive),
+            (cnn_with(3, "0"), &params, positive),
+            (cnn_with(6, "1,0,3"), &params, positive),
+            (
+                cnn_with(4, "7"),
+                &params,
+                "line 3: RotatE needs an even output dim",
+            ),
+            (cnn_with(1, "2"), &params, "line 5: vocab count mismatch"),
+            (
+                header.replacen("v1", "v2", 1),
+                &params,
+                "line 1: bad version line",
+            ),
+            (
+                header.lines().take(3).collect::<Vec<_>>().join("\n"),
+                &params,
+                "missing relations",
+            ),
+        ];
+        for (text, params, want) in parse_cases {
+            write_raw(&path, &text, params);
+            match load(&path, &d) {
+                Err(PersistError::Parse(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
+                other => panic!("{want}: expected Parse, got {other:?}"),
+            }
         }
-    }
-
-    #[test]
-    fn load_model_auto_detects_both_formats() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 1,
-                ..PgeConfig::tiny()
-            },
-        );
-        let text = save_model(&trained.model).unwrap();
-        let binary = save_model_binary(&trained.model).unwrap();
-        let a = load_model_auto(text.as_bytes(), &d.graph).unwrap();
-        let b = load_model_auto(&binary, &d.graph).unwrap();
-        assert_eq!(param_bits(&a), param_bits(&b));
-        // Bytes that are no known format get the typed UnknownFormat
-        // error, not a text parse attempt on garbage.
-        assert!(matches!(
-            load_model_auto(&[0xff, 0x00, 0xfe], &d.graph),
-            Err(PersistError::UnknownFormat(_))
-        ));
-        assert!(matches!(
-            load_model_auto(b"ELF\x7f not a model at all", &d.graph),
-            Err(PersistError::UnknownFormat(_))
-        ));
-    }
-
-    #[test]
-    fn pgebin2_round_trip_is_bit_identical_across_backings() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 2,
-                ..PgeConfig::tiny()
-            },
-        );
-        let dir = std::env::temp_dir().join(format!("pge-persist-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.pgebin2");
-        save_model_store(&trained.model, &path).unwrap();
-
-        // The v2 container routes through load_model_auto_path by
-        // magic, in every backing mode, bit-identically.
-        for mode in [
-            pge_store::MmapMode::On,
-            pge_store::MmapMode::Off,
-            pge_store::MmapMode::Auto,
+        // Sizes no section backs are refused before allocation, and
+        // so is arithmetic that would overflow.
+        for text in [
+            cnn_with(2, "1099511627776"),
+            cnn_with(6, "4611686018427387904"),
         ] {
-            let loaded = load_model_auto_path(&path, &d.graph, mode, 0).unwrap();
-            assert_eq!(param_bits(&trained.model), param_bits(&loaded));
-            for t in d.train.iter().take(5) {
-                assert_eq!(
-                    trained.model.score_triple(t).to_bits(),
-                    loaded.score_triple(t).to_bits(),
-                    "mode {mode:?}"
-                );
-            }
-        }
-        // The byte-slice entry point routes PGEBIN02 too.
-        let bytes = std::fs::read(&path).unwrap();
-        let from_bytes = load_model_auto(&bytes, &d.graph).unwrap();
-        assert_eq!(param_bits(&trained.model), param_bits(&from_bytes));
-        // And PGEBIN01 snapshots keep loading through the same path.
-        let v1 = save_model_binary(&trained.model).unwrap();
-        let v1_path = dir.join("model.pgebin1");
-        std::fs::write(&v1_path, &v1).unwrap();
-        let from_v1 =
-            load_model_auto_path(&v1_path, &d.graph, pge_store::MmapMode::Auto, 0).unwrap();
-        assert_eq!(param_bits(&trained.model), param_bits(&from_v1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn truncated_binary_snapshot_reports_corruption_not_text_parse() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 1,
-                ..PgeConfig::tiny()
-            },
-        );
-        let binary = save_model_binary(&trained.model).unwrap();
-        // Cuts inside the magic used to fall through to the text
-        // parser and die with "bad header"; they must surface as
-        // binary corruption instead.
-        for cut in 1..BINARY_MAGIC.len() {
-            match load_model_auto(&binary[..cut], &d.graph) {
-                Err(PersistError::Corrupt(msg)) => {
-                    assert!(
-                        msg.contains("truncated"),
-                        "cut {cut}: unhelpful error {msg}"
-                    )
-                }
-                other => panic!("cut {cut}: expected Corrupt, got {other:?}"),
-            }
-        }
-        // Cuts past the magic take the binary path and fail its CRC or
-        // structural checks — never the text parser.
-        for cut in [BINARY_MAGIC.len(), BINARY_MAGIC.len() + 2, binary.len() / 2] {
-            match load_model_auto(&binary[..cut], &d.graph) {
-                Err(PersistError::Corrupt(_)) => {}
-                other => panic!("cut {cut}: expected Corrupt, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_crc_is_rejected_with_clear_error() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 1,
-                ..PgeConfig::tiny()
-            },
-        );
-        let mut binary = save_model_binary(&trained.model).unwrap();
-        // Flip one payload bit well past the checksum field.
-        let ix = binary.len() - 3;
-        binary[ix] ^= 0x10;
-        match load_model_binary(&binary, &d.graph) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("CRC-32 mismatch"), "unhelpful error: {msg}")
-            }
-            other => panic!("expected CRC failure, got {other:?}"),
-        }
-        // Truncation is equally fatal.
-        let whole = save_model_binary(&trained.model).unwrap();
-        for cut in [3, 9, whole.len() / 2, whole.len() - 1] {
+            write_raw(&path, &text, &params);
             assert!(
-                load_model_binary(&whole[..cut], &d.graph).is_err(),
-                "truncation at {cut} must not load"
+                matches!(load(&path, &d), Err(PersistError::Corrupt(_))),
+                "{text}"
             );
         }
     }
 
     #[test]
     fn tampered_values_detected_by_shape_or_count() {
-        let d = tiny_dataset();
-        let trained = train_pge(
-            &d,
-            &PgeConfig {
-                epochs: 1,
-                ..PgeConfig::tiny()
-            },
-        );
-        let text = save_model(&trained.model).unwrap();
-        // Drop the last line (a parameter row).
-        let truncated: String = {
-            let mut ls: Vec<&str> = text.lines().collect();
-            ls.pop();
-            ls.join("\n")
-        };
-        assert!(load_model(&truncated, &d.graph).is_err());
+        let (model, d) = trained(1);
+        let (header, mut params) = parts(&model);
+        let path = tmp("tampered.pgebin");
+        // One parameter reshaped: same bytes, different rows x cols.
+        let (rows, cols) = (params[0].0, params[0].1);
+        params[0].0 = rows * cols;
+        params[0].1 = 1;
+        write_raw(&path, &header, &params);
+        match load(&path, &d) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("model.param.0"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // The last parameter missing.
+        (params[0].0, params[0].1) = (rows, cols);
+        params.pop();
+        write_raw(&path, &header, &params);
+        assert!(matches!(load(&path, &d), Err(PersistError::Corrupt(_))));
+    }
+
+    #[test]
+    fn corrupted_crc_is_rejected_with_clear_error() {
+        let (model, d) = trained(1);
+        let path = tmp("flipped.pgebin");
+        save_model_store(&model, &path).unwrap();
+        let ix = Snapshot::open(&path, MmapMode::Off)
+            .unwrap()
+            .section("model.param.1")
+            .map(|s| s.meta.offset + s.meta.len / 2)
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[ix as usize] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        match load(&path, &d) {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("model.param.1") && msg.contains("CRC"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected CRC failure, got {other:?}"),
+        }
+    }
+
+    /// A cut-off file is what a reader sees while a writer is still
+    /// at work, so it must read as retryable — never as a parse error.
+    #[test]
+    fn truncated_binary_snapshot_reports_corruption_not_text_parse() {
+        let (model, d) = trained(1);
+        let path = tmp("whole.pgebin");
+        save_model_store(&model, &path).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let cut_path = tmp("cut.pgebin");
+        for cut in [0, 3, 8, 63, 64, 200, whole.len() / 2, whole.len() - 1] {
+            std::fs::write(&cut_path, &whole[..cut]).unwrap();
+            match load(&cut_path, &d) {
+                Err(PersistError::Corrupt(_) | PersistError::UnknownFormat(_)) => {}
+                other => panic!("cut {cut}: expected a retryable error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn retired_formats_are_refused_with_a_non_retryable_error() {
+        let d = Dataset::new(ProductGraph::new(), vec![], vec![], vec![]);
+        let path = tmp("retired.bin");
+        for (bytes, name) in [
+            (&b"PGEBIN01\x00\x00\x00\x00payload"[..], "PGEBIN01"),
+            (&b"PGECKPT1\x00\x00\x00\x00payload"[..], "PGECKPT1"),
+            (&b"#pge-model v1\nscorer rotate 6\n"[..], "#pge-model"),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            match load(&path, &d) {
+                Err(PersistError::Parse(msg)) => {
+                    assert!(msg.contains(name) && msg.contains("retrain"), "{msg}")
+                }
+                other => panic!("{name}: expected Parse, got {other:?}"),
+            }
+        }
+        // A writer's uncommitted zero header and foreign files stay
+        // UnknownFormat.
+        for bytes in [&[0u8; 64][..], b"\x7fELF not a model at all, not at all"] {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(matches!(
+                load(&path, &d),
+                Err(PersistError::UnknownFormat(_))
+            ));
+        }
     }
 }

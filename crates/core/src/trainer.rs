@@ -22,7 +22,9 @@
 //! serial loop (its backward pass still mutates inline gradients) and
 //! ignores `threads`.
 
-use crate::checkpoint::{config_hash, data_fingerprint, CheckpointOptions, TrainerState};
+use crate::checkpoint::{
+    config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
+};
 use crate::confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, ConfidenceUpdater};
 use crate::encoder::{EncoderKind, TextEncoder};
 use crate::model::PgeModel;
@@ -449,18 +451,18 @@ pub fn train_pge_resumable(
     } else {
         (0, 0)
     };
-    let resumed: Option<TrainerState> = match ckpt {
+    let resumed = match ckpt {
         Some(opts) if opts.resume => {
-            let state = TrainerState::load(&opts.dir)?;
-            state.verify_backend(cfg.confidence.name())?;
-            state.verify(cfg_hash, data_fp)?;
+            let ck = Checkpoint::load(&opts.dir.join(CHECKPOINT_FILE))?;
+            ck.state.verify_backend(cfg.confidence.name())?;
+            ck.state.verify(cfg_hash, data_fp)?;
             if let Some(log) = log {
                 log.write(&checkpoint_event(&[(
                     "resumed_from",
-                    state.epochs_done as f64,
+                    ck.state.epochs_done as f64,
                 )]));
             }
-            Some(state)
+            Some(ck)
         }
         _ => None,
     };
@@ -470,7 +472,7 @@ pub fn train_pge_resumable(
     // embeds the vocabulary, so the corpus pass is skipped entirely.
     let scorer = Scorer::new(cfg.score, cfg.gamma);
     let mut model = match &resumed {
-        Some(state) => state.restore_model(graph)?,
+        Some(ck) => ck.restore_model(graph)?,
         None => {
             let corpus = {
                 let _s = span("train.corpus");
@@ -542,6 +544,7 @@ pub fn train_pge_resumable(
         ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
     let mut updater: Box<dyn ConfidenceUpdater> =
         cfg.confidence.make_updater(graph.num_attrs(), ent_dim);
+    let resumed = resumed.map(|ck| ck.state);
     if let Some(state) = &resumed {
         confidence
             .restore_scores(&state.confidence)
@@ -809,18 +812,19 @@ pub fn train_pge_resumable(
             tracer.record(trace, Stage::EpochCheckpoint, (epoch + 1) as u64);
             let bytes = {
                 let _s = span("train.checkpoint");
-                let state = TrainerState::capture(
-                    &model,
-                    &confidence,
-                    epoch + 1,
+                let state = TrainerState {
+                    epochs_done: epoch + 1,
                     step,
-                    cfg_hash,
-                    data_fp,
-                    &epoch_losses,
-                    cfg.confidence.name(),
-                    &updater.aux_state(),
-                )?;
-                state.store(&opts.dir)?
+                    config_hash: cfg_hash,
+                    data_fingerprint: data_fp,
+                    backend: cfg.confidence.name().to_string(),
+                    delta_fingerprint: 0,
+                    windows_done: 0,
+                    epoch_losses: epoch_losses.clone(),
+                    confidence: confidence.scores().to_vec(),
+                    aux: updater.aux_state(),
+                };
+                state.store(&model, &opts.dir.join(CHECKPOINT_FILE))?
             };
             if let Some(log) = log {
                 log.write(&checkpoint_event(&[

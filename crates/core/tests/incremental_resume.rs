@@ -11,13 +11,13 @@
 
 mod common;
 
-use common::{param_bits, tiny_dataset};
+use common::{param_bits, scratch_dir, tiny_dataset, windows};
 use pge_core::{
     train_incremental, train_pge_resumable, CheckpointOptions, ConfidenceBackend,
     IncrementalConfig, IncrementalOutcome, PersistError, PgeConfig, CHECKPOINT_FILE,
 };
-use pge_graph::{Dataset, DeltaOp, DeltaWindow, TripleDelta};
-use std::path::{Path, PathBuf};
+use pge_graph::Dataset;
+use std::path::Path;
 
 fn cfg(threads: usize) -> PgeConfig {
     PgeConfig {
@@ -27,65 +27,6 @@ fn cfg(threads: usize) -> PgeConfig {
         confidence_warmup: 1,
         ..PgeConfig::tiny()
     }
-}
-
-fn add(title: &str, attr: &str, value: &str) -> TripleDelta {
-    TripleDelta {
-        op: DeltaOp::Add,
-        title: title.into(),
-        attr: attr.into(),
-        value: value.into(),
-    }
-}
-
-fn retract(title: &str, attr: &str, value: &str) -> TripleDelta {
-    TripleDelta {
-        op: DeltaOp::Retract,
-        title: title.into(),
-        attr: attr.into(),
-        value: value.into(),
-    }
-}
-
-/// Three windows of mixed churn: adds, a correction (retract + add),
-/// and a plain withdrawal against the 24-product base.
-fn windows() -> Vec<DeltaWindow> {
-    vec![
-        DeltaWindow {
-            index: 0,
-            ops: vec![
-                add("newbrand sour gummy 100", "flavor", "sour"),
-                add("newbrand sour gummy 100", "ingredient", "citric acid"),
-                add("newbrand spicy jerky 101", "flavor", "spicy"),
-                add("newbrand spicy jerky 101", "ingredient", "cayenne pepper"),
-                retract("brand0 spicy snack chips 0", "flavor", "spicy"),
-            ],
-        },
-        DeltaWindow {
-            index: 1,
-            ops: vec![
-                // Correction: the window-0 "sour" product is actually
-                // sweet.
-                retract("newbrand sour gummy 100", "flavor", "sour"),
-                add("newbrand sour gummy 100", "flavor", "sweet"),
-                add("newbrand sweet cookies 102", "flavor", "sweet"),
-                add("newbrand sweet cookies 102", "ingredient", "cane sugar"),
-            ],
-        },
-        DeltaWindow {
-            index: 2,
-            ops: vec![
-                add("newbrand spicy salsa 103", "flavor", "spicy"),
-                retract("brand1 sweet snack chips 1", "ingredient", "cane sugar"),
-            ],
-        },
-    ]
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pge-incr-resume-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Write the base run's checkpoint into `dir` (the state every ingest

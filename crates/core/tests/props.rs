@@ -1,9 +1,28 @@
 //! Property-based tests for scoring functions and the confidence
-//! mechanism.
+//! mechanism, and a mutation fuzz of the model and checkpoint
+//! decoders.
+//!
+//! The fuzz's tier-1 run takes 2,000 cases; the ignored run takes
+//! 100,000:
+//!
+//! ```sh
+//! cargo test --release -p pge-core --test props -- --include-ignored snapshot
+//! ```
 
-use pge_core::{ConfidenceStore, EmbeddingCache, ScoreKind, Scorer};
+#[path = "../../obs/tests/mutator/mod.rs"]
+mod mutator;
+
+use pge_core::{
+    load_model_auto_path, save_model_store, train_pge, train_pge_resumable, Checkpoint,
+    CheckpointOptions, ConfidenceStore, EmbeddingCache, PersistError, PgeConfig, ScoreKind, Scorer,
+    CHECKPOINT_FILE,
+};
+use pge_graph::{Dataset, ProductGraph};
 use pge_nn::gradcheck;
+use pge_store::{MmapMode, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 const KINDS: [ScoreKind; 4] = [
     ScoreKind::TransE,
@@ -128,4 +147,135 @@ proptest! {
         }
         prop_assert!(high.get(0) <= low.get(0) + 1e-6);
     }
+}
+
+/// A trained model's snapshot and a trainer checkpoint to mutate,
+/// with the dataset to load them against.
+fn fixture() -> &'static (Dataset, PathBuf, PathBuf) {
+    static FIXTURE: OnceLock<(Dataset, PathBuf, PathBuf)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        // Four words, so the dimension lines are most of the header.
+        let mut g = ProductGraph::new();
+        let mut train = Vec::new();
+        for flavor in ["spicy", "sweet"] {
+            for kind in ["chips", "snack"] {
+                train.push(g.add_fact(&format!("{flavor} {kind}"), "flavor", flavor));
+            }
+        }
+        let data = Dataset::new(g, train, vec![], vec![]);
+        let cfg = PgeConfig {
+            epochs: 1,
+            ..PgeConfig::tiny()
+        };
+        let dir = std::env::temp_dir().join(format!("pge-snapshot-fuzz-{}", std::process::id()));
+        let model = dir.join("model.pgebin");
+        std::fs::create_dir_all(&dir).unwrap();
+        save_model_store(&train_pge(&data, &cfg).model, &model).unwrap();
+        train_pge_resumable(&data, &cfg, None, Some(&CheckpointOptions::new(&dir))).unwrap();
+        (data, model, dir.join(CHECKPOINT_FILE))
+    })
+}
+
+/// Numbers and separators for `model.header` text (kinds 2 and 3).
+const TEXT_INSERTS: [&[&str]; 2] = [
+    &["0", "1", "7", "-", "4294967296", "99999999999999999999"],
+    &[" ", "\n", ",", "rotate", "complex", "é"],
+];
+/// Raw bytes for `ckpt.meta` and whole files (kinds 2 and 3).
+const BYTE_INSERTS: [&[&str]; 2] = [&["\0", "\u{1}", "\u{80}"], &["PGEBIN02", "PGEBIN01"]];
+
+/// Mutate one decoder input into `out` and decode it: `target` 0 is
+/// the model's `model.header`, 1 the checkpoint's `ckpt.meta`, 2 and 3
+/// the whole model and checkpoint files. A mutated section is written
+/// back with a fresh CRC, so the mutation reaches the parser.
+fn mutated_load(
+    target: u8,
+    mmap: bool,
+    m: &[(u8, u32, u8)],
+    out: &Path,
+) -> Result<(), PersistError> {
+    let (data, model, ckpt) = fixture();
+    let src = if target % 2 == 0 { model } else { ckpt };
+    if target < 2 {
+        let (name, inserts) = if target == 0 {
+            ("model.header", &TEXT_INSERTS)
+        } else {
+            ("ckpt.meta", &BYTE_INSERTS)
+        };
+        let snap = Snapshot::open(src, MmapMode::Off).unwrap();
+        let mut w = SnapshotWriter::create(out).unwrap();
+        for s in snap.sections() {
+            let bytes = snap.section(&s.name).unwrap().bytes;
+            w.begin_section(&s.name, s.kind, s.rows, s.cols).unwrap();
+            if s.name == name {
+                w.write(&mutator::mutate(bytes.to_vec(), m, inserts))
+                    .unwrap();
+            } else {
+                w.write(bytes).unwrap();
+            }
+            w.end_section().unwrap();
+        }
+        w.finish().unwrap();
+    } else {
+        let bytes = std::fs::read(src).unwrap();
+        std::fs::write(out, mutator::mutate(bytes, m, &BYTE_INSERTS)).unwrap();
+    }
+    if target % 2 == 0 {
+        let mode = if mmap { MmapMode::On } else { MmapMode::Off };
+        load_model_auto_path(out, &data.graph, mode, 0).map(drop)
+    } else {
+        Checkpoint::load(out)?.restore_model(&data.graph).map(drop)
+    }
+}
+
+/// `(target, mmap, mutations)`; see [`mutated_load`].
+fn arb_case() -> impl Strategy<Value = (u8, bool, Vec<(u8, u32, u8)>)> {
+    (0u8..4, any::<bool>(), mutator::arb_mutations(4))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+    /// Every mutant decodes to `Ok` or a typed error; a panic fails
+    /// the case.
+    #[test]
+    fn mutated_snapshots_decode_or_fail_typed((target, mmap, m) in arb_case()) {
+        let _ = mutated_load(target, mmap, &m, &fixture().1.with_extension("case"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100_000))]
+    #[test]
+    #[ignore = "100,000 cases; run with --include-ignored"]
+    fn mutated_snapshots_decode_or_fail_typed_100k((target, mmap, m) in arb_case()) {
+        let _ = mutated_load(target, mmap, &m, &fixture().1.with_extension("case-100k"));
+    }
+}
+
+#[test]
+fn snapshot_mutations_reach_both_outcomes() {
+    // The fuzz is only as good as its mix: for every target, some
+    // mutants must still load and many must fail, for many reasons.
+    let mut rng = proptest::test_runner::TestRng::for_test("snapshot_fuzz::mix");
+    let out = fixture().1.with_extension("mix");
+    let mut reasons = std::collections::BTreeSet::new();
+    for target in 0..4 {
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..100 {
+            match mutated_load(
+                target,
+                false,
+                &mutator::arb_mutations(4).generate(&mut rng),
+                &out,
+            ) {
+                Ok(()) => ok += 1,
+                Err(e) => {
+                    err += 1;
+                    reasons.insert(e.to_string().split(':').take(2).collect::<String>());
+                }
+            }
+        }
+        assert!(ok >= 5 && err >= 20, "target {target}: ok {ok}, err {err}");
+    }
+    assert!(reasons.len() >= 8, "{reasons:?}");
 }

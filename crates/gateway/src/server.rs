@@ -183,13 +183,13 @@ impl Shared {
         v
     }
 
-    /// Load a PGEBIN/PGE snapshot from disk and swap it in. Runs on a
+    /// Load a PGEBIN02 snapshot from disk and swap it in. Runs on a
     /// reload thread, never on the event loop. A failed load leaves
     /// the serving model untouched.
     fn reload_from_path(&self, path: &str) -> Result<u64, ReloadError> {
-        // Magic-routed: a PGEBIN02 snapshot is opened through the
-        // store (honoring cfg.mmap), so a hot-swapped model with an
-        // embedding bank keeps serving rows off the page cache.
+        // Opened through the store (honoring cfg.mmap), so a
+        // hot-swapped model with an embedding bank keeps serving rows
+        // off the page cache.
         let model = load_model_auto_path(
             std::path::Path::new(path),
             &self.graph,
@@ -199,7 +199,8 @@ impl Shared {
         .map_err(|e| ReloadError {
             // A snapshot the pusher is still writing reads as a bad
             // magic/CRC or truncated payload; the next attempt, after
-            // the writer finishes, will see the complete file.
+            // the writer finishes, will see the complete file. A
+            // retired format (`Parse`) never will.
             retryable: matches!(e, PersistError::Corrupt(_) | PersistError::UnknownFormat(_)),
             msg: format!("load {path}: {e}"),
         })?;
@@ -627,16 +628,15 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
                         ),
                         // 503 + retryable: the snapshot is likely
                         // still being written; clients back off and
-                        // resend. Hard failures stay 500.
-                        Err(e) if e.retryable => (
-                            503,
+                        // resend. Hard failures are 500 and say so.
+                        Err(e) => (
+                            if e.retryable { 503 } else { 500 },
                             Json::Obj(vec![
                                 ("error".into(), Json::Str(e.msg)),
-                                ("retryable".into(), Json::Bool(true)),
+                                ("retryable".into(), Json::Bool(e.retryable)),
                             ])
                             .to_string(),
                         ),
-                        Err(e) => (500, error_json(&e.msg)),
                     };
                     shared.sink.push_all([Completion {
                         conn: token,

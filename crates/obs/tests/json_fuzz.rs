@@ -11,6 +11,8 @@
 //! cargo test --release -p pge-obs --test json_fuzz -- --include-ignored
 //! ```
 
+mod mutator;
+
 use pge_obs::json::{parse, Json};
 use proptest::prelude::*;
 
@@ -46,11 +48,6 @@ fn arb_body() -> impl Strategy<Value = String> {
     })
 }
 
-/// `(kind, position, choice)` triples; see [`mutate`].
-fn arb_mutations() -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
-    prop::collection::vec((0u8..5, any::<u32>(), any::<u8>()), 0..6)
-}
-
 fn mutate(body: String, mutations: &[(u8, u32, u8)]) -> String {
     const MULTIBYTE: [&str; 5] = ["é", "€", "😀", "\u{2028}", "\u{fffd}"];
     const ESCAPES: [&str; 9] = [
@@ -65,26 +62,18 @@ fn mutate(body: String, mutations: &[(u8, u32, u8)]) -> String {
         r"\u12",
     ];
     const TOKENS: [&str; 9] = ["\"", "\\", "\u{1}", ",", "]", "}", "{", ":", "-12.5e3"];
-    let mut bytes = body.into_bytes();
-    for &(kind, pos, choice) in mutations {
-        let at = pos as usize % (bytes.len() + 1);
-        let insert = |s: &str, bytes: &mut Vec<u8>| {
-            bytes.splice(at..at, s.bytes());
-        };
-        match kind {
-            0 if !bytes.is_empty() => {
-                let i = at % bytes.len();
-                bytes[i] ^= 1 << (choice % 8);
-            }
-            1 => bytes.truncate(at),
-            2 => insert(MULTIBYTE[choice as usize % MULTIBYTE.len()], &mut bytes),
-            3 => insert(ESCAPES[choice as usize % ESCAPES.len()], &mut bytes),
-            _ => insert(TOKENS[choice as usize % TOKENS.len()], &mut bytes),
-        }
-    }
+    let bytes = mutator::mutate(
+        body.into_bytes(),
+        mutations,
+        &[&MULTIBYTE, &ESCAPES, &TOKENS],
+    );
     // `parse` takes `&str`; the serving tiers reject non-UTF-8 bodies
     // before they reach it.
     String::from_utf8_lossy(&bytes).into_owned()
+}
+
+fn arb_mutations() -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
+    mutator::arb_mutations(5)
 }
 
 fn check(body: String, mutations: &[(u8, u32, u8)]) {

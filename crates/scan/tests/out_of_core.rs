@@ -13,7 +13,7 @@
 //!   (and vice versa) still reproduces the uninterrupted output byte
 //!   for byte.
 
-use pge_core::{load_model_store, train_pge, write_model_sections, PgeConfig, PgeModel};
+use pge_core::{load_model_auto_path, train_pge, write_model_sections, PgeConfig, PgeModel};
 use pge_datagen::{generate_catalog, stream_catalog, CatalogConfig};
 use pge_graph::Dataset;
 use pge_scan::{scan, shard_file_name, Manifest, ScanConfig, QUARANTINE_FILE};
@@ -156,8 +156,10 @@ fn catalog_scan_matches_tsv_scan() {
 #[test]
 fn output_identical_across_mmap_axis() {
     let w = world();
-    let mapped = load_model_store(&w.snapshot, &w.dataset.graph, MmapMode::On, u64::MAX).unwrap();
-    let heap = load_model_store(&w.snapshot, &w.dataset.graph, MmapMode::Off, u64::MAX).unwrap();
+    let mapped =
+        load_model_auto_path(&w.snapshot, &w.dataset.graph, MmapMode::On, u64::MAX).unwrap();
+    let heap =
+        load_model_auto_path(&w.snapshot, &w.dataset.graph, MmapMode::Off, u64::MAX).unwrap();
     assert!(mapped.bank().is_some_and(|b| b.is_mapped()));
     assert!(heap.bank().is_some_and(|b| !b.is_mapped()));
 
@@ -195,7 +197,7 @@ fn resume_across_backing_flip_is_byte_identical() {
     for (first_mode, second_mode) in [(MmapMode::On, MmapMode::Off), (MmapMode::Off, MmapMode::On)]
     {
         let dir = temp_path(&format!("flip-{first_mode:?}-{second_mode:?}"));
-        let first_model = load_model_store(&w.snapshot, graph, first_mode, u64::MAX).unwrap();
+        let first_model = load_model_auto_path(&w.snapshot, graph, first_mode, u64::MAX).unwrap();
         let mut c = ScanConfig::new(&dir);
         c.jobs = 2;
         c.chunk_size = 16;
@@ -205,7 +207,7 @@ fn resume_across_backing_flip_is_byte_identical() {
         assert!(!first.done, "max_shards=1 must stop early");
         drop(first_model);
 
-        let second_model = load_model_store(&w.snapshot, graph, second_mode, u64::MAX).unwrap();
+        let second_model = load_model_auto_path(&w.snapshot, graph, second_mode, u64::MAX).unwrap();
         let mut c = ScanConfig::new(&dir);
         c.jobs = 4;
         c.chunk_size = 16;

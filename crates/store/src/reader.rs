@@ -174,70 +174,6 @@ impl Snapshot {
         })
     }
 
-    /// Open a snapshot from an in-memory byte buffer (always
-    /// heap-backed). This is the entry point for callers that already
-    /// hold the file's bytes — e.g. format-sniffing loaders with a
-    /// `&[u8]` API; the validation is identical to [`Snapshot::open`].
-    pub fn open_bytes(data: &[u8]) -> Result<Snapshot, StoreError> {
-        if data.len() < HEADER_LEN as usize {
-            let mut magic = [0u8; 8];
-            let n = data.len().min(8);
-            magic[..n].copy_from_slice(&data[..n]);
-            return Err(StoreError::UnknownFormat {
-                magic: if data.len() >= 8 { magic } else { [0; 8] },
-            });
-        }
-        let header = &data[..HEADER_LEN as usize];
-        if &header[0..8] != MAGIC2 {
-            return Err(StoreError::UnknownFormat {
-                magic: header[0..8].try_into().unwrap(),
-            });
-        }
-        if read_u32(header, 44) != pge_tensor::crc32(&header[0..44]) {
-            return Err(StoreError::Corrupt("header CRC mismatch".into()));
-        }
-        let version = read_u32(header, 8);
-        if version != VERSION {
-            return Err(StoreError::Parse(format!(
-                "unsupported PGEBIN02 version {version}"
-            )));
-        }
-        let n_sections = read_u32(header, 12) as usize;
-        let index_off = read_u64(header, 16);
-        let index_len = read_u64(header, 24);
-        let declared_len = read_u64(header, 32);
-        if declared_len != data.len() as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "buffer is {} bytes but header declares {declared_len} (truncated?)",
-                data.len()
-            )));
-        }
-        let index = data
-            .get(index_off as usize..(index_off + index_len) as usize)
-            .filter(|_| index_off >= HEADER_LEN)
-            .ok_or_else(|| StoreError::Corrupt("index region out of bounds".into()))?;
-        if pge_tensor::crc32(index) != read_u32(header, 40) {
-            return Err(StoreError::Corrupt("index CRC mismatch".into()));
-        }
-        let sections = parse_index(index, n_sections, index_off)?;
-        for s in &sections {
-            let payload = &data[s.offset as usize..(s.offset + s.len) as usize];
-            if pge_tensor::crc32(payload) != s.crc32 {
-                return Err(StoreError::Corrupt(format!(
-                    "section {:?} CRC mismatch",
-                    s.name
-                )));
-            }
-        }
-        let mut buf = crate::mmap::AlignedBuf::zeroed(data.len());
-        buf.as_mut_slice().copy_from_slice(data);
-        Ok(Snapshot {
-            bytes: FileBytes::Heap(buf),
-            sections,
-            path: PathBuf::from("<memory>"),
-        })
-    }
-
     /// Whether rows are served from a mapping (vs a heap copy).
     pub fn is_mapped(&self) -> bool {
         self.bytes.is_mapped()
@@ -369,7 +305,7 @@ fn read_aligned(file: &mut File, len: usize) -> Result<crate::mmap::AlignedBuf, 
 }
 
 /// Peek a file's leading magic bytes without reading the rest —
-/// format routing for loaders that accept several snapshot formats.
+/// input routing for readers that accept several file formats.
 pub fn peek_magic(path: &Path) -> io::Result<[u8; 8]> {
     let mut f = File::open(path)?;
     let mut magic = [0u8; 8];

@@ -5,7 +5,7 @@
 //!              [--scan-out raw.tsv]
 //!              [--count N --catalog-out catalog.bin]
 //! pge train    --data data.tsv --out model.pge [--epochs N] [--score transe|rotate]
-//!              [--threads N] [--binary] [--checkpoint DIR | --resume DIR]
+//!              [--threads N] [--checkpoint DIR | --resume DIR]
 //!              [--stop-after N] [--runlog run.jsonl]
 //! pge embed    --data data.tsv --model model.pge --catalog catalog.bin
 //!              --out bank.pge [--mmap auto|on|off]
@@ -34,13 +34,11 @@
 //! killed scans rerun with `--resume` and produce byte-identical
 //! output.
 //!
-//! Models save as text by default; `train --binary` writes the
-//! memory-mappable PGEBIN02 snapshot instead (sectioned, 64-byte
-//! aligned, per-section CRC — see `pge-store`). Every command
-//! auto-detects any format (text, PGEBIN01, PGEBIN02) on load;
-//! `--mmap` controls whether a PGEBIN02 snapshot is served straight
-//! off the page cache (`on`), copied to the heap (`off`), or mapped
-//! with a heap fallback (`auto`, the default).
+//! Models save as memory-mappable PGEBIN02 snapshots (sectioned,
+//! 64-byte aligned, per-section CRC — see `pge-store`); `--mmap`
+//! controls whether a command serves one straight off the page cache
+//! (`on`), copies it to the heap (`off`), or maps it with a heap
+//! fallback (`auto`, the default).
 //!
 //! `generate --count N --catalog-out catalog.bin` streams a
 //! paper-scale seeded catalog (750k products ≈ 5M triples) to a
@@ -50,7 +48,8 @@
 //! into the model's snapshot, so scan/serve score out-of-core.
 //!
 //! `train --checkpoint DIR` writes the full trainer state (model,
-//! Adam moments, confidence table) atomically to `DIR/trainer.ckpt`
+//! Adam moments, confidence table) atomically to `DIR/trainer.ckpt`,
+//! itself a PGEBIN02 file,
 //! after every epoch; a killed run continues with `--resume DIR` and
 //! finishes **bit-identical** to an uninterrupted run, at any
 //! `--threads`. Resuming against a different dataset or config is
@@ -68,7 +67,7 @@
 //! and `pge report` summarizes it.
 
 use pge::core::{
-    load_model_auto_path, resolve_threads, save_model, save_model_store, train_incremental,
+    load_model_auto_path, resolve_threads, save_model_store, train_incremental,
     train_pge_resumable, write_model_sections, CheckpointOptions, ConfidenceBackend, Detector,
     IncrementalConfig, PgeConfig, PgeModel, ScoreKind,
 };
@@ -101,7 +100,7 @@ fn usage() -> ! {
          [--drift-out deltas.tsv --drift-windows N --drift-ops N --drift-seed N\n                \
          --drift-eval-out eval.tsv]   (seeded churn scenario for incremental training)\n  \
          pge train    --data data.tsv --out model.pge [--epochs N] [--score transe|rotate]\n               \
-         [--threads N] [--binary] [--checkpoint DIR | --resume DIR] [--stop-after N]\n               \
+         [--threads N] [--checkpoint DIR | --resume DIR] [--stop-after N]\n               \
          [--confidence pge|cca] [--runlog run.jsonl]\n               \
          [--incremental --deltas deltas.tsv --window-epochs N --snapshot-dir DIR\n                \
          --push HOST:PORT]   (warm-start from --checkpoint, ingest delta windows)\n  \
@@ -176,9 +175,7 @@ fn parse_mmap(flags: &HashMap<String, String>) -> MmapMode {
     }
 }
 
-/// Read a model snapshot — text, PGEBIN01, or PGEBIN02, routed by
-/// magic. `mode` picks the PGEBIN02 backing (ignored for the other
-/// formats, which are always heap-resident).
+/// Read a PGEBIN02 model snapshot; `mode` picks its backing.
 fn load_model_file(path: &str, graph: &ProductGraph, mode: MmapMode) -> PgeModel {
     load_model_auto_path(Path::new(path), graph, mode, DEFAULT_RESIDENT_BUDGET).unwrap_or_else(
         |e| {
@@ -186,6 +183,13 @@ fn load_model_file(path: &str, graph: &ProductGraph, mode: MmapMode) -> PgeModel
             exit(1)
         },
     )
+}
+
+fn save_model_file(model: &PgeModel, path: &str) {
+    save_model_store(model, Path::new(path)).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1)
+    });
 }
 
 fn load_dataset(path: &str) -> Dataset {
@@ -495,18 +499,7 @@ fn main() {
                 if outcome.windows_done < windows.len() {
                     println!("stopped early (checkpoint retained; continue with --resume)");
                 }
-                if flags.contains_key("binary") {
-                    save_model_store(&outcome.model, Path::new(&out)).unwrap_or_else(|e| {
-                        eprintln!("cannot write {out}: {e}");
-                        exit(1)
-                    });
-                } else {
-                    let text = save_model(&outcome.model).expect("CNN models persist");
-                    std::fs::write(&out, text).unwrap_or_else(|e| {
-                        eprintln!("cannot write {out}: {e}");
-                        exit(1)
-                    });
-                }
+                save_model_file(&outcome.model, &out);
                 println!("model saved to {out}");
                 return;
             }
@@ -571,20 +564,7 @@ fn main() {
                     cfg.epochs
                 );
             }
-            if flags.contains_key("binary") {
-                // Sectioned PGEBIN02 snapshot: every downstream
-                // command can mmap it instead of heap-loading.
-                save_model_store(&trained.model, Path::new(&out)).unwrap_or_else(|e| {
-                    eprintln!("cannot write {out}: {e}");
-                    exit(1)
-                });
-            } else {
-                let text = save_model(&trained.model).expect("CNN models persist");
-                std::fs::write(&out, text).unwrap_or_else(|e| {
-                    eprintln!("cannot write {out}: {e}");
-                    exit(1)
-                });
-            }
+            save_model_file(&trained.model, &out);
             if let Some(log) = &log {
                 // Epoch traces retained by the trainer's flight
                 // recorder, oldest first, for `pge trace`.

@@ -12,13 +12,13 @@
 //!   with hundreds of keep-alive connections in the epoll set;
 //! * **pipelined responses come back in request order**;
 //! * **graceful shutdown** answers every admitted request;
-//! * **a corrupt snapshot is rejected** and the old model keeps
-//!   serving;
+//! * **a corrupt or retired-format snapshot is rejected** and the old
+//!   model keeps serving;
 //! * **a stalled replica is observable** — tail sampling retains its
 //!   requests and attributes the delay to queue time on that replica.
 
 use pge::core::{
-    save_model_binary, train_incremental, train_pge, train_pge_resumable, CheckpointOptions,
+    save_model_store, train_incremental, train_pge, train_pge_resumable, CheckpointOptions,
     Detector, IncrementalConfig, PgeConfig, PgeModel,
 };
 use pge::datagen::{generate_catalog, CatalogConfig};
@@ -482,6 +482,9 @@ fn graceful_shutdown_answers_every_admitted_request() {
     );
 }
 
+/// Hot-swap of a mapped PGEBIN02 snapshot through the admin endpoint
+/// serves bit-identical scores; a corrupt snapshot and one in a retired
+/// format are rejected with the old model left serving.
 #[test]
 fn reload_swaps_snapshot_and_rejects_corrupt_one() {
     let data = tiny_data();
@@ -492,7 +495,7 @@ fn reload_swaps_snapshot_and_rejects_corrupt_one() {
     let dir = std::env::temp_dir().join(format!("pge-gw-reload-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let good = dir.join("model-b.pgebin");
-    std::fs::write(&good, save_model_binary(&model_b).expect("snapshot B")).expect("write");
+    save_model_store(&model_b, &good).expect("snapshot B");
 
     let handle = gateway(
         &data,
@@ -501,22 +504,27 @@ fn reload_swaps_snapshot_and_rejects_corrupt_one() {
         GatewayConfig {
             addr: "127.0.0.1:0".into(),
             replicas: 2,
+            mmap: pge::store::MmapMode::On,
             ..GatewayConfig::default()
         },
     );
     let addr = handle.local_addr();
+    let reload = |path: &std::path::Path| {
+        let body = format!(
+            "{{\"path\": {}}}",
+            Json::Str(path.to_string_lossy().into_owned())
+        );
+        roundtrip(
+            addr,
+            &format!(
+                "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                body.len()
+            ),
+        )
+    };
 
     // Reload snapshot B through the admin endpoint.
-    let body = format!(
-        "{{\"path\": {}}}",
-        Json::Str(good.to_string_lossy().into_owned())
-    );
-    let raw = format!(
-        "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let (status, resp) = roundtrip(addr, &raw);
+    let (status, resp) = reload(&good);
     assert_eq!(status, 200, "reload failed: {resp}");
     let parsed = json::parse(&resp).expect("reload response parses");
     assert_eq!(parsed.get("version").and_then(Json::as_f64), Some(1.0));
@@ -538,108 +546,47 @@ fn reload_swaps_snapshot_and_rejects_corrupt_one() {
 
     // A corrupt snapshot is rejected with a retryable 503 (a CRC
     // failure is indistinguishable from a snapshot still being
-    // written); the serving model and version are untouched.
-    let bad = dir.join("corrupt.pgebin");
-    let mut bytes = save_model_binary(&model_b).expect("snapshot");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff; // flip a payload bit: CRC must catch it
-    std::fs::write(&bad, &bytes).expect("write");
-    let body = format!(
-        "{{\"path\": {}}}",
-        Json::Str(bad.to_string_lossy().into_owned())
-    );
-    let raw = format!(
-        "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let (status, resp) = roundtrip(addr, &raw);
-    assert_eq!(status, 503, "corrupt snapshot must be rejected: {resp}");
-    assert!(resp.contains("\"retryable\":true"), "{resp}");
-    assert_eq!(
-        handle.version(),
-        1,
-        "failed reload must not bump the version"
-    );
-    let (status, body) = post_score(addr, &body_for(&data, &[0]));
-    assert_eq!(status, 200);
-    assert_eq!(
-        parse_plausibilities(&body)[0].to_bits(),
-        offline_b[0].to_bits(),
-        "old model must keep serving after a rejected reload"
-    );
+    // written). A file in a retired format can never load, so it is a
+    // 500 that says not to retry. Either way the serving model and
+    // version are untouched.
+    let mut corrupt = std::fs::read(&good).expect("read");
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0xff; // flip a payload bit: CRC must catch it
+    let mut retired = b"PGEBIN01".to_vec();
+    retired.extend_from_slice(&corrupt[8..]);
+    for (name, bytes, status, retryable) in [
+        ("corrupt.pgebin", corrupt, 503, true),
+        ("retired.pgebin", retired, 500, false),
+    ] {
+        let bad = dir.join(name);
+        std::fs::write(&bad, &bytes).expect("write");
+        let (got, resp) = reload(&bad);
+        assert_eq!(got, status, "{name} must be rejected: {resp}");
+        assert!(
+            resp.contains(&format!("\"retryable\":{retryable}")),
+            "{name}: {resp}"
+        );
+        // SIGHUP's code path refuses it too.
+        assert!(handle.reload_from_path(&bad.to_string_lossy()).is_err());
+        assert_eq!(
+            handle.version(),
+            1,
+            "failed reload must not bump the version"
+        );
+        let (status, body) = post_score(addr, &body_for(&data, &[0]));
+        assert_eq!(status, 200);
+        assert_eq!(
+            parse_plausibilities(&body)[0].to_bits(),
+            offline_b[0].to_bits(),
+            "old model must keep serving after a rejected reload"
+        );
+    }
 
     // Reload with no path configured and no body is a client error.
     let raw =
         "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\nconnection: close\r\n\r\n";
     let (status, _) = roundtrip(addr, raw);
     assert_eq!(status, 422);
-
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Hot-swap through the store: a mapped PGEBIN02 snapshot reloads
-/// over SIGHUP's code path and serves bit-identical scores, and a
-/// tampered snapshot is rejected by its section CRC with the old
-/// model left serving.
-#[test]
-fn reload_swaps_mapped_pgebin2_snapshot() {
-    let data = tiny_data();
-    let (model_a, thr_a) = tiny_model(&data, 2);
-    let (model_b, _thr_b) = tiny_model(&data, 3);
-    let offline_b = offline_scores(&data, &model_b);
-
-    let dir = std::env::temp_dir().join(format!("pge-gw-reload2-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let good = dir.join("model-b.pgebin2");
-    pge::core::save_model_store(&model_b, &good).expect("snapshot B");
-
-    let handle = gateway(
-        &data,
-        model_a,
-        thr_a,
-        GatewayConfig {
-            addr: "127.0.0.1:0".into(),
-            replicas: 2,
-            mmap: pge::store::MmapMode::On,
-            ..GatewayConfig::default()
-        },
-    );
-    let addr = handle.local_addr();
-
-    let version = handle
-        .reload_from_path(&good.to_string_lossy())
-        .expect("mapped PGEBIN02 reload");
-    assert_eq!(version, 1);
-    for (i, want) in offline_b.iter().enumerate().take(10) {
-        let (status, body) = post_score(addr, &body_for(&data, &[i]));
-        assert_eq!(status, 200);
-        assert_eq!(
-            parse_plausibilities(&body)[0].to_bits(),
-            want.to_bits(),
-            "triple {i} not served by the mapped snapshot after reload"
-        );
-    }
-
-    // Flip one payload bit: the per-section CRC rejects the swap and
-    // the mapped snapshot keeps serving.
-    let bad = dir.join("corrupt.pgebin2");
-    let mut bytes = std::fs::read(&good).expect("read");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&bad, &bytes).expect("write");
-    let err = handle
-        .reload_from_path(&bad.to_string_lossy())
-        .expect_err("tampered snapshot must be rejected");
-    assert!(err.contains("corrupt"), "unexpected error: {err}");
-    assert_eq!(handle.version(), 1);
-    let (status, body) = post_score(addr, &body_for(&data, &[0]));
-    assert_eq!(status, 200);
-    assert_eq!(
-        parse_plausibilities(&body)[0].to_bits(),
-        offline_b[0].to_bits()
-    );
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -662,7 +609,7 @@ fn reload_of_partially_written_snapshot_is_retryable() {
     let dir = std::env::temp_dir().join(format!("pge-gw-partial-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let good = dir.join("model-b.pgebin2");
-    pge::core::save_model_store(&model_b, &good).expect("snapshot B");
+    save_model_store(&model_b, &good).expect("snapshot B");
     let full = std::fs::read(&good).expect("read");
 
     let handle = gateway(
