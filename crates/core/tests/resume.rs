@@ -11,11 +11,11 @@ mod common;
 
 use common::{param_bits, scratch_dir, tiny_dataset, windows};
 use pge_core::{
-    load_model_auto_path, save_model_store, train_incremental, train_pge_resumable,
-    CheckpointOptions, Detector, IncrementalConfig, PersistError, PgeConfig, PgeModel, TrainedPge,
-    CHECKPOINT_FILE,
+    load_model_auto_path, save_model_store, train_incremental, train_pge_resumable, CachedModel,
+    CheckpointOptions, Detector, EmbeddingCache, IncrementalConfig, PersistError, PgeConfig,
+    PgeModel, ScoreScratch, TrainedPge, CHECKPOINT_FILE,
 };
-use pge_graph::Dataset;
+use pge_graph::{Dataset, Triple};
 use pge_store::{MmapMode, Snapshot};
 use std::path::Path;
 
@@ -182,9 +182,65 @@ fn incremental_window_1(base: &Dataset, dir: &Path) -> (PgeModel, Dataset) {
     (out.model, out.dataset)
 }
 
+/// The bits of every scoring door on `data.train`, door by door:
+/// offline detection, the uncached oracle on the graph's strings, and
+/// the cached door with the cache off and on. Each cached row reuses
+/// one scratch across all triples, cold pass then warm.
+fn door_bits(model: &PgeModel, data: &Dataset) -> Vec<(String, Vec<u32>)> {
+    let g = &data.graph;
+    let text = |t: &Triple| {
+        (
+            g.title(t.product),
+            g.attr_name(t.attr),
+            g.value_text(t.value),
+        )
+    };
+    let bits = |scores: Vec<f32>| scores.iter().map(|s| s.to_bits()).collect::<Vec<u32>>();
+    let mut doors = vec![
+        (
+            "Detector::scores".to_string(),
+            bits(Detector::fit(model, g, &[]).scores(g, &data.train)),
+        ),
+        (
+            "PgeModel::score_text_triple".to_string(),
+            bits(
+                data.train
+                    .iter()
+                    .map(|t| {
+                        let (title, attr, value) = text(t);
+                        model.score_text_triple(title, attr, value).unwrap()
+                    })
+                    .collect(),
+            ),
+        ),
+    ];
+    for cap in [0, 4096] {
+        let cache = EmbeddingCache::new(cap);
+        let cm = CachedModel::new(model, &cache);
+        let mut scratch = ScoreScratch::default();
+        for pass in ["cold", "warm"] {
+            let scores = data
+                .train
+                .iter()
+                .map(|t| {
+                    let (title, attr, value) = text(t);
+                    cm.score_text_triple_scratch(title, attr, value, &mut scratch)
+                        .unwrap()
+                })
+                .collect();
+            doors.push((
+                format!("CachedModel::score_text_triple_scratch cap {cap}, {pass}"),
+                bits(scores),
+            ));
+        }
+    }
+    doors
+}
+
 /// One row per provenance × backing: the model is saved with
-/// `save_model_store`, reloaded with `load_model_auto_path`, and must
-/// score every train triple bit-identically to the in-memory model.
+/// `save_model_store`, reloaded with `load_model_auto_path`, and every
+/// scoring door of both the reloaded and the in-memory model must give
+/// the in-memory model's `Detector::scores` bits on every train triple.
 #[test]
 fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
     let d = tiny_dataset();
@@ -205,21 +261,20 @@ fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
         ("killed at 4 threads, resumed at 1", resumed, &d),
         ("incremental window 1", incremental, &grown),
     ];
-    let score_bits = |model: &PgeModel, data: &Dataset| -> Vec<u32> {
-        let det = Detector::fit(model, &data.graph, &[]);
-        let scores = det.scores(&data.graph, &data.train);
-        scores.iter().map(|s| s.to_bits()).collect()
-    };
     let path = dir.join("model.pgebin");
     for (provenance, model, data) in rows {
+        let in_memory = door_bits(&model, data);
+        let want = &in_memory[0].1;
+        assert_eq!(want.len(), data.train.len());
+        for (door, got) in &in_memory {
+            assert_eq!(got, want, "{provenance}, in memory: {door}");
+        }
         save_model_store(&model, &path).unwrap();
         for mode in [MmapMode::On, MmapMode::Off] {
             let loaded = load_model_auto_path(&path, &data.graph, mode, 0).unwrap();
-            assert_eq!(
-                score_bits(&loaded, data),
-                score_bits(&model, data),
-                "{provenance}, {mode:?}"
-            );
+            for (door, got) in door_bits(&loaded, data) {
+                assert_eq!(&got, want, "{provenance}, {mode:?}: {door}");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
