@@ -4,37 +4,23 @@
 //! triple — the CNN/BERT forward pass dwarfs the O(dim) scorer — and
 //! real workloads are heavily skewed toward a small set of hot titles
 //! and values. [`EmbeddingCache`] is a sharded LRU keyed by the
-//! *exact* entity text in front of any [`EmbeddingProvider`].
+//! *exact* entity text in front of the model's encoder, and
+//! [`CachedModel::score_text_triple_scratch`] is the one cached
+//! scoring door: scan, gateway and serve all score through it.
 //!
 //! Consistency invariant: because the key is the exact text and the
 //! encoder is a pure function of that text, a cache hit returns the
-//! byte-identical vector the provider would have produced. Caching
+//! byte-identical vector the encoder would have produced. Caching
 //! can therefore never change a score, only its latency.
 
-use crate::api::ErrorDetector;
 use crate::model::{EncodeScratch, PgeModel};
 use parking_lot::RwLock;
-use pge_graph::{AttrId, ProductGraph, Triple};
+use pge_graph::AttrId;
 use pge_obs::AtomicHistogram;
 use pge_tensor::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Anything that can turn entity text into an embedding vector.
-///
-/// [`PgeModel`] is the canonical provider; [`CachedModel`] layers an
-/// [`EmbeddingCache`] over it without the call sites caring which
-/// they hold.
-pub trait EmbeddingProvider: Sync {
-    fn embed(&self, text: &str) -> Vec<f32>;
-}
-
-impl EmbeddingProvider for PgeModel {
-    fn embed(&self, text: &str) -> Vec<f32> {
-        self.embed_text(text)
-    }
-}
 
 const SHARDS: usize = 16;
 
@@ -244,15 +230,16 @@ impl EmbeddingCache {
     }
 }
 
-/// A [`PgeModel`] scoring through an [`EmbeddingCache`].
-///
-/// Implements [`ErrorDetector`], so batch detection and evaluation
-/// (`Detector::fit`, `plausibility_parallel`, ...) transparently gain
-/// the cache: graph entities are looked up by their text, which
-/// repeats heavily across triples of the same product.
+/// A [`PgeModel`] scoring through an [`EmbeddingCache`]: the cached
+/// scoring door. Each thread pairs one shared `CachedModel` with its
+/// own [`ScoreScratch`].
 pub struct CachedModel<'a> {
     model: &'a PgeModel,
     cache: &'a EmbeddingCache,
+    /// Process-unique tag for [`ScoreScratch`]'s title memo. An address
+    /// would not do: a reassigned binding puts a different model at the
+    /// same address.
+    id: u64,
     /// One [`crate::score::PreparedRelation`] per attribute (relations
     /// are few and closed-world): RotatE's per-dimension trigonometry
     /// is paid once here instead of once per scored row. Prepared
@@ -264,20 +251,20 @@ pub struct CachedModel<'a> {
     attr_index: FxHashMap<String, AttrId>,
 }
 
-/// Reusable buffers for the allocation-free scoring path
-/// ([`CachedModel::score_fact_scratch`]). One per worker/thread.
+/// Reusable buffers for [`CachedModel::score_text_triple_scratch`].
+/// One per worker/thread.
 #[derive(Default)]
 pub struct ScoreScratch {
     h: Vec<f32>,
     v: Vec<f32>,
     /// Title whose embedding currently sits in `h`, tagged with the
-    /// owning [`CachedModel`] (empty title = nothing memoized). Scan
+    /// owning [`CachedModel`]'s id (0 = nothing memoized). Scan
     /// input arrives grouped by product, so one title repeats across
     /// several consecutive rows; reusing the L1-warm copy in `h`
     /// skips the shared-cache probe and cold embedding read that
     /// dominate the hit path at scale.
     memo_title: String,
-    memo_owner: usize,
+    memo_owner: u64,
     /// Encoder buffers for cache misses: a miss allocates only the
     /// row the cache keeps.
     enc: EncodeScratch,
@@ -285,6 +272,7 @@ pub struct ScoreScratch {
 
 impl<'a> CachedModel<'a> {
     pub fn new(model: &'a PgeModel, cache: &'a EmbeddingCache) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         let scorer = model.scorer();
         let prepared = (0..model.attr_names().len())
             .map(|i| scorer.prepare(model.relation(AttrId(i as u16))))
@@ -298,71 +286,17 @@ impl<'a> CachedModel<'a> {
         CachedModel {
             model,
             cache,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             prepared,
             attr_index,
         }
     }
 
-    pub fn model(&self) -> &PgeModel {
-        self.model
-    }
-
-    pub fn cache(&self) -> &EmbeddingCache {
-        self.cache
-    }
-
-    /// Cached [`PgeModel::score_fact`].
-    pub fn score_fact(&self, title: &str, attr: AttrId, value: &str) -> f32 {
-        let h = self.embed(title);
-        let v = self.embed(value);
-        self.prepared[attr.0 as usize].score(&h, &v)
-    }
-
-    /// Cached [`PgeModel::score_text_triple`].
-    pub fn score_text_triple(&self, title: &str, attr: &str, value: &str) -> Option<f32> {
-        self.attr_index
-            .get(attr)
-            .map(|&a| self.score_fact(title, a, value))
-    }
-
-    /// [`Self::score_fact`] without per-call allocations: embeddings
-    /// land in the caller's [`ScoreScratch`] via
-    /// [`EmbeddingCache::copy_or_compute`]. Bit-identical to the
-    /// allocating path.
-    pub fn score_fact_scratch(
-        &self,
-        title: &str,
-        attr: AttrId,
-        value: &str,
-        s: &mut ScoreScratch,
-    ) -> f32 {
-        let prep = &self.prepared[attr.0 as usize];
-        // `h` is bit-for-bit the cached embedding whether it was
-        // copied out just now or memoized from the previous row, and
-        // `score` runs on the same floats either way — so every branch
-        // below is bit-identical to the plain two-copy path.
-        let owner = self as *const Self as usize;
-        if s.memo_owner == owner && !s.memo_title.is_empty() && s.memo_title == title {
-            self.cache.note_memo_hit();
-        } else {
-            self.cache.copy_or_compute(title, &mut s.h, || {
-                self.model.embed_text_with(title, &mut s.enc)
-            });
-            s.memo_title.clear();
-            s.memo_title.push_str(title);
-            s.memo_owner = owner;
-        }
-        if let Some(score) = self.cache.with_cached(value, |v| prep.score(&s.h, v)) {
-            return score;
-        }
-        self.cache.copy_or_compute(value, &mut s.v, || {
-            self.model.embed_text_with(value, &mut s.enc)
-        });
-        prep.score(&s.h, &s.v)
-    }
-
-    /// [`Self::score_text_triple`] through a [`ScoreScratch`] — the
-    /// scan-worker hot path.
+    /// Cached [`PgeModel::score_text_triple`], bit-identical to it.
+    /// Embeddings land in the caller's [`ScoreScratch`] via
+    /// [`EmbeddingCache::copy_or_compute`], so a call allocates
+    /// nothing beyond the rows the cache keeps on a miss. `None` when
+    /// the attribute is unknown.
     pub fn score_text_triple_scratch(
         &self,
         title: &str,
@@ -370,33 +304,35 @@ impl<'a> CachedModel<'a> {
         value: &str,
         s: &mut ScoreScratch,
     ) -> Option<f32> {
-        self.attr_index
-            .get(attr)
-            .map(|&a| self.score_fact_scratch(title, a, value, s))
-    }
-}
-
-impl EmbeddingProvider for CachedModel<'_> {
-    fn embed(&self, text: &str) -> Vec<f32> {
-        self.cache
-            .get_or_compute(text, || self.model.embed_text(text))
-    }
-}
-
-impl ErrorDetector for CachedModel<'_> {
-    fn name(&self) -> String {
-        self.model.name()
-    }
-
-    fn plausibility(&self, graph: &ProductGraph, t: &Triple) -> f32 {
-        self.score_fact(graph.title(t.product), t.attr, graph.value_text(t.value))
+        let prep = &self.prepared[self.attr_index.get(attr)?.0 as usize];
+        // `h` is bit-for-bit the cached embedding whether it was
+        // copied out just now or memoized from the previous row, and
+        // `score` runs on the same floats either way — so every branch
+        // below is bit-identical to the plain two-copy path.
+        if s.memo_owner == self.id && !s.memo_title.is_empty() && s.memo_title == title {
+            self.cache.note_memo_hit();
+        } else {
+            self.cache.copy_or_compute(title, &mut s.h, || {
+                self.model.embed_text_with(title, &mut s.enc)
+            });
+            s.memo_title.clear();
+            s.memo_title.push_str(title);
+            s.memo_owner = self.id;
+        }
+        if let Some(score) = self.cache.with_cached(value, |v| prep.score(&s.h, v)) {
+            return Some(score);
+        }
+        self.cache.copy_or_compute(value, &mut s.v, || {
+            self.model.embed_text_with(value, &mut s.enc)
+        });
+        Some(prep.score(&s.h, &s.v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::plausibility_parallel;
+    use pge_graph::ProductGraph;
     use std::sync::atomic::AtomicUsize;
 
     fn counted(counter: &AtomicUsize) -> impl Fn() -> Vec<f32> + '_ {
@@ -523,7 +459,7 @@ mod tests {
     }
 
     // CachedModel equivalence against the raw model.
-    fn tiny_setup() -> (ProductGraph, PgeModel) {
+    fn tiny_setup(seed: u64) -> (ProductGraph, PgeModel) {
         use crate::encoder::TextEncoder;
         use crate::score::{ScoreKind, Scorer};
         use pge_nn::CnnConfig;
@@ -546,7 +482,7 @@ mod tests {
                 vocab.add(&w);
             }
         }
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = StdRng::seed_from_u64(seed);
         let words = pge_nn::Embedding::new(&mut rng, vocab.len(), 8);
         let enc = TextEncoder::cnn(
             &mut rng,
@@ -566,44 +502,57 @@ mod tests {
         (g, model)
     }
 
+    /// `(title, attr, value)` text of every triple in `g`.
+    fn texts(g: &ProductGraph) -> Vec<(&str, &str, &str)> {
+        g.triples()
+            .iter()
+            .map(|t| {
+                (
+                    g.title(t.product),
+                    g.attr_name(t.attr),
+                    g.value_text(t.value),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn cached_scores_are_bit_identical() {
-        let (g, model) = tiny_setup();
+        let (g, model) = tiny_setup(7);
         let cache = EmbeddingCache::new(256);
         let cm = CachedModel::new(&model, &cache);
-        for t in g.triples() {
-            let raw = model.score_triple(t);
-            // Twice: once populating, once from cache.
-            assert_eq!(cm.plausibility(&g, t), raw);
-            assert_eq!(cm.plausibility(&g, t), raw);
+        for (title, attr, value) in texts(&g) {
+            let raw = model.score_text_triple(title, attr, value);
+            assert!(raw.is_some());
+            // A fresh scratch per call: no memo, so the second call
+            // must be served by the shared cache.
+            for _ in 0..2 {
+                let mut scratch = ScoreScratch::default();
+                assert_eq!(
+                    cm.score_text_triple_scratch(title, attr, value, &mut scratch),
+                    raw
+                );
+            }
         }
         assert!(cache.hits() > 0, "repeat scoring must hit the cache");
-        let st = cm.score_text_triple("spicy tortilla chips", "flavor", "spicy");
-        assert_eq!(
-            st,
-            model.score_text_triple("spicy tortilla chips", "flavor", "spicy")
-        );
-        assert_eq!(cm.score_text_triple("x", "nope", "y"), None);
     }
 
     #[test]
     fn scratch_scoring_bit_identical_to_allocating_path() {
-        let (g, model) = tiny_setup();
+        // The allocating path is the uncached oracle.
+        let (g, model) = tiny_setup(7);
         let cache = EmbeddingCache::new(256);
         let cm = CachedModel::new(&model, &cache);
         let mut scratch = ScoreScratch::default();
-        for t in g.triples() {
-            let title = g.title(t.product);
-            let value = g.value_text(t.value);
-            let alloc = cm.score_fact(title, t.attr, value);
+        for (title, attr, value) in texts(&g) {
+            let alloc = model.score_text_triple(title, attr, value);
             // Twice: once with cold scratch, once with warm buffers.
             for _ in 0..2 {
                 assert_eq!(
-                    cm.score_fact_scratch(title, t.attr, value, &mut scratch),
+                    cm.score_text_triple_scratch(title, attr, value, &mut scratch),
                     alloc
                 );
             }
-            assert_eq!(alloc, model.score_triple(t), "cache must not alter scores");
         }
         assert_eq!(
             cm.score_text_triple_scratch("x", "nope", "y", &mut scratch),
@@ -612,13 +561,24 @@ mod tests {
     }
 
     #[test]
-    fn cached_model_works_under_plausibility_parallel() {
-        let (g, model) = tiny_setup();
-        let cache = EmbeddingCache::new(256);
-        let cm = CachedModel::new(&model, &cache);
-        let triples: Vec<Triple> = g.triples().iter().cycle().take(200).copied().collect();
-        let raw: Vec<f32> = triples.iter().map(|t| model.score_triple(t)).collect();
-        let cached = plausibility_parallel(&cm, &g, &triples, 4);
-        assert_eq!(raw, cached);
+    fn scratch_memo_does_not_leak_across_models() {
+        // Regression: the title memo was tagged with the CachedModel's
+        // address, and a reassigned binding reuses that address — so
+        // the second model scored with the first model's title vector.
+        let (_, m7) = tiny_setup(7);
+        let (_, m8) = tiny_setup(8);
+        let (c7, c8) = (EmbeddingCache::new(64), EmbeddingCache::new(64));
+        let mut scratch = ScoreScratch::default();
+        let (title, value) = ("spicy tortilla chips", "spicy");
+        let mut cm = CachedModel::new(&m7, &c7);
+        assert_eq!(
+            cm.score_text_triple_scratch(title, "flavor", value, &mut scratch),
+            m7.score_text_triple(title, "flavor", value)
+        );
+        cm = CachedModel::new(&m8, &c8);
+        assert_eq!(
+            cm.score_text_triple_scratch(title, "flavor", value, &mut scratch),
+            m8.score_text_triple(title, "flavor", value)
+        );
     }
 }

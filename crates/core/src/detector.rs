@@ -16,8 +16,10 @@ impl ErrorDetector for PgeModel {
         )
     }
 
-    fn plausibility(&self, _graph: &ProductGraph, t: &Triple) -> f32 {
-        self.score_triple(t)
+    /// Scores the triple's text, through the same function as the
+    /// oracle [`PgeModel::score_text_triple`].
+    fn plausibility(&self, graph: &ProductGraph, t: &Triple) -> f32 {
+        self.score_fact(graph.title(t.product), t.attr, graph.value_text(t.value))
     }
 }
 
@@ -28,26 +30,15 @@ pub struct Detector<'a, D: ErrorDetector> {
     pub threshold: f32,
     /// Validation accuracy achieved at `threshold`.
     pub valid_accuracy: f32,
-    threads: usize,
 }
 
 impl<'a, D: ErrorDetector> Detector<'a, D> {
     /// Fit the threshold θ that maximizes classification accuracy on
     /// the validation split (the paper's §4.2 protocol).
     pub fn fit(method: &'a D, graph: &ProductGraph, valid: &[LabeledTriple]) -> Self {
-        Self::fit_with_threads(method, graph, valid, default_threads())
-    }
-
-    /// As [`Detector::fit`] with an explicit scoring thread count.
-    pub fn fit_with_threads(
-        method: &'a D,
-        graph: &ProductGraph,
-        valid: &[LabeledTriple],
-        threads: usize,
-    ) -> Self {
         let _s = span("detect.fit");
         let triples: Vec<Triple> = valid.iter().map(|lt| lt.triple).collect();
-        let scores = plausibility_parallel(method, graph, &triples, threads);
+        let scores = plausibility_parallel(method, graph, &triples, default_threads());
         let pairs: Vec<(f32, bool)> = scores
             .iter()
             .zip(valid)
@@ -58,7 +49,6 @@ impl<'a, D: ErrorDetector> Detector<'a, D> {
             method,
             threshold,
             valid_accuracy,
-            threads,
         }
     }
 
@@ -74,7 +64,7 @@ impl<'a, D: ErrorDetector> Detector<'a, D> {
     /// Score a batch (parallel) and return plausibilities.
     pub fn scores(&self, graph: &ProductGraph, triples: &[Triple]) -> Vec<f32> {
         let _s = span("detect.score");
-        plausibility_parallel(self.method, graph, triples, self.threads)
+        plausibility_parallel(self.method, graph, triples, default_threads())
     }
 
     /// Rank triples most-suspicious first: returns indices into

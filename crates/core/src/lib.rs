@@ -35,7 +35,7 @@ pub mod score;
 pub mod trainer;
 
 pub use api::ErrorDetector;
-pub use cache::{CachedModel, EmbeddingCache, EmbeddingProvider, ScoreScratch};
+pub use cache::{CachedModel, EmbeddingCache, ScoreScratch};
 pub use checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
@@ -46,7 +46,7 @@ pub use incremental::{
     push_snapshot, train_incremental, IncrementalConfig, IncrementalOutcome, PushReport,
     INCREMENTAL_CHECKPOINT_FILE,
 };
-pub use model::{EncodeScratch, PgeModel};
+pub use model::PgeModel;
 pub use persist::{
     load_model_auto_path, model_from_snapshot, save_model_store, write_model_sections, PersistError,
 };

@@ -3,14 +3,14 @@
 
 use crate::encoder::TextEncoder;
 use crate::score::Scorer;
-use pge_graph::{AttrId, ProductGraph, Triple};
+use pge_graph::{AttrId, ProductGraph};
 use pge_nn::Embedding;
 use pge_text::{tokenize, tokenize_each, Vocab};
 
 /// Reusable buffers for [`PgeModel::embed_text_with`]: token ids and
 /// the CNN encoder's cache.
 #[derive(Default)]
-pub struct EncodeScratch {
+pub(crate) struct EncodeScratch {
     ids: Vec<u32>,
     cnn: pge_nn::conv::CnnEncCache,
 }
@@ -29,16 +29,18 @@ pub struct PgeModel {
     pub(crate) encoder: TextEncoder,
     pub(crate) relations: Embedding,
     pub(crate) scorer: Scorer,
-    /// Token-id cache for every product title in the graph.
+    /// Token-id cache for every product title in the graph. Only the
+    /// trainer reads it; inference encodes from text.
     pub(crate) title_tokens: Vec<Vec<u32>>,
-    /// Token-id cache for every value string in the graph.
+    /// Token-id cache for every value string in the graph (trainer
+    /// only, like `title_tokens`).
     pub(crate) value_tokens: Vec<Vec<u32>>,
     /// Attribute names in id order, so raw-text facts can be scored
     /// without holding the graph (relations are closed-world).
     pub(crate) attr_names: Vec<String>,
     /// Optional out-of-core embedding bank (precomputed entity
     /// vectors served from a PGEBIN02 snapshot, usually mmapped).
-    /// Consulted before the encoder in [`PgeModel::embed_text`]; rows
+    /// Consulted before the encoder in [`PgeModel::embed_text_with`]; rows
     /// are the exact bit patterns the encoder would produce, so the
     /// bank can change latency and residency but never a score.
     pub(crate) bank: Option<std::sync::Arc<pge_store::EmbeddingBank>>,
@@ -134,37 +136,15 @@ impl PgeModel {
         &self.encoder
     }
 
-    /// Final embedding of a product title (by graph id).
-    pub fn title_embedding(&self, id: pge_graph::ProductId) -> Vec<f32> {
-        self.encoder.infer(&self.title_tokens[id.0 as usize])
-    }
-
-    /// Final embedding of an attribute value (by graph id).
-    pub fn value_embedding(&self, id: pge_graph::ValueId) -> Vec<f32> {
-        self.encoder.infer(&self.value_tokens[id.0 as usize])
-    }
-
     /// Relation vector of an attribute.
     pub fn relation(&self, a: AttrId) -> &[f32] {
         self.relations.row(a.0 as u32)
     }
 
-    /// Plausibility score `f_a(t, v)` for a graph triple.
-    pub fn score_triple(&self, t: &Triple) -> f32 {
-        let h = self.title_embedding(t.product);
-        let v = self.value_embedding(t.value);
-        self.scorer.score(&h, self.relation(t.attr), &v)
-    }
-
     /// Embed a piece of raw text (title or value) — tokenize, encode
-    /// against the training vocabulary, and run the text encoder.
-    pub fn embed_text(&self, text: &str) -> Vec<f32> {
-        self.embed_text_with(text, &mut EncodeScratch::default())
-    }
-
-    /// [`Self::embed_text`] reusing `scratch`: the returned vector is
-    /// the only allocation.
-    pub fn embed_text_with(&self, text: &str, scratch: &mut EncodeScratch) -> Vec<f32> {
+    /// against the training vocabulary, and run the text encoder —
+    /// reusing `scratch`: the returned vector is the only allocation.
+    pub(crate) fn embed_text_with(&self, text: &str, scratch: &mut EncodeScratch) -> Vec<f32> {
         // A bank hit serves the precomputed row (bit-identical to the
         // encoder's output by construction) straight from the
         // snapshot backing — page cache instead of a CNN forward.
@@ -176,7 +156,7 @@ impl PgeModel {
         self.encode_text(text, scratch)
     }
 
-    /// [`Self::embed_text`] bypassing the bank — always runs the
+    /// [`Self::embed_text_with`] bypassing the bank — always runs the
     /// encoder. `pge embed` builds banks with this (a bank row must
     /// come from the encoder, not from a previously attached bank),
     /// and bit-identity tests compare the two paths.
@@ -193,12 +173,13 @@ impl PgeModel {
         self.encoder.infer_with(&scratch.ids, &mut scratch.cnn)
     }
 
-    /// Score a fact given *raw text* — the fully inductive entry
-    /// point: neither the title nor the value needs to exist in the
-    /// graph (unknown words fall back to `<unk>`).
-    pub fn score_fact(&self, title: &str, attr: AttrId, value: &str) -> f32 {
-        let h = self.embed_text(title);
-        let v = self.embed_text(value);
+    /// Score a fact given *raw text*: neither the title nor the value
+    /// needs to exist in the graph (unknown words fall back to
+    /// `<unk>`). The oracle and offline detection both score here.
+    pub(crate) fn score_fact(&self, title: &str, attr: AttrId, value: &str) -> f32 {
+        let mut scratch = EncodeScratch::default();
+        let h = self.embed_text_with(title, &mut scratch);
+        let v = self.embed_text_with(value, &mut scratch);
         self.scorer.score(&h, self.relation(attr), &v)
     }
 
@@ -217,7 +198,9 @@ impl PgeModel {
     }
 
     /// Fully text-level scoring: `(title, attribute name, value)`,
-    /// none of which needs to exist in any graph. Returns `None` when
+    /// none of which needs to exist in any graph — the uncached
+    /// scoring door (see [`crate::CachedModel`] for the cached one),
+    /// and the fully inductive entry point. Returns `None` when
     /// the attribute is unknown — there is no relation vector to score
     /// against, which is different from an unknown *word* (those fall
     /// back to `<unk>`).
@@ -277,22 +260,14 @@ mod tests {
 
     #[test]
     fn score_triple_is_deterministic_and_finite() {
+        use crate::api::ErrorDetector;
         let g = tiny_graph();
         let m = tiny_model(&g);
         let t = g.triples()[0];
-        let a = m.score_triple(&t);
-        let b = m.score_triple(&t);
-        assert_eq!(a, b);
+        let a = m.plausibility(&g, &t);
+        let b = m.plausibility(&g, &t);
+        assert_eq!(a.to_bits(), b.to_bits());
         assert!(a.is_finite());
-    }
-
-    #[test]
-    fn score_fact_matches_score_triple_for_known_text() {
-        let g = tiny_graph();
-        let m = tiny_model(&g);
-        let t = g.triples()[0];
-        let via_text = m.score_fact("spicy tortilla chips", t.attr, "spicy queso");
-        assert!((via_text - m.score_triple(&t)).abs() < 1e-6);
     }
 
     #[test]
@@ -328,7 +303,7 @@ mod tests {
     fn embeddings_have_declared_dim() {
         let g = tiny_graph();
         let m = tiny_model(&g);
-        assert_eq!(m.title_embedding(pge_graph::ProductId(0)).len(), m.dim());
-        assert_eq!(m.value_embedding(pge_graph::ValueId(0)).len(), m.dim());
+        assert_eq!(m.embed_text_uncached("spicy tortilla chips").len(), m.dim());
+        assert_eq!(m.embed_text_uncached("spicy queso").len(), m.dim());
     }
 }

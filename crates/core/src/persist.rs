@@ -428,6 +428,7 @@ pub fn load_model_auto_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ErrorDetector;
     use crate::trainer::{train_pge, PgeConfig};
     use pge_graph::{Dataset, ProductGraph};
     use pge_store::MmapMode;
@@ -493,7 +494,7 @@ mod tests {
             let mut bits: Vec<u32> = d
                 .train
                 .iter()
-                .map(|t| m.score_triple(t).to_bits())
+                .map(|t| m.plausibility(&d.graph, t).to_bits())
                 .collect();
             // Inductive scoring of unseen text matches too.
             bits.push(

@@ -855,6 +855,7 @@ pub fn train_pge_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ErrorDetector;
     use pge_graph::{Dataset, LabeledTriple, ProductGraph, Triple};
 
     /// Tiny two-cluster catalog: spicy products have pepper
@@ -941,7 +942,7 @@ mod tests {
         let mut good = 0.0;
         let mut bad = 0.0;
         for lt in &d.test {
-            let f = out.model.score_triple(&lt.triple);
+            let f = out.model.plausibility(&d.graph, &lt.triple);
             if lt.correct {
                 good += f;
             } else {
@@ -963,7 +964,10 @@ mod tests {
         let a = train_pge(&d, &PgeConfig::tiny());
         let b = train_pge(&d, &PgeConfig::tiny());
         let t = d.test[0].triple;
-        assert_eq!(a.model.score_triple(&t), b.model.score_triple(&t));
+        assert_eq!(
+            a.model.plausibility(&d.graph, &t),
+            b.model.plausibility(&d.graph, &t)
+        );
     }
 
     #[test]
@@ -975,7 +979,7 @@ mod tests {
         let score_all = |out: &TrainedPge| -> Vec<f32> {
             d.test
                 .iter()
-                .map(|lt| out.model.score_triple(&lt.triple))
+                .map(|lt| out.model.plausibility(&d.graph, &lt.triple))
                 .collect()
         };
         let base = train_pge(
@@ -1271,7 +1275,7 @@ mod tests {
             ..PgeConfig::tiny()
         };
         let out = train_pge(&d, &cfg);
-        let f = out.model.score_triple(&d.test[0].triple);
+        let f = out.model.plausibility(&d.graph, &d.test[0].triple);
         assert!(f.is_finite());
         assert_eq!(out.model.encoder().kind(), EncoderKind::Bert);
     }
@@ -1292,7 +1296,9 @@ mod tests {
             };
             let out = train_pge(&d, &cfg);
             assert!(
-                out.model.score_triple(&d.test[0].triple).is_finite(),
+                out.model
+                    .plausibility(&d.graph, &d.test[0].triple)
+                    .is_finite(),
                 "{score:?}"
             );
         }
@@ -1306,7 +1312,10 @@ mod tests {
         let out = train_pge(&d, &PgeConfig::tiny());
         assert_eq!(out.confidence.len(), 0);
         // Scores remain finite: untrained encoder on unk-only vocab.
-        assert!(out.model.score_triple(&d.test[0].triple).is_finite());
+        assert!(out
+            .model
+            .plausibility(&d.graph, &d.test[0].triple)
+            .is_finite());
     }
 
     #[test]

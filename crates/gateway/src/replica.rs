@@ -15,10 +15,10 @@ use crate::epoll::WakePipe;
 use crate::metrics::GatewayMetrics;
 use parking_lot::{Mutex, RwLock};
 use pge_core::{CachedModel, EmbeddingCache, PgeModel, ScoreScratch};
-use pge_obs::json::Json;
 use pge_obs::{span, Stage, Tracer};
 use pge_serve::queue::BoundedQueue;
-use pge_serve::{ItemScore, ScoreItem};
+pub use pge_serve::render_scores;
+use pge_serve::{score_items, ItemScore, ScoreItem};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,22 +53,7 @@ impl ModelState {
     /// bit-identical to scoring the same triples offline.
     pub fn score_items(&self, items: &[ScoreItem]) -> Vec<ItemScore> {
         let cm = CachedModel::new(&self.model, &self.cache);
-        let mut scratch = ScoreScratch::default();
-        items
-            .iter()
-            .map(|it| {
-                match cm.score_text_triple_scratch(&it.title, &it.attr, &it.value, &mut scratch) {
-                    Some(p) => ItemScore {
-                        plausibility: Some(p),
-                        is_error: Some(p <= self.threshold),
-                    },
-                    None => ItemScore {
-                        plausibility: None,
-                        is_error: None,
-                    },
-                }
-            })
-            .collect()
+        score_items(&cm, items, self.threshold, &mut ScoreScratch::default())
     }
 }
 
@@ -166,33 +151,6 @@ impl Replica {
     }
 }
 
-/// Render scores in the exact JSON shape `pge-serve` answers with, so
-/// clients cannot tell which tier scored them.
-pub fn render_scores(scores: &[ItemScore]) -> String {
-    Json::Arr(
-        scores
-            .iter()
-            .map(|s| {
-                let mut pairs = vec![
-                    (
-                        "plausibility".to_string(),
-                        s.plausibility.map_or(Json::Null, |p| Json::Num(p as f64)),
-                    ),
-                    (
-                        "is_error".to_string(),
-                        s.is_error.map_or(Json::Null, Json::Bool),
-                    ),
-                ];
-                if s.plausibility.is_none() {
-                    pairs.push(("detail".to_string(), Json::Str("unknown attribute".into())));
-                }
-                Json::Obj(pairs)
-            })
-            .collect(),
-    )
-    .to_string()
-}
-
 /// Worker loop for replica `ix`: drain micro-batches, score each job
 /// against the state current at batch start, post completions, poke
 /// the event loop. Exits when the queue is closed and empty.
@@ -259,6 +217,7 @@ pub fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pge_obs::json::Json;
 
     #[test]
     fn render_matches_serve_shape() {

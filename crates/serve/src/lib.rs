@@ -11,11 +11,12 @@
 //!   embedding-cache hits/misses, and a request-latency histogram.
 //!
 //! Requests flow through a bounded queue (overflow is shed with
-//! `503 Retry-After`) into a worker pool that drains micro-batches
-//! and scores them through the same `plausibility_parallel` path as
-//! offline detection, with a sharded LRU embedding cache in front of
-//! the text encoder. See `DESIGN.md` ("Serving architecture") for the
-//! full picture.
+//! `503 Retry-After`) into a worker pool that drains micro-batches.
+//! Each worker scores every job through [`score_items`], the loop the
+//! gateway's replicas share: the cached door
+//! `CachedModel::score_text_triple_scratch`, with a sharded LRU
+//! embedding cache in front of the text encoder. See `DESIGN.md`
+//! ("Serving architecture") for the full picture.
 
 pub mod http;
 pub mod metrics;
@@ -25,7 +26,9 @@ pub mod signal;
 
 pub use metrics::Metrics;
 pub use queue::{BoundedQueue, PushError};
-pub use server::{start, ItemScore, ScoreItem, ServeConfig, ServerHandle};
+pub use server::{
+    render_scores, score_items, start, ItemScore, ScoreItem, ServeConfig, ServerHandle,
+};
 pub use signal::{
     install_handlers, request_reload, request_shutdown, shutdown_requested, take_reload_request,
 };

@@ -10,8 +10,6 @@
 //! New in the per-stage latency breakdown (all histograms, seconds):
 //!
 //! * `pge_serve_stage_queue_wait_seconds` — enqueue → worker pickup;
-//! * `pge_serve_stage_batch_assembly_seconds` — flattening one
-//!   micro-batch (per batch);
 //! * `pge_serve_stage_encode_seconds` — one encoder forward pass
 //!   (observed per embedding-cache miss; hits skip the encoder);
 //! * `pge_serve_stage_score_seconds` — scoring one micro-batch
@@ -37,8 +35,6 @@ pub struct Metrics {
     pub latency: Arc<AtomicHistogram>,
     /// Stage: enqueue → worker pickup, per job.
     pub stage_queue_wait: Arc<AtomicHistogram>,
-    /// Stage: micro-batch flattening, per batch.
-    pub stage_batch_assembly: Arc<AtomicHistogram>,
     /// Stage: one encoder forward pass, per cache miss.
     pub stage_encode: Arc<AtomicHistogram>,
     /// Stage: micro-batch scoring, per batch.
@@ -92,11 +88,6 @@ impl Default for Metrics {
             stage_queue_wait: r.histogram(
                 "pge_serve_stage_queue_wait_seconds",
                 "Time a request waits in the bounded queue before a worker picks it up.",
-                stage_bounds(),
-            ),
-            stage_batch_assembly: r.histogram(
-                "pge_serve_stage_batch_assembly_seconds",
-                "Time to flatten and attr-resolve one micro-batch.",
                 stage_bounds(),
             ),
             stage_encode: r.histogram(
@@ -183,13 +174,11 @@ mod tests {
     fn stage_histograms_exposed() {
         let m = Metrics::default();
         m.stage_queue_wait.observe(0.001);
-        m.stage_batch_assembly.observe(0.0001);
         m.stage_encode.observe(0.01);
         m.stage_score.observe(0.02);
         let text = m.render(&EmbeddingCache::new(4));
         for name in [
             "pge_serve_stage_queue_wait_seconds",
-            "pge_serve_stage_batch_assembly_seconds",
             "pge_serve_stage_encode_seconds",
             "pge_serve_stage_score_seconds",
         ] {

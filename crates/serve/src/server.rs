@@ -7,7 +7,8 @@
 //!        │                  BoundedQueue<Job>
 //!        │                        │ pop_batch (micro-batching)
 //!        ▼                        ▼
-//!   stop flag              scoring workers ──▶ plausibility_parallel
+//!   stop flag              scoring workers ──▶ score_items
+//!                                 │      (score_text_triple_scratch)
 //!                                 │                  │
 //!                                 │            EmbeddingCache
 //!                                 └─ reply channels back to conns
@@ -21,9 +22,7 @@
 use crate::http::{self, ReadError, Request};
 use crate::metrics::Metrics;
 use crate::queue::{BoundedQueue, PushError};
-use pge_core::api::plausibility_parallel;
-use pge_core::{CachedModel, EmbeddingCache, ErrorDetector, PgeModel};
-use pge_graph::{AttrId, ProductGraph, ProductId, Triple, ValueId};
+use pge_core::{CachedModel, EmbeddingCache, PgeModel, ScoreScratch};
 use pge_obs::json::{self, Json};
 use pge_obs::trace::{DEFAULT_RETAIN_CAP, DEFAULT_RING_CAPACITY, DEFAULT_SLOW_MS};
 use pge_obs::{manifest_event, serve_event, trace_event, RetainedTrace, RunLog, Stage, Tracer};
@@ -46,10 +45,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Maximum requests per micro-batch.
     pub max_batch: usize,
-    /// Threads for `plausibility_parallel` within one micro-batch
-    /// (only engages on batches large enough to beat its serial
-    /// cutoff).
-    pub batch_threads: usize,
     /// Append run-log events (manifest at start, serving snapshot at
     /// shutdown) to this JSONL file. `None` disables run logging.
     pub runlog_path: Option<String>,
@@ -67,7 +62,6 @@ impl Default for ServeConfig {
             cache_cap: 4096,
             queue_cap: 256,
             max_batch: 32,
-            batch_threads: 2,
             runlog_path: None,
             trace_slow: Duration::from_millis(DEFAULT_SLOW_MS),
         }
@@ -116,6 +110,55 @@ pub struct ItemScore {
     pub is_error: Option<bool>,
 }
 
+/// Score `items` through the cached door, flagging plausibility ≤
+/// `threshold` as an error; both serving tiers answer `/v1/score`
+/// with this.
+pub fn score_items(
+    cm: &CachedModel,
+    items: &[ScoreItem],
+    threshold: f32,
+    scratch: &mut ScoreScratch,
+) -> Vec<ItemScore> {
+    items
+        .iter()
+        .map(|it| {
+            let p = cm.score_text_triple_scratch(&it.title, &it.attr, &it.value, scratch);
+            ItemScore {
+                plausibility: p,
+                is_error: p.map(|p| p <= threshold),
+            }
+        })
+        .collect()
+}
+
+/// Render scores as the `/v1/score` response body, the same JSON
+/// shape from both serving tiers so clients cannot tell which scored
+/// them.
+pub fn render_scores(scores: &[ItemScore]) -> String {
+    Json::Arr(
+        scores
+            .iter()
+            .map(|s| {
+                let mut pairs = vec![
+                    (
+                        "plausibility".to_string(),
+                        s.plausibility.map_or(Json::Null, |p| Json::Num(p as f64)),
+                    ),
+                    (
+                        "is_error".to_string(),
+                        s.is_error.map_or(Json::Null, Json::Bool),
+                    ),
+                ];
+                if s.plausibility.is_none() {
+                    pairs.push(("detail".to_string(), Json::Str("unknown attribute".into())));
+                }
+                Json::Obj(pairs)
+            })
+            .collect(),
+    )
+    .to_string()
+}
+
 struct Job {
     items: Vec<ScoreItem>,
     reply: mpsc::SyncSender<Vec<ItemScore>>,
@@ -126,7 +169,6 @@ struct Job {
 
 struct Shared {
     model: PgeModel,
-    graph: ProductGraph,
     /// Plausibility ≤ threshold classifies as error.
     threshold: f32,
     cache: EmbeddingCache,
@@ -220,14 +262,9 @@ impl ServerHandle {
     }
 }
 
-/// Start serving `model` over `graph` with the given fitted
-/// `threshold`. Returns once the listener is bound.
-pub fn start(
-    model: PgeModel,
-    graph: ProductGraph,
-    threshold: f32,
-    cfg: ServeConfig,
-) -> io::Result<ServerHandle> {
+/// Start serving `model` with the given fitted `threshold`. Returns
+/// once the listener is bound.
+pub fn start(model: PgeModel, threshold: f32, cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -248,7 +285,6 @@ pub fn start(
                     ("cache_cap".into(), cfg.cache_cap.to_string()),
                     ("queue_cap".into(), cfg.queue_cap.to_string()),
                     ("max_batch".into(), cfg.max_batch.to_string()),
-                    ("batch_threads".into(), cfg.batch_threads.to_string()),
                 ],
             ));
             Some(log)
@@ -258,7 +294,6 @@ pub fn start(
 
     let shared = Arc::new(Shared {
         model,
-        graph,
         threshold,
         cache,
         metrics,
@@ -490,31 +525,7 @@ fn handle_score(shared: &Shared, body: &[u8]) -> (u16, ExtraHeaders, String, boo
     shared.metrics.requests_total.inc();
     match rx.recv_timeout(Duration::from_secs(30)) {
         Ok(scores) => {
-            let arr = Json::Arr(
-                scores
-                    .iter()
-                    .map(|s| {
-                        let mut pairs = vec![
-                            (
-                                "plausibility".to_string(),
-                                s.plausibility.map_or(Json::Null, |p| Json::Num(p as f64)),
-                            ),
-                            (
-                                "is_error".to_string(),
-                                s.is_error.map_or(Json::Null, Json::Bool),
-                            ),
-                        ];
-                        if s.plausibility.is_none() {
-                            pairs.push((
-                                "detail".to_string(),
-                                Json::Str("unknown attribute".into()),
-                            ));
-                        }
-                        Json::Obj(pairs)
-                    })
-                    .collect(),
-            );
-            let body = arr.to_string();
+            let body = render_scores(&scores);
             shared
                 .tracer
                 .record(trace, Stage::WriteBack, body.len() as u64);
@@ -529,60 +540,19 @@ fn handle_score(shared: &Shared, body: &[u8]) -> (u16, ExtraHeaders, String, boo
     }
 }
 
-/// An [`ErrorDetector`] view of one micro-batch: synthetic triple `i`
-/// scores flattened item `i`, so the batch flows through the same
-/// `plausibility_parallel` path as offline detection — including its
-/// serial cutoff for small batches.
-struct BatchAdapter<'a> {
-    cm: &'a CachedModel<'a>,
-    items: &'a [(ScoreItem, AttrId)],
-}
-
-impl ErrorDetector for BatchAdapter<'_> {
-    fn name(&self) -> String {
-        "serve-batch".into()
-    }
-
-    fn plausibility(&self, _graph: &ProductGraph, t: &Triple) -> f32 {
-        let (item, attr) = &self.items[t.product.0 as usize];
-        self.cm.score_fact(&item.title, *attr, &item.value)
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     let cm = CachedModel::new(&shared.model, &shared.cache);
+    let mut scratch = ScoreScratch::default();
     let mut jobs: Vec<Job> = Vec::new();
     while shared.queue.pop_batch(shared.cfg.max_batch, &mut jobs) {
         shared.metrics.batches_total.inc();
-        // Queue wait: enqueue → this worker picking the job up.
         for job in &jobs {
+            // Queue wait: enqueue → this worker picking the job up.
             shared.tracer.record(job.trace, Stage::Dequeue, 0);
             shared
                 .metrics
                 .stage_queue_wait
                 .observe(job.enqueued.elapsed().as_secs_f64());
-        }
-
-        // Flatten scorable items; (job index, item index) per entry.
-        let assembly_start = Instant::now();
-        let mut flat: Vec<(ScoreItem, AttrId)> = Vec::new();
-        let mut slots: Vec<(usize, usize)> = Vec::new();
-        for (ji, job) in jobs.iter().enumerate() {
-            for (ii, item) in job.items.iter().enumerate() {
-                if let Some(attr) = shared.model.lookup_attr(&item.attr) {
-                    flat.push((item.clone(), attr));
-                    slots.push((ji, ii));
-                }
-            }
-        }
-        let synthetic: Vec<Triple> = (0..flat.len())
-            .map(|i| Triple::new(ProductId(i as u32), AttrId(0), ValueId(0)))
-            .collect();
-        shared
-            .metrics
-            .stage_batch_assembly
-            .observe(assembly_start.elapsed().as_secs_f64());
-        for job in &jobs {
             shared
                 .tracer
                 .record(job.trace, Stage::BatchAssemble, jobs.len() as u64);
@@ -595,43 +565,18 @@ fn worker_loop(shared: &Shared) {
                 .record(job.trace, Stage::Score, job.items.len() as u64);
         }
 
-        let adapter = BatchAdapter {
-            cm: &cm,
-            items: &flat,
-        };
         // Score time covers the whole micro-batch; encoder forwards on
         // cache misses happen inside it and are additionally broken
         // out in `stage_encode` via the cache's histogram hook.
         let score_start = Instant::now();
-        let scores = plausibility_parallel(
-            &adapter,
-            &shared.graph,
-            &synthetic,
-            shared.cfg.batch_threads.max(1),
-        );
+        let results: Vec<Vec<ItemScore>> = jobs
+            .iter()
+            .map(|j| score_items(&cm, &j.items, shared.threshold, &mut scratch))
+            .collect();
         shared
             .metrics
             .stage_score
             .observe(score_start.elapsed().as_secs_f64());
-
-        let mut results: Vec<Vec<ItemScore>> = jobs
-            .iter()
-            .map(|j| {
-                vec![
-                    ItemScore {
-                        plausibility: None,
-                        is_error: None,
-                    };
-                    j.items.len()
-                ]
-            })
-            .collect();
-        for ((ji, ii), score) in slots.into_iter().zip(&scores) {
-            results[ji][ii] = ItemScore {
-                plausibility: Some(*score),
-                is_error: Some(*score <= shared.threshold),
-            };
-        }
 
         let total_items: usize = jobs.iter().map(|j| j.items.len()).sum();
         shared.metrics.items_total.add(total_items as u64);

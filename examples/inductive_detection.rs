@@ -20,33 +20,25 @@ fn main() {
     });
     let trained = train_pge(&data, &PgeConfig::default());
     let model = &trained.model;
-    let flavor = data
-        .graph
-        .lookup_attr("flavor")
-        .expect("flavor attribute exists");
-    let scent = data
-        .graph
-        .lookup_attr("scent")
-        .expect("scent attribute exists");
 
     // Brand-new listings that are in no graph: the entry point is raw
     // text. Each case pairs a plausible value with an implausible one.
     let cases = [
         (
             "Lunar Pantry Spicy Queso Corn Puffs, Family Size, 12 oz",
-            flavor,
+            "flavor",
             "spicy queso",
             "lavender",
         ),
         (
             "Glow Botanics Lavender Body Wash For Women And Men, 16 oz",
-            scent,
+            "scent",
             "lavender chamomile",
             "nacho cheese",
         ),
         (
             "Amber Farms Dark Chocolate Trail Mix, Resealable Bag",
-            flavor,
+            "flavor",
             "dark chocolate",
             "stainless steel",
         ),
@@ -55,8 +47,12 @@ fn main() {
     println!("scoring unseen listings (higher = more plausible):\n");
     let mut wins = 0;
     for (title, attr, good, bad) in cases {
-        let f_good = model.score_fact(title, attr, good);
-        let f_bad = model.score_fact(title, attr, bad);
+        let score = |value| {
+            model
+                .score_text_triple(title, attr, value)
+                .expect("flavor and scent are catalog attributes")
+        };
+        let (f_good, f_bad) = (score(good), score(bad));
         let verdict = if f_good > f_bad { "OK " } else { "MISS" };
         if f_good > f_bad {
             wins += 1;

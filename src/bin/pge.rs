@@ -741,8 +741,7 @@ fn main() {
                 runlog_path: get("runlog"),
                 ..defaults
             };
-            let graph = data.graph;
-            let handle = pge::serve::start(model, graph, threshold, cfg).unwrap_or_else(|e| {
+            let handle = pge::serve::start(model, threshold, cfg).unwrap_or_else(|e| {
                 eprintln!("cannot start server: {e}");
                 exit(1)
             });

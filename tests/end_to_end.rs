@@ -86,8 +86,8 @@ fn training_is_deterministic_across_runs() {
     let b = train_pge(&data, &fast_cfg());
     for lt in data.test.iter().take(10) {
         assert_eq!(
-            a.model.score_triple(&lt.triple),
-            b.model.score_triple(&lt.triple)
+            a.model.plausibility(&data.graph, &lt.triple),
+            b.model.plausibility(&data.graph, &lt.triple)
         );
     }
     assert_eq!(a.epoch_losses, b.epoch_losses);
@@ -100,18 +100,4 @@ fn losses_trend_downward() {
     let first = trained.epoch_losses.first().copied().unwrap();
     let last = trained.epoch_losses.last().copied().unwrap();
     assert!(last < first, "loss went {first} -> {last}");
-}
-
-#[test]
-fn score_fact_agrees_with_graph_scoring() {
-    let data = small_catalog();
-    let trained = train_pge(&data, &fast_cfg());
-    let lt = data.test[0];
-    let via_graph = trained.model.score_triple(&lt.triple);
-    let via_text = trained.model.score_fact(
-        data.graph.title(lt.triple.product),
-        lt.triple.attr,
-        data.graph.value_text(lt.triple.value),
-    );
-    assert!((via_graph - via_text).abs() < 1e-5);
 }

@@ -2,7 +2,7 @@
 //! and test entity sets are disjoint, and PGE still works because it
 //! encodes entities from text.
 
-use pge::core::{train_pge, PgeConfig};
+use pge::core::{train_pge, ErrorDetector, PgeConfig};
 use pge::datagen::{generate_catalog, CatalogConfig};
 
 fn inductive_data() -> pge::graph::Dataset {
@@ -39,7 +39,7 @@ fn pge_scores_unseen_entities_finitely_and_usefully() {
     let mut n_good = 0;
     let mut n_bad = 0;
     for lt in &d.test {
-        let f = trained.model.score_triple(&lt.triple);
+        let f = trained.model.plausibility(&d.graph, &lt.triple);
         assert!(f.is_finite(), "non-finite score on unseen entity");
         if lt.correct {
             good += f;

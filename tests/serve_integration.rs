@@ -41,8 +41,7 @@ fn serve_tiny(cfg: ServeConfig) -> (Dataset, f32, Vec<f32>, ServerHandle) {
         let triples: Vec<_> = data.test.iter().map(|lt| lt.triple).collect();
         det.scores(&data.graph, &triples)
     };
-    let graph = data.graph.clone();
-    let handle = start(model, graph, threshold, cfg).expect("bind ephemeral port");
+    let handle = start(model, threshold, cfg).expect("bind ephemeral port");
     (data, threshold, offline, handle)
 }
 
@@ -289,7 +288,6 @@ fn metrics_expose_stage_latency_breakdown() {
     // a fresh cache).
     for name in [
         "pge_serve_stage_queue_wait_seconds",
-        "pge_serve_stage_batch_assembly_seconds",
         "pge_serve_stage_encode_seconds",
         "pge_serve_stage_score_seconds",
     ] {
