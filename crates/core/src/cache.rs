@@ -236,9 +236,10 @@ impl EmbeddingCache {
 pub struct CachedModel<'a> {
     model: &'a PgeModel,
     cache: &'a EmbeddingCache,
-    /// Process-unique tag for [`ScoreScratch`]'s title memo. An address
-    /// would not do: a reassigned binding puts a different model at the
-    /// same address.
+    /// Process-unique tag for [`ScoreScratch`]'s title memo, from 1
+    /// up. An address would not do: a reassigned binding puts a
+    /// different model at the same address. The counter publishes no
+    /// other data, so `Relaxed` suffices for uniqueness.
     id: u64,
     /// One [`crate::score::PreparedRelation`] per attribute (relations
     /// are few and closed-world): RotatE's per-dimension trigonometry
@@ -309,7 +310,7 @@ impl<'a> CachedModel<'a> {
         // copied out just now or memoized from the previous row, and
         // `score` runs on the same floats either way — so every branch
         // below is bit-identical to the plain two-copy path.
-        if s.memo_owner == self.id && !s.memo_title.is_empty() && s.memo_title == title {
+        if s.memo_owner == self.id && s.memo_title == title {
             self.cache.note_memo_hit();
         } else {
             self.cache.copy_or_compute(title, &mut s.h, || {
