@@ -585,6 +585,20 @@ mod tests {
         }
     }
 
+    /// Every `trainer.ckpt` and `incremental.ckpt` on disk stores one of
+    /// these hashes; a refactor of `PgeConfig` that moves them makes
+    /// every existing checkpoint unresumable.
+    #[test]
+    fn config_hash_is_pinned() {
+        assert_eq!(
+            (
+                config_hash(&PgeConfig::tiny()),
+                config_hash(&PgeConfig::default())
+            ),
+            (2542152382436456462, 7710850642906468762)
+        );
+    }
+
     #[test]
     fn verify_backend_rejects_cross_backend_warm_start() {
         let (state, _, _) = sample_state();
