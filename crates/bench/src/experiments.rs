@@ -4,7 +4,7 @@
 //! structured numbers where downstream code (tests, EXPERIMENTS.md
 //! tooling) needs them.
 
-use crate::methods::{pge_config, train_method, Method, TrainedMethod};
+use crate::methods::{epochs_trained, pge_config, train_method, Method, TrainedMethod};
 use crate::scale::Scale;
 use pge_core::api::plausibility_parallel;
 use pge_core::{train_pge, Detector, ErrorDetector};
@@ -493,8 +493,10 @@ pub fn table5(scale: &Scale, cap_secs: f64) -> String {
     t.render()
 }
 
-/// Train fully if a one-epoch probe projects under `cap_secs`,
-/// otherwise report `> cap` (the paper's "> 3 day" analogue).
+/// Train fully if a short probe projects under `cap_secs`, otherwise
+/// report `> cap` (the paper's "> 3 day" analogue). The probe runs at
+/// `epochs: 1`, which trains one epoch for PGE but two for RotatE, so
+/// its time scales by the ratio of the epochs each run really trains.
 fn timed_or_capped(d: &Dataset, method: Method, scale: &Scale, cap_secs: f64) -> String {
     let probe_scale = Scale {
         epochs: 1,
@@ -502,12 +504,8 @@ fn timed_or_capped(d: &Dataset, method: Method, scale: &Scale, cap_secs: f64) ->
         ..*scale
     };
     let probe = train_method(d, method, &probe_scale);
-    // KGE methods run `epochs * 2` inside train_method.
-    let epoch_mult = match method {
-        Method::RotatE => (scale.epochs * 2) as f64,
-        _ => scale.epochs as f64,
-    };
-    let projected = probe.train_secs * epoch_mult;
+    let projected = probe.train_secs * epochs_trained(method, scale) as f64
+        / epochs_trained(method, &probe_scale) as f64;
     if projected > cap_secs {
         return format!("> {cap_secs:.0}");
     }

@@ -2,10 +2,10 @@
 
 use crate::scale::Scale;
 use pge_baselines::{
-    train_ckrl, train_dkrl, train_kge, train_nlp, train_rotate_plus, train_ssp, CkrlConfig,
-    DkrlConfig, KgeConfig, NlpArch, NlpConfig, SspConfig,
+    train_ckrl, train_dkrl, train_kge, train_nlp, train_pge_bert, train_rotate_plus, train_ssp,
+    CkrlConfig, DkrlConfig, KgeConfig, NlpArch, NlpConfig, SspConfig,
 };
-use pge_core::{train_pge, EncoderKind, ErrorDetector, PgeConfig, ScoreKind};
+use pge_core::{train_pge, ErrorDetector, PgeConfig, ScoreKind};
 use pge_graph::Dataset;
 
 /// Identifier of one comparable method.
@@ -96,6 +96,30 @@ pub struct TrainedMethod {
     pub train_secs: f64,
 }
 
+/// Epochs [`train_method`] trains `method` for at `scale`. Table 5
+/// projects a probe run's time by the ratio of two of these.
+pub fn epochs_trained(method: Method, scale: &Scale) -> usize {
+    match method {
+        Method::Lstm | Method::Transformer => scale.nlp_epochs,
+        Method::Dkrl => scale.epochs,
+        // PGE converges slower per epoch than id-based KGE (its
+        // "tables" are shared text parameters); 1.5× epochs evens the
+        // budget out.
+        Method::PgeCnnTransE
+        | Method::PgeCnnRotatE
+        | Method::PgeCnnRotatENoNa
+        | Method::PgeBertRotatE => scale.epochs * 3 / 2,
+        // Cheap per epoch.
+        Method::TransE
+        | Method::DistMult
+        | Method::ComplEx
+        | Method::RotatE
+        | Method::RotatEPlus
+        | Method::Ssp
+        | Method::Ckrl => scale.epochs * 2,
+    }
+}
+
 /// PGE config for a method at a scale (shared with Table 5).
 pub fn pge_config(method: Method, scale: &Scale) -> PgeConfig {
     let score = match method {
@@ -104,16 +128,8 @@ pub fn pge_config(method: Method, scale: &Scale) -> PgeConfig {
     };
     PgeConfig {
         score,
-        encoder: if method == Method::PgeBertRotatE {
-            EncoderKind::Bert
-        } else {
-            EncoderKind::Cnn
-        },
         noise_aware: method != Method::PgeCnnRotatENoNa,
-        // PGE converges slower per epoch than id-based KGE (its
-        // "tables" are shared text parameters); 1.5× epochs evens the
-        // budget out.
-        epochs: scale.epochs * 3 / 2,
+        epochs: epochs_trained(method, scale),
         dim: 48,
         seed: scale.seed ^ 0xb0b,
         ..PgeConfig::default()
@@ -123,6 +139,7 @@ pub fn pge_config(method: Method, scale: &Scale) -> PgeConfig {
 /// Train one method on a dataset.
 pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> TrainedMethod {
     let seed = scale.seed ^ 0xb0b;
+    let epochs = epochs_trained(method, scale);
     match method {
         Method::Lstm | Method::Transformer => {
             let arch = if method == Method::Lstm {
@@ -133,7 +150,7 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
             let m = train_nlp(
                 dataset,
                 &NlpConfig {
-                    epochs: scale.nlp_epochs,
+                    epochs,
                     seed,
                     ..NlpConfig::for_arch(arch)
                 },
@@ -164,7 +181,7 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
                     score,
                     dim,
                     gamma,
-                    epochs: scale.epochs * 2, // cheap per epoch
+                    epochs,
                     seed,
                     ..KgeConfig::default()
                 },
@@ -181,7 +198,7 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
                 &KgeConfig {
                     dim: 64,
                     gamma: 12.0,
-                    epochs: scale.epochs * 2,
+                    epochs,
                     seed,
                     ..KgeConfig::default()
                 },
@@ -196,7 +213,7 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
             let m = train_dkrl(
                 dataset,
                 &DkrlConfig {
-                    epochs: scale.epochs,
+                    epochs,
                     seed,
                     ..DkrlConfig::default()
                 },
@@ -211,7 +228,7 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
             let m = train_ssp(
                 dataset,
                 &SspConfig {
-                    epochs: scale.epochs * 2,
+                    epochs,
                     seed,
                     ..SspConfig::default()
                 },
@@ -226,7 +243,7 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
             let m = train_ckrl(
                 dataset,
                 &CkrlConfig {
-                    epochs: scale.epochs * 2,
+                    epochs,
                     seed,
                     ..CkrlConfig::default()
                 },
@@ -246,11 +263,20 @@ pub fn train_method(dataset: &Dataset, method: Method, scale: &Scale) -> Trained
             // rotations; few-attribute catalogs prefer near-identity
             // (see PgeConfig::rotate_phase_init).
             cfg.rotate_phase_init = dataset.graph.num_attrs() > 20;
-            let out = train_pge(dataset, &cfg);
-            TrainedMethod {
-                method,
-                train_secs: out.train_secs,
-                detector: Box::new(out.model),
+            if method == Method::PgeBertRotatE {
+                let m = train_pge_bert(dataset, &cfg);
+                TrainedMethod {
+                    method,
+                    train_secs: m.train_secs,
+                    detector: Box::new(m),
+                }
+            } else {
+                let out = train_pge(dataset, &cfg);
+                TrainedMethod {
+                    method,
+                    train_secs: out.train_secs,
+                    detector: Box::new(out.model),
+                }
             }
         }
     }
@@ -275,6 +301,16 @@ mod tests {
     }
 
     #[test]
+    fn epochs_trained_counts_each_table5_method() {
+        let scale = Scale::default();
+        assert_eq!(epochs_trained(Method::RotatE, &scale), 24);
+        for m in [Method::PgeCnnRotatE, Method::PgeBertRotatE] {
+            assert_eq!(epochs_trained(m, &scale), 18);
+            assert_eq!(pge_config(m, &scale).epochs, 18);
+        }
+    }
+
+    #[test]
     fn every_method_trains_on_tiny_data() {
         let scale = Scale {
             products: 120,
@@ -285,7 +321,10 @@ mod tests {
             seed: 7,
         };
         let d = scale.amazon();
-        for m in Method::table3(true) {
+        for m in Method::table3(true)
+            .into_iter()
+            .chain([Method::PgeBertRotatE])
+        {
             let tm = train_method(&d, m, &scale);
             let f = tm.detector.plausibility(&d.graph, &d.test[0].triple);
             assert!(f.is_finite(), "{m:?} produced non-finite score");

@@ -176,7 +176,9 @@ pub fn config_hash(cfg: &PgeConfig) -> u64 {
     }
     h = fnv_u64(h, cfg.filters_per_width as u64);
     h = fnv_u64(h, cfg.max_len as u64);
-    h = fnv_str(h, cfg.encoder.name());
+    // The retired encoder knob's slot: every checkpoint on disk hashed
+    // the CNN's name here.
+    h = fnv_str(h, "CNN");
     h = fnv_str(h, cfg.score.name());
     h = fnv_u64(h, cfg.gamma.to_bits() as u64);
     h = fnv_u64(h, cfg.epochs as u64);

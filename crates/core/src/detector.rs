@@ -9,11 +9,7 @@ use pge_obs::span;
 
 impl ErrorDetector for PgeModel {
     fn name(&self) -> String {
-        format!(
-            "PGE({})-{}",
-            self.encoder().kind().name(),
-            self.scorer().kind.name()
-        )
+        format!("PGE(CNN)-{}", self.scorer().kind.name())
     }
 
     /// Scores the triple's text, through the same function as the

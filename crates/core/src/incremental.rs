@@ -39,17 +39,12 @@ use crate::checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
 use crate::confidence::ConfidenceStore;
-use crate::encoder::{EncoderKind, TextEncoder};
 use crate::model::PgeModel;
 use crate::persist::{save_model_store, PersistError};
-use crate::trainer::{
-    resolve_threads, run_lanes, shuffle_seed, BatchCtx, Lane, LaneScratch, PgeConfig, GRAD_LANES,
-};
+use crate::trainer::{shuffle_into, step, EpochCtx, PgeConfig, Workers};
 use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaWindow, NegativeSampler};
 use pge_nn::AdamHparams;
 use pge_obs::{ingest_event, RunLog};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -154,9 +149,6 @@ pub fn train_incremental(
     log: Option<&RunLog>,
 ) -> Result<IncrementalOutcome, PersistError> {
     let start = Instant::now();
-    if cfg.encoder == EncoderKind::Bert {
-        return Err(PersistError::UnsupportedEncoder);
-    }
     let cfg_hash = config_hash(cfg);
     let base_fp = data_fingerprint(base);
 
@@ -203,7 +195,6 @@ pub fn train_incremental(
     // graph: `restore_model` rebuilds them from the graph we just
     // evolved.
     let mut model = loaded.restore_model(&dataset.graph)?;
-    let ent_dim = model.encoder.out_dim();
     let mut confidence =
         ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
     confidence
@@ -211,22 +202,15 @@ pub fn train_incremental(
         .map_err(PersistError::Mismatch)?;
     let mut updater = cfg
         .confidence
-        .make_updater(dataset.graph.num_attrs(), ent_dim);
+        .make_updater(dataset.graph.num_attrs(), model.dim());
     updater
         .restore_aux(&state.aux)
         .map_err(PersistError::Mismatch)?;
 
     let hp = AdamHparams::with_lr(cfg.lr);
     let k = cfg.negatives.max(1);
-    let workers = resolve_threads(cfg.threads);
-    let mut lanes: Vec<Lane> = {
-        let TextEncoder::Cnn(enc) = &model.encoder else {
-            unreachable!("Bert rejected above")
-        };
-        Lane::buffers(enc, model.scorer.rel_dim(ent_dim))
-    };
-    let mut scratch: Vec<LaneScratch> = (0..workers).map(|_| LaneScratch::default()).collect();
-    let mut step = state.step;
+    let mut workers = Workers::new(&model, cfg.threads);
+    let mut adam_t = state.step;
     let mut epoch_losses = state.epoch_losses.clone();
     let mut windows_done = state.windows_done;
     let mut window_losses = Vec::new();
@@ -250,92 +234,38 @@ pub fn train_incremental(
         // add retracted within the same window never trains).
         let touched: Vec<usize> = applied.added.iter().copied().filter(|&i| live[i]).collect();
 
-        let mut loss_sum = 0.0f64;
-        let mut loss_n = 0usize;
-        let mut order = touched.clone();
+        let mut order = vec![0; touched.len()];
         for e in 0..inc.epochs_per_window {
             // Disjoint from every base-run epoch id, pure in
             // (window, e): a resumed run regenerates the exact
             // shuffle and sampling streams.
             let epoch_id = cfg.epochs + w * inc.epochs_per_window + e;
-            order.copy_from_slice(&touched);
-            let mut shuffle_rng = StdRng::seed_from_u64(shuffle_seed(cfg.seed, epoch_id));
-            for i in (1..order.len()).rev() {
-                order.swap(i, shuffle_rng.gen_range(0..=i));
-            }
+            shuffle_into(&mut order, touched.iter().copied(), cfg.seed, epoch_id);
+            let ctx = EpochCtx {
+                train: &dataset.train,
+                sampler: &sampler,
+                hp,
+                // The base run is past warmup by construction;
+                // confidence adapts from the first window.
+                confidence_active: cfg.noise_aware,
+                k,
+                id: epoch_id,
+                seed: cfg.seed,
+            };
             for batch in order.chunks(cfg.batch.max(1)) {
-                step += 1;
-                {
-                    let TextEncoder::Cnn(enc) = &model.encoder else {
-                        unreachable!()
-                    };
-                    let ctx = BatchCtx {
-                        enc,
-                        relations: &model.relations,
-                        scorer: model.scorer,
-                        title_tokens: &model.title_tokens,
-                        value_tokens: &model.value_tokens,
-                        train: &dataset.train,
-                        sampler: &sampler,
-                        confidence: &confidence,
-                        // The base run is past warmup by construction;
-                        // confidence adapts from the first window.
-                        confidence_active: cfg.noise_aware,
-                        capture_contrast: cfg.noise_aware && updater.wants_contrast(),
-                        k,
-                        epoch: epoch_id,
-                        seed: cfg.seed,
-                    };
-                    let per_worker = GRAD_LANES.div_ceil(workers);
-                    if workers == 1 {
-                        run_lanes(&ctx, batch, &mut lanes, 0, &mut scratch[0]);
-                    } else {
-                        std::thread::scope(|s| {
-                            let handles: Vec<_> = lanes
-                                .chunks_mut(per_worker)
-                                .zip(&mut scratch)
-                                .enumerate()
-                                .map(|(wk, (chunk, scratch))| {
-                                    let ctx = &ctx;
-                                    s.spawn(move || {
-                                        run_lanes(ctx, batch, chunk, wk * per_worker, scratch)
-                                    })
-                                })
-                                .collect();
-                            for h in handles {
-                                h.join().expect("incremental worker panicked");
-                            }
-                        });
-                    }
-                }
-                // Fixed lane-order reduction — thread-count invariant.
-                let PgeModel {
-                    encoder, relations, ..
-                } = &mut model;
-                let TextEncoder::Cnn(enc) = encoder else {
-                    unreachable!()
-                };
-                for lane in &mut lanes {
-                    enc.apply_grads(&mut lane.grads);
-                    relations.apply_sparse_grads(&mut lane.rel);
-                    for sig in lane.conf.drain(..) {
-                        updater.apply(&mut confidence, sig);
-                    }
-                    loss_sum += lane.loss_sum;
-                    loss_n += lane.loss_n;
-                    lane.loss_sum = 0.0;
-                    lane.loss_n = 0;
-                    lane.negs = 0;
-                }
-                model.encoder.adam_step(&hp, step);
-                model.relations.adam_step(&hp, step);
+                adam_t += 1;
+                step(
+                    &mut model,
+                    &mut confidence,
+                    updater.as_mut(),
+                    &ctx,
+                    batch,
+                    adam_t,
+                    &mut workers,
+                );
             }
         }
-        let mean_loss = if loss_n == 0 {
-            0.0
-        } else {
-            (loss_sum / loss_n as f64) as f32
-        };
+        let mean_loss = workers.take_totals().mean_loss();
         epoch_losses.push(mean_loss);
         window_losses.push(mean_loss);
 
@@ -350,7 +280,7 @@ pub fn train_incremental(
 
         let st = TrainerState {
             epochs_done: state.epochs_done,
-            step,
+            step: adam_t,
             config_hash: cfg_hash,
             data_fingerprint: base_fp,
             backend: cfg.confidence.name().to_string(),

@@ -4,8 +4,8 @@
 //!
 //! * [`score`] — KG-embedding scoring functions `f_a(t, v)` (TransE,
 //!   RotatE, DistMult, ComplEx) with analytic gradients;
-//! * [`encoder`] — the text encoder abstraction (CNN per the paper's
-//!   Fig. 4, or the BERT-style Transformer of the scalability study);
+//! * [`encoder`] — the text encoder, the CNN of the paper's Fig. 4
+//!   (PGE(BERT), Table 5's cost contrast, is a `pge-baselines` method);
 //! * [`model`] — [`model::PgeModel`]: text-based entity
 //!   representations projected into the triple structure, plus
 //!   learnable relation embeddings (Fig. 3);
@@ -41,7 +41,7 @@ pub use checkpoint::{
 };
 pub use confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, ConfidenceUpdater};
 pub use detector::Detector;
-pub use encoder::{EncoderKind, TextEncoder};
+pub use encoder::TextEncoder;
 pub use incremental::{
     push_snapshot, train_incremental, IncrementalConfig, IncrementalOutcome, PushReport,
     INCREMENTAL_CHECKPOINT_FILE,

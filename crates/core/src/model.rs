@@ -170,7 +170,8 @@ impl PgeModel {
         // allocating a `String` per token on the scan's miss path.
         scratch.ids.clear();
         tokenize_each(text, |tok| scratch.ids.push(self.vocab.get_or_unk(tok)));
-        self.encoder.infer_with(&scratch.ids, &mut scratch.cnn)
+        self.encoder.forward_into(&scratch.ids, &mut scratch.cnn);
+        scratch.cnn.embedding().to_vec()
     }
 
     /// Score a fact given *raw text*: neither the title nor the value

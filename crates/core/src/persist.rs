@@ -16,9 +16,8 @@
 //! allocates anything, so a crafted file is a typed error, never a
 //! panic or an allocation sized by an unchecked number.
 //!
-//! Only the CNN encoder variant is persisted — it is the paper's
-//! deployed configuration (the BERT variant exists for the Table-5
-//! scalability contrast, not for deployment).
+//! The encoder is always the CNN: PGE(BERT), the Table 5 cost
+//! contrast, is a `pge-baselines` method and is never persisted.
 
 use crate::encoder::TextEncoder;
 use crate::model::PgeModel;
@@ -35,8 +34,6 @@ use std::sync::Arc;
 /// Persistence failures.
 #[derive(Debug)]
 pub enum PersistError {
-    /// Only CNN-encoder models can be saved.
-    UnsupportedEncoder,
     /// A recognized file whose contents this build does not read: a
     /// retired model or checkpoint format, an unknown version, or a
     /// malformed model header. Retrying the same file cannot help.
@@ -59,9 +56,6 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::UnsupportedEncoder => {
-                write!(f, "only PGE(CNN) models support persistence")
-            }
             PersistError::Parse(msg) => write!(f, "unsupported model file: {msg}"),
             PersistError::Corrupt(msg) => write!(f, "corrupt model snapshot: {msg}"),
             PersistError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
@@ -125,12 +119,8 @@ pub(crate) fn model_params(model: &mut PgeModel) -> Vec<&mut Param> {
 }
 
 /// The `model.header` text: everything but the parameter values.
-fn header_text(model: &PgeModel, n_params: usize) -> Result<String, PersistError> {
-    let cnn = match &model.encoder {
-        TextEncoder::Cnn(c) => c,
-        TextEncoder::Bert(_) => return Err(PersistError::UnsupportedEncoder),
-    };
-    let cfg = cnn.config();
+fn header_text(model: &PgeModel, n_params: usize) -> String {
+    let cfg = model.encoder.config();
     let scorer = model.scorer;
     let mut out = String::new();
     let _ = writeln!(out, "{HEADER_VERSION}");
@@ -157,7 +147,7 @@ fn header_text(model: &PgeModel, n_params: usize) -> Result<String, PersistError
         let _ = writeln!(out, "{w}");
     }
     let _ = writeln!(out, "params {n_params}");
-    Ok(out)
+    out
 }
 
 /// A parsed `model.header`: the shape of the model, not yet its
@@ -312,7 +302,7 @@ impl Header {
 pub fn write_model_sections(model: &PgeModel, w: &mut SnapshotWriter) -> Result<(), PersistError> {
     let mut clone = model.clone();
     let params = model_params(&mut clone);
-    let header = header_text(model, params.len())?;
+    let header = header_text(model, params.len());
     w.add_bytes(SEC_MODEL_HEADER, header.as_bytes())
         .map_err(io_err)?;
     for (i, p) in params.iter().enumerate() {
@@ -480,7 +470,7 @@ mod tests {
                 (v.rows() as u64, v.cols() as u64, v.as_slice().to_vec())
             })
             .collect();
-        (header_text(model, params.len()).unwrap(), params)
+        (header_text(model, params.len()), params)
     }
 
     #[test]
@@ -504,22 +494,6 @@ mod tests {
             bits
         };
         assert_eq!(bits(&loaded), bits(&model));
-    }
-
-    #[test]
-    fn bert_models_are_rejected() {
-        let mut g = ProductGraph::new();
-        let train = vec![g.add_fact("spicy chips", "flavor", "spicy")];
-        let d = Dataset::new(g, train, vec![], vec![]);
-        let cfg = PgeConfig {
-            encoder: crate::encoder::EncoderKind::Bert,
-            epochs: 1,
-            ..PgeConfig::tiny()
-        };
-        assert!(matches!(
-            save_model_store(&train_pge(&d, &cfg).model, &tmp("bert.pgebin")),
-            Err(PersistError::UnsupportedEncoder)
-        ));
     }
 
     /// Headers that used to reach a constructor `assert!` or size an

@@ -7,10 +7,11 @@
 //!
 //! # Deterministic data parallelism
 //!
-//! With the CNN encoder, each minibatch is split across
-//! [`GRAD_LANES`] fixed *virtual lanes*: batch position `p` always
-//! belongs to lane `p % GRAD_LANES`, each lane accumulates encoder and
-//! relation gradients into its own buffer, and the buffers are reduced
+//! Every minibatch, here and in the incremental trainer, is one
+//! `step`. It splits the batch across [`GRAD_LANES`] fixed *virtual
+//! lanes*: batch position `p` always belongs to lane `p % GRAD_LANES`,
+//! each lane accumulates encoder and relation gradients into its own
+//! buffer, and the buffers are reduced
 //! in lane order before the single Adam step. Worker threads own
 //! contiguous lane ranges, so the thread count decides only *who*
 //! computes a lane, never which lane a triple lands in or the order of
@@ -18,23 +19,19 @@
 //! bit-identical to `threads = 1` at the same seed. Negative sampling
 //! draws from a per-triple RNG stream (seeded from `(seed, epoch,
 //! dataset index)`), which keeps the drawn corruptions independent of
-//! the partition as well. The BERT-style encoder keeps the legacy
-//! serial loop (its backward pass still mutates inline gradients) and
-//! ignores `threads`.
+//! the partition as well.
 
 use crate::checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
 use crate::confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, ConfidenceUpdater};
-use crate::encoder::{EncoderKind, TextEncoder};
+use crate::encoder::TextEncoder;
 use crate::model::PgeModel;
 use crate::persist::PersistError;
 use crate::score::{ScoreKind, Scorer};
 use pge_graph::{Dataset, NegativeSampler, SamplingMode, Triple};
 use pge_nn::conv::CnnEncCache;
-use pge_nn::{
-    AdamHparams, CnnConfig, Embedding, SparseRowGrads, TextCnnEncoder, TransformerConfig,
-};
+use pge_nn::{AdamHparams, CnnConfig, Embedding, SparseRowGrads};
 use pge_obs::{checkpoint_event, epoch_event, global_tracer, span, EpochTelemetry, RunLog, Stage};
 use pge_tensor::ops;
 use pge_text::word2vec::{train_word2vec, Word2VecConfig};
@@ -80,14 +77,27 @@ pub(crate) fn triple_stream_seed(seed: u64, epoch: usize, index: usize) -> u64 {
     splitmix64(splitmix64(seed ^ splitmix64(epoch as u64)) ^ index as u64)
 }
 
-/// Seed of the epoch's Fisher–Yates shuffle stream. Pure in
-/// `(seed, epoch)` — unlike one RNG threaded across epochs — so a
-/// resumed run regenerates epoch k's permutation without replaying
-/// epochs `0..k` and without serializing any RNG state. The domain
-/// constant (`"SHUF"`) keeps this stream disjoint from
-/// [`triple_stream_seed`]'s.
-pub(crate) fn shuffle_seed(seed: u64, epoch: usize) -> u64 {
-    splitmix64(splitmix64(seed ^ 0x5348_5546) ^ epoch as u64)
+/// Write `items` into `order` in epoch `epoch`'s visit order: a
+/// Fisher–Yates shuffle from a stream pure in `(seed, epoch)` — unlike
+/// one RNG threaded across epochs — so a resumed run regenerates epoch
+/// k's order without replaying epochs `0..k` and without serializing
+/// any RNG state. The domain constant (`"SHUF"`) keeps this stream
+/// disjoint from [`triple_stream_seed`]'s. Every PGE trainer visits
+/// its triples in this order, PGE(BERT) in `pge-baselines` included.
+pub fn shuffle_into(
+    order: &mut [usize],
+    items: impl IntoIterator<Item = usize>,
+    seed: u64,
+    epoch: usize,
+) {
+    for (slot, item) in order.iter_mut().zip(items) {
+        *slot = item;
+    }
+    let stream = splitmix64(splitmix64(seed ^ 0x5348_5546) ^ epoch as u64);
+    let mut rng = StdRng::seed_from_u64(stream);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
 }
 
 /// All the knobs of a PGE training run.
@@ -103,8 +113,6 @@ pub struct PgeConfig {
     pub filters_per_width: usize,
     /// Max tokens per text.
     pub max_len: usize,
-    /// Text encoder: CNN (paper's choice) or BERT-style.
-    pub encoder: EncoderKind,
     /// Scoring function (paper evaluates TransE and RotatE).
     pub score: ScoreKind,
     /// Margin γ for the distance scorers.
@@ -161,7 +169,6 @@ impl Default for PgeConfig {
             widths: vec![1, 2, 3],
             filters_per_width: 16,
             max_len: 20,
-            encoder: EncoderKind::Cnn,
             score: ScoreKind::RotatE,
             gamma: 6.0,
             epochs: 12,
@@ -202,7 +209,7 @@ impl PgeConfig {
 
     /// Label like `PGE(CNN)-RotatE` used in the paper's tables.
     pub fn label(&self) -> String {
-        let base = format!("PGE({})-{}", self.encoder.name(), self.score.name());
+        let base = format!("PGE(CNN)-{}", self.score.name());
         if self.noise_aware {
             base
         } else {
@@ -229,61 +236,24 @@ pub struct TrainedPge {
 /// Accumulation state of one gradient lane: detached encoder and
 /// relation gradients plus the scalar per-lane bookkeeping. Allocated
 /// once and reused across every batch of the run.
-pub(crate) struct Lane {
-    pub(crate) grads: pge_nn::CnnGrads,
-    pub(crate) rel: SparseRowGrads,
+struct Lane {
+    grads: pge_nn::CnnGrads,
+    rel: SparseRowGrads,
     /// Deferred confidence signals; safe to apply after the batch
     /// because each index occurs at most once per epoch, so updates to
     /// distinct indices commute (the CCA neighbor cache is applied in
     /// fixed lane order, which is also thread-count invariant).
-    pub(crate) conf: Vec<ConfidenceSignal>,
-    pub(crate) loss_sum: f64,
-    pub(crate) loss_n: usize,
-    pub(crate) negs: usize,
-}
-
-impl Lane {
-    /// A full set of `GRAD_LANES` fresh lanes for `enc`.
-    pub(crate) fn buffers(enc: &TextCnnEncoder, rel_dim: usize) -> Vec<Lane> {
-        (0..GRAD_LANES)
-            .map(|_| Lane {
-                grads: enc.grad_buffer(),
-                rel: SparseRowGrads::new(rel_dim),
-                conf: Vec::new(),
-                loss_sum: 0.0,
-                loss_n: 0,
-                negs: 0,
-            })
-            .collect()
-    }
-}
-
-/// Shared read-only context of one batch — everything a worker needs,
-/// behind `Sync` references.
-pub(crate) struct BatchCtx<'a> {
-    pub(crate) enc: &'a TextCnnEncoder,
-    pub(crate) relations: &'a Embedding,
-    pub(crate) scorer: Scorer,
-    pub(crate) title_tokens: &'a [Vec<u32>],
-    pub(crate) value_tokens: &'a [Vec<u32>],
-    pub(crate) train: &'a [Triple],
-    pub(crate) sampler: &'a NegativeSampler,
-    pub(crate) confidence: &'a ConfidenceStore,
-    pub(crate) confidence_active: bool,
-    /// Capture the contrastive extras (InfoNCE win probability + the
-    /// value embedding) into each confidence signal — only the CCA
-    /// backend pays for this.
-    pub(crate) capture_contrast: bool,
-    pub(crate) k: usize,
-    pub(crate) epoch: usize,
-    pub(crate) seed: u64,
+    conf: Vec<ConfidenceSignal>,
+    loss_sum: f64,
+    loss_n: usize,
+    negs: usize,
 }
 
 /// One worker's buffers, allocated once per run and reused by every
 /// batch: an encode cache each for the title, the value and the
 /// negative being scored, and the scorer's gradient vectors.
 #[derive(Default)]
-pub(crate) struct LaneScratch {
+struct LaneScratch {
     title: CnnEncCache,
     value: CnnEncCache,
     neg: CnnEncCache,
@@ -293,18 +263,123 @@ pub(crate) struct LaneScratch {
     f_negs: Vec<f32>,
 }
 
+/// Loss, negative-sample and busy-time totals of the steps since the
+/// last [`Workers::take_totals`].
+pub(crate) struct Totals {
+    pub(crate) loss_sum: f64,
+    pub(crate) loss_n: usize,
+    pub(crate) negs: usize,
+    /// Compute seconds per worker.
+    pub(crate) busy: Vec<f64>,
+}
+
+impl Totals {
+    fn zero(workers: usize) -> Totals {
+        Totals {
+            loss_sum: 0.0,
+            loss_n: 0,
+            negs: 0,
+            busy: vec![0.0; workers],
+        }
+    }
+
+    /// Mean triple loss (0 when no triple trained).
+    pub(crate) fn mean_loss(&self) -> f32 {
+        if self.loss_n == 0 {
+            0.0
+        } else {
+            (self.loss_sum / self.loss_n as f64) as f32
+        }
+    }
+}
+
+/// What [`step`] reuses across a whole run: the [`GRAD_LANES`]
+/// gradient lanes, one scratch per worker, and the running totals.
+pub(crate) struct Workers {
+    lanes: Vec<Lane>,
+    scratch: Vec<LaneScratch>,
+    totals: Totals,
+}
+
+impl Workers {
+    /// Buffers for training `model` on [`resolve_threads`]`(threads)`
+    /// workers.
+    pub(crate) fn new(model: &PgeModel, threads: usize) -> Workers {
+        let workers = resolve_threads(threads);
+        let rel_dim = model.scorer.rel_dim(model.dim());
+        Workers {
+            lanes: (0..GRAD_LANES)
+                .map(|_| Lane {
+                    grads: model.encoder.grad_buffer(),
+                    rel: SparseRowGrads::new(rel_dim),
+                    conf: Vec::new(),
+                    loss_sum: 0.0,
+                    loss_n: 0,
+                    negs: 0,
+                })
+                .collect(),
+            scratch: (0..workers).map(|_| LaneScratch::default()).collect(),
+            totals: Totals::zero(workers),
+        }
+    }
+
+    /// Worker threads per step.
+    pub(crate) fn count(&self) -> usize {
+        self.scratch.len()
+    }
+
+    /// The totals so far; the next step counts from zero.
+    pub(crate) fn take_totals(&mut self) -> Totals {
+        let zero = Totals::zero(self.count());
+        std::mem::replace(&mut self.totals, zero)
+    }
+}
+
+/// What every step of one epoch reads and none updates.
+pub(crate) struct EpochCtx<'a> {
+    pub(crate) train: &'a [Triple],
+    pub(crate) sampler: &'a NegativeSampler,
+    pub(crate) hp: AdamHparams,
+    /// Weight triples by their confidence and emit confidence signals.
+    pub(crate) confidence_active: bool,
+    /// Negatives per positive.
+    pub(crate) k: usize,
+    /// Epoch id keying every sampling stream.
+    pub(crate) id: usize,
+    pub(crate) seed: u64,
+}
+
+/// Shared read-only context of one batch — everything a worker needs,
+/// behind `Sync` references.
+struct BatchCtx<'a> {
+    model: &'a PgeModel,
+    confidence: &'a ConfidenceStore,
+    /// Capture the contrastive extras (InfoNCE win probability + the
+    /// value embedding) into each confidence signal — only the CCA
+    /// backend pays for this.
+    capture_contrast: bool,
+    epoch: &'a EpochCtx<'a>,
+}
+
 /// Process this worker's lanes for one batch: lane `first_lane + j`
 /// (for `lanes[j]`) owns batch positions `≡ lane (mod GRAD_LANES)`.
 /// Pure accumulation — nothing here mutates shared state, so workers
 /// run concurrently against the same `BatchCtx`.
-pub(crate) fn run_lanes(
+fn run_lanes(
     ctx: &BatchCtx,
     batch: &[usize],
     lanes: &mut [Lane],
     first_lane: usize,
     scratch: &mut LaneScratch,
 ) {
-    let ent_dim = ctx.enc.out_dim();
+    let BatchCtx {
+        model,
+        confidence,
+        capture_contrast,
+        epoch,
+    } = *ctx;
+    let (enc, scorer) = (&model.encoder, model.scorer);
+    let ent_dim = model.dim();
     let LaneScratch {
         title,
         value,
@@ -315,31 +390,29 @@ pub(crate) fn run_lanes(
         f_negs,
     } = scratch;
     dh.resize(ent_dim, 0.0);
-    dr.resize(ctx.scorer.rel_dim(ent_dim), 0.0);
+    dr.resize(scorer.rel_dim(ent_dim), 0.0);
     dv.resize(ent_dim, 0.0);
     for (j, lane) in lanes.iter_mut().enumerate() {
         for p in (first_lane + j..batch.len()).step_by(GRAD_LANES) {
             let i = batch[p];
-            let triple = ctx.train[i];
+            let triple = epoch.train[i];
             // Private RNG stream per (triple, epoch): negative draws
             // do not depend on which lane or thread runs this triple.
-            let mut trng = StdRng::seed_from_u64(triple_stream_seed(ctx.seed, ctx.epoch, i));
-            let negs = ctx.sampler.sample(&mut trng, &triple, ctx.k);
+            let mut trng = StdRng::seed_from_u64(triple_stream_seed(epoch.seed, epoch.id, i));
+            let negs = epoch.sampler.sample(&mut trng, &triple, epoch.k);
             if negs.is_empty() {
                 continue;
             }
-            ctx.enc
-                .forward_into(&ctx.title_tokens[triple.product.0 as usize], title);
-            ctx.enc
-                .forward_into(&ctx.value_tokens[triple.value.0 as usize], value);
+            enc.forward_into(&model.title_tokens[triple.product.0 as usize], title);
+            enc.forward_into(&model.value_tokens[triple.value.0 as usize], value);
             let (e_t, e_v) = (title.embedding(), value.embedding());
-            let r = ctx.relations.row(triple.attr.0 as u32);
-            let f_pos = ctx.scorer.score(e_t, r, e_v);
+            let r = model.relations.row(triple.attr.0 as u32);
+            let f_pos = scorer.score(e_t, r, e_v);
             lane.negs += negs.len();
             // Loss bookkeeping (Eq. 3 per-triple term).
             let mut l_i = -ops::log_sigmoid(f_pos);
-            let w = if ctx.confidence_active {
-                ctx.confidence.get(i)
+            let w = if epoch.confidence_active {
+                confidence.get(i)
             } else {
                 1.0
             };
@@ -349,33 +422,33 @@ pub(crate) fn run_lanes(
                 // Positive term: dL/df⁺ = −σ(−f⁺).
                 dv.fill(0.0);
                 let df_pos = -w * ops::sigmoid(-f_pos);
-                ctx.scorer.backward(e_t, r, e_v, df_pos, dh, dr, dv);
-                ctx.enc.backward_into(value, dv, &mut lane.grads);
+                scorer.backward(e_t, r, e_v, df_pos, dh, dr, dv);
+                enc.backward_into(value, dv, &mut lane.grads);
             }
             let inv_k = 1.0 / negs.len() as f32;
             f_negs.clear();
             for &n in &negs {
-                ctx.enc.forward_into(&ctx.value_tokens[n.0 as usize], neg);
+                enc.forward_into(&model.value_tokens[n.0 as usize], neg);
                 let e_n = neg.embedding();
-                let f_neg = ctx.scorer.score(e_t, r, e_n);
+                let f_neg = scorer.score(e_t, r, e_n);
                 l_i += -inv_k * ops::log_sigmoid(-f_neg);
-                if ctx.capture_contrast {
+                if capture_contrast {
                     f_negs.push(f_neg);
                 }
                 if w > 0.0 {
                     // Negative term: dL/df⁻ = σ(f⁻)/k.
                     dv.fill(0.0);
                     let df_neg = w * inv_k * ops::sigmoid(f_neg);
-                    ctx.scorer.backward(e_t, r, e_n, df_neg, dh, dr, dv);
-                    ctx.enc.backward_into(neg, dv, &mut lane.grads);
+                    scorer.backward(e_t, r, e_n, df_neg, dh, dr, dv);
+                    enc.backward_into(neg, dv, &mut lane.grads);
                 }
             }
             if w > 0.0 {
-                ctx.enc.backward_into(title, dh, &mut lane.grads);
+                enc.backward_into(title, dh, &mut lane.grads);
                 lane.rel.add_row(triple.attr.0 as usize, dr);
             }
-            if ctx.confidence_active {
-                let (contrast, value_emb) = if ctx.capture_contrast {
+            if epoch.confidence_active {
+                let (contrast, value_emb) = if capture_contrast {
                     (info_nce(f_pos, f_negs), e_v.to_vec())
                 } else {
                     (0.0, Vec::new())
@@ -394,11 +467,84 @@ pub(crate) fn run_lanes(
     }
 }
 
+/// One minibatch of Eq. (3)/(6): fan [`run_lanes`] out over the
+/// workers against the read-only model, then fold the lanes in fixed
+/// lane order — independent of the thread count — into the encoder and
+/// relation gradients and the confidence table, and take the single
+/// Adam step `t`. The batch's loss, negatives and per-worker busy
+/// seconds add to `workers`' totals lane by lane, the order epoch
+/// losses have always been summed in.
+pub(crate) fn step(
+    model: &mut PgeModel,
+    confidence: &mut ConfidenceStore,
+    updater: &mut dyn ConfidenceUpdater,
+    epoch: &EpochCtx,
+    batch: &[usize],
+    t: u64,
+    workers: &mut Workers,
+) {
+    let Workers {
+        lanes,
+        scratch,
+        totals,
+    } = workers;
+    let ctx = BatchCtx {
+        model,
+        confidence,
+        capture_contrast: epoch.confidence_active && updater.wants_contrast(),
+        epoch,
+    };
+    let per_worker = GRAD_LANES.div_ceil(scratch.len());
+    if scratch.len() == 1 {
+        let t0 = Instant::now();
+        run_lanes(&ctx, batch, lanes, 0, &mut scratch[0]);
+        totals.busy[0] += t0.elapsed().as_secs_f64();
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = lanes
+                .chunks_mut(per_worker)
+                .zip(scratch.iter_mut())
+                .enumerate()
+                .map(|(w, (chunk, scratch))| {
+                    let ctx = &ctx;
+                    s.spawn(move || {
+                        let t0 = Instant::now();
+                        run_lanes(ctx, batch, chunk, w * per_worker, scratch);
+                        (w, t0.elapsed().as_secs_f64())
+                    })
+                })
+                .collect();
+            for h in handles {
+                let (w, busy) = h.join().expect("training worker panicked");
+                totals.busy[w] += busy;
+            }
+        });
+    }
+    let PgeModel {
+        encoder, relations, ..
+    } = model;
+    for lane in lanes.iter_mut() {
+        encoder.apply_grads(&mut lane.grads);
+        relations.apply_sparse_grads(&mut lane.rel);
+        for sig in lane.conf.drain(..) {
+            updater.apply(confidence, sig);
+        }
+        totals.loss_sum += lane.loss_sum;
+        totals.loss_n += lane.loss_n;
+        totals.negs += lane.negs;
+        lane.loss_sum = 0.0;
+        lane.loss_n = 0;
+        lane.negs = 0;
+    }
+    encoder.adam_step(&epoch.hp, t);
+    relations.adam_step(&epoch.hp, t);
+}
+
 /// InfoNCE win probability of the positive score against its sampled
 /// negatives: `exp(f⁺) / (exp(f⁺) + Σ exp(f⁻))`, computed with the
 /// usual max-shift for stability. The contrastive evidence the CCA
 /// confidence backend consumes.
-pub(crate) fn info_nce(f_pos: f32, f_negs: &[f32]) -> f32 {
+fn info_nce(f_pos: f32, f_negs: &[f32]) -> f32 {
     let m = f_negs.iter().copied().fold(f_pos, f32::max);
     let pos = (f_pos - m).exp();
     let denom: f32 = pos + f_negs.iter().map(|&f| (f - m).exp()).sum::<f32>();
@@ -430,9 +576,8 @@ pub fn train_pge_with_log(dataset: &Dataset, cfg: &PgeConfig, log: Option<&RunLo
 /// one at any `--threads`.
 ///
 /// Errors: a missing/corrupt/tampered checkpoint, a checkpoint from a
-/// different config or corpus ([`TrainerState::verify`]), a
-/// checkpoint-directory I/O failure, or checkpointing a BERT-encoder
-/// run (the BERT variant is not persistable).
+/// different config or corpus ([`TrainerState::verify`]), or a
+/// checkpoint-directory I/O failure.
 pub fn train_pge_resumable(
     dataset: &Dataset,
     cfg: &PgeConfig,
@@ -443,9 +588,6 @@ pub fn train_pge_resumable(
     let graph = &dataset.graph;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    if ckpt.is_some() && cfg.encoder == EncoderKind::Bert {
-        return Err(PersistError::UnsupportedEncoder);
-    }
     let (cfg_hash, data_fp) = if ckpt.is_some() {
         (config_hash(cfg), data_fingerprint(dataset))
     } else {
@@ -478,51 +620,33 @@ pub fn train_pge_resumable(
                 let _s = span("train.corpus");
                 crate::corpus::build_corpus(graph, &dataset.train)
             };
-            let encoder = match cfg.encoder {
-                EncoderKind::Cnn => {
-                    let vectors = if cfg.word2vec_epochs > 0 {
-                        let _s = span("train.word2vec");
-                        train_word2vec(
-                            &corpus.vocab,
-                            &corpus.sentences,
-                            &Word2VecConfig {
-                                dim: cfg.word_dim,
-                                epochs: cfg.word2vec_epochs,
-                                seed: cfg.seed ^ 0x5eed,
-                                ..Default::default()
-                            },
-                        )
-                    } else {
-                        pge_tensor::init::embedding(&mut rng, corpus.vocab.len(), cfg.word_dim)
-                    };
-                    TextEncoder::cnn(
-                        &mut rng,
-                        CnnConfig {
-                            vocab: corpus.vocab.len(),
-                            word_dim: cfg.word_dim,
-                            widths: cfg.widths.clone(),
-                            filters_per_width: cfg.filters_per_width,
-                            out_dim: cfg.dim,
-                            max_len: cfg.max_len,
-                        },
-                        Embedding::from_matrix(vectors),
-                    )
-                }
-                EncoderKind::Bert => TextEncoder::bert(
-                    &mut rng,
-                    TransformerConfig {
-                        vocab: corpus.vocab.len(),
-                        // The BERT-style encoder's width doubles as the
-                        // entity dimension ([CLS] state is the
-                        // representation).
-                        dim: cfg.dim.max(16),
-                        heads: 4,
-                        layers: 4,
-                        ffn_dim: cfg.dim.max(16) * 4,
-                        max_len: cfg.max_len.max(8),
+            let vectors = if cfg.word2vec_epochs > 0 {
+                let _s = span("train.word2vec");
+                train_word2vec(
+                    &corpus.vocab,
+                    &corpus.sentences,
+                    &Word2VecConfig {
+                        dim: cfg.word_dim,
+                        epochs: cfg.word2vec_epochs,
+                        seed: cfg.seed ^ 0x5eed,
+                        ..Default::default()
                     },
-                ),
+                )
+            } else {
+                pge_tensor::init::embedding(&mut rng, corpus.vocab.len(), cfg.word_dim)
             };
+            let encoder = TextEncoder::cnn(
+                &mut rng,
+                CnnConfig {
+                    vocab: corpus.vocab.len(),
+                    word_dim: cfg.word_dim,
+                    widths: cfg.widths.clone(),
+                    filters_per_width: cfg.filters_per_width,
+                    out_dim: cfg.dim,
+                    max_len: cfg.max_len,
+                },
+                Embedding::from_matrix(vectors),
+            );
             let ent_dim = encoder.out_dim();
             // The paper: "we use randomly initialized learnable vectors
             // to represent relations". See
@@ -536,14 +660,13 @@ pub fn train_pge_resumable(
             PgeModel::new(corpus.vocab, encoder, relations, scorer, graph)
         }
     };
-    let ent_dim = model.encoder.out_dim();
 
     // 2. Negative sampler + confidence store + backend updater.
     let sampler = NegativeSampler::new(graph, cfg.sampling);
     let mut confidence =
         ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
     let mut updater: Box<dyn ConfidenceUpdater> =
-        cfg.confidence.make_updater(graph.num_attrs(), ent_dim);
+        cfg.confidence.make_updater(graph.num_attrs(), model.dim());
     let resumed = resumed.map(|ck| ck.state);
     if let Some(state) = &resumed {
         confidence
@@ -554,38 +677,18 @@ pub fn train_pge_resumable(
             .map_err(PersistError::Mismatch)?;
     }
 
-    // 3. Minibatch Adam over Eq. (3)/(6).
+    // 3. Minibatch Adam over Eq. (3)/(6), one `step` per batch.
     let hp = AdamHparams::with_lr(cfg.lr);
     let k = cfg.negatives.max(1);
-    let mut order: Vec<usize> = (0..dataset.train.len()).collect();
-    let mut step: u64 = resumed.as_ref().map_or(0, |s| s.step);
+    let mut order = vec![0; dataset.train.len()];
+    let mut adam_t: u64 = resumed.as_ref().map_or(0, |s| s.step);
     let start_epoch = resumed.as_ref().map_or(0, |s| s.epochs_done);
     let mut epoch_losses = resumed.as_ref().map_or_else(
         || Vec::with_capacity(cfg.epochs),
         |s| s.epoch_losses.clone(),
     );
     let mut telemetry = Vec::with_capacity(cfg.epochs);
-    let is_cnn = matches!(model.encoder, TextEncoder::Cnn(_));
-    let workers = if is_cnn {
-        resolve_threads(cfg.threads)
-    } else {
-        1
-    };
-    // Lane buffers (CNN path only), allocated once and reused.
-    let mut lanes: Vec<Lane> = if is_cnn {
-        let TextEncoder::Cnn(enc) = &model.encoder else {
-            unreachable!()
-        };
-        Lane::buffers(enc, model.scorer.rel_dim(ent_dim))
-    } else {
-        Vec::new()
-    };
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut scratch: Vec<LaneScratch> = (0..workers).map(|_| LaneScratch::default()).collect();
-    // Legacy serial scratch (BERT path).
-    let mut dh = vec![0.0f32; ent_dim];
-    let mut dr = vec![0.0f32; model.scorer.rel_dim(ent_dim)];
-    let mut dv = vec![0.0f32; ent_dim];
+    let mut workers = Workers::new(&model, cfg.threads);
     // Each epoch is one trace in the process-wide flight recorder:
     // its shuffle / batch / checkpoint phases become stage events, so
     // a stalled epoch shows up in `pge trace` with the slow phase
@@ -596,205 +699,51 @@ pub fn train_pge_resumable(
         let epoch_start = Instant::now();
         let trace = tracer.begin();
         tracer.record(trace, Stage::EpochStart, epoch as u64);
-        worker_busy.iter_mut().for_each(|b| *b = 0.0);
-        // Fisher–Yates shuffle over a fresh identity permutation, from
-        // a per-`(seed, epoch)` stream: epoch k's visit order is the
-        // same whether the run started at epoch 0 or resumed from a
-        // checkpoint, and no RNG state survives the epoch.
         tracer.record(trace, Stage::EpochShuffle, order.len() as u64);
-        for (i, slot) in order.iter_mut().enumerate() {
-            *slot = i;
-        }
-        let mut shuffle_rng = StdRng::seed_from_u64(shuffle_seed(cfg.seed, epoch));
-        for i in (1..order.len()).rev() {
-            order.swap(i, shuffle_rng.gen_range(0..=i));
-        }
-        let confidence_active = cfg.noise_aware && epoch >= cfg.confidence_warmup;
-        let mut loss_sum = 0.0f64;
-        let mut loss_n = 0usize;
-        let mut negs_drawn = 0usize;
+        shuffle_into(&mut order, 0.., cfg.seed, epoch);
+        let ctx = EpochCtx {
+            train: &dataset.train,
+            sampler: &sampler,
+            hp,
+            confidence_active: cfg.noise_aware && epoch >= cfg.confidence_warmup,
+            k,
+            id: epoch,
+            seed: cfg.seed,
+        };
         tracer.record(
             trace,
             Stage::EpochBatches,
             order.chunks(cfg.batch.max(1)).len() as u64,
         );
         for batch in order.chunks(cfg.batch.max(1)) {
-            step += 1;
-            if is_cnn {
-                // Fan out: workers accumulate into their lanes against
-                // a shared read-only model.
-                {
-                    let TextEncoder::Cnn(enc) = &model.encoder else {
-                        unreachable!()
-                    };
-                    let ctx = BatchCtx {
-                        enc,
-                        relations: &model.relations,
-                        scorer: model.scorer,
-                        title_tokens: &model.title_tokens,
-                        value_tokens: &model.value_tokens,
-                        train: &dataset.train,
-                        sampler: &sampler,
-                        confidence: &confidence,
-                        confidence_active,
-                        capture_contrast: confidence_active && updater.wants_contrast(),
-                        k,
-                        epoch,
-                        seed: cfg.seed,
-                    };
-                    let per_worker = GRAD_LANES.div_ceil(workers);
-                    if workers == 1 {
-                        let t0 = Instant::now();
-                        run_lanes(&ctx, batch, &mut lanes, 0, &mut scratch[0]);
-                        worker_busy[0] += t0.elapsed().as_secs_f64();
-                    } else {
-                        std::thread::scope(|s| {
-                            let handles: Vec<_> = lanes
-                                .chunks_mut(per_worker)
-                                .zip(&mut scratch)
-                                .enumerate()
-                                .map(|(w, (chunk, scratch))| {
-                                    let ctx = &ctx;
-                                    s.spawn(move || {
-                                        let t0 = Instant::now();
-                                        run_lanes(ctx, batch, chunk, w * per_worker, scratch);
-                                        (w, t0.elapsed().as_secs_f64())
-                                    })
-                                })
-                                .collect();
-                            for h in handles {
-                                let (w, busy) = h.join().expect("training worker panicked");
-                                worker_busy[w] += busy;
-                            }
-                        });
-                    }
-                }
-                // Reduce in fixed lane order — independent of the
-                // thread count — then take the single Adam step.
-                let PgeModel {
-                    encoder, relations, ..
-                } = &mut model;
-                let TextEncoder::Cnn(enc) = encoder else {
-                    unreachable!()
-                };
-                for lane in &mut lanes {
-                    enc.apply_grads(&mut lane.grads);
-                    relations.apply_sparse_grads(&mut lane.rel);
-                    for sig in lane.conf.drain(..) {
-                        updater.apply(&mut confidence, sig);
-                    }
-                    loss_sum += lane.loss_sum;
-                    loss_n += lane.loss_n;
-                    negs_drawn += lane.negs;
-                    lane.loss_sum = 0.0;
-                    lane.loss_n = 0;
-                    lane.negs = 0;
-                }
-            } else {
-                // Legacy serial path: the BERT backward pass still
-                // mutates inline parameter gradients.
-                for &i in batch {
-                    let triple = dataset.train[i];
-                    let title_tokens = &model.title_tokens[triple.product.0 as usize];
-                    let value_tokens = &model.value_tokens[triple.value.0 as usize];
-                    let (e_t, cache_t) = model.encoder.forward(title_tokens);
-                    let (e_v, cache_v) = model.encoder.forward(value_tokens);
-                    let r = model.relations.row(triple.attr.0 as u32).to_vec();
-                    let f_pos = model.scorer.score(&e_t, &r, &e_v);
-
-                    let negs = sampler.sample(&mut rng, &triple, k);
-                    if negs.is_empty() {
-                        continue;
-                    }
-                    negs_drawn += negs.len();
-                    let capture_contrast = confidence_active && updater.wants_contrast();
-                    let mut f_negs: Vec<f32> = Vec::new();
-                    // Loss bookkeeping (Eq. 3 per-triple term).
-                    let mut l_i = -ops::log_sigmoid(f_pos);
-                    let w = if confidence_active {
-                        confidence.get(i)
-                    } else {
-                        1.0
-                    };
-
-                    dh.iter_mut().for_each(|x| *x = 0.0);
-                    dr.iter_mut().for_each(|x| *x = 0.0);
-                    if w > 0.0 {
-                        // Positive term: dL/df⁺ = −σ(−f⁺).
-                        dv.iter_mut().for_each(|x| *x = 0.0);
-                        let df_pos = -w * ops::sigmoid(-f_pos);
-                        model
-                            .scorer
-                            .backward(&e_t, &r, &e_v, df_pos, &mut dh, &mut dr, &mut dv);
-                        model.encoder.backward(&cache_v, &dv);
-                    }
-                    let inv_k = 1.0 / negs.len() as f32;
-                    for &neg in &negs {
-                        let neg_tokens = &model.value_tokens[neg.0 as usize];
-                        let (e_n, cache_n) = model.encoder.forward(neg_tokens);
-                        let f_neg = model.scorer.score(&e_t, &r, &e_n);
-                        l_i += -inv_k * ops::log_sigmoid(-f_neg);
-                        if capture_contrast {
-                            f_negs.push(f_neg);
-                        }
-                        if w > 0.0 {
-                            // Negative term: dL/df⁻ = σ(f⁻)/k.
-                            dv.iter_mut().for_each(|x| *x = 0.0);
-                            let df_neg = w * inv_k * ops::sigmoid(f_neg);
-                            model
-                                .scorer
-                                .backward(&e_t, &r, &e_n, df_neg, &mut dh, &mut dr, &mut dv);
-                            model.encoder.backward(&cache_n, &dv);
-                        }
-                    }
-                    if w > 0.0 {
-                        model.encoder.backward(&cache_t, &dh);
-                        model.relations.accumulate_grad(triple.attr.0 as u32, &dr);
-                    }
-                    if confidence_active {
-                        let (contrast, value_emb) = if capture_contrast {
-                            (info_nce(f_pos, &f_negs), e_v.clone())
-                        } else {
-                            (0.0, Vec::new())
-                        };
-                        updater.apply(
-                            &mut confidence,
-                            ConfidenceSignal {
-                                index: i,
-                                triple_loss: l_i,
-                                contrast,
-                                attr: triple.attr.0,
-                                value_emb,
-                            },
-                        );
-                    }
-                    loss_sum += l_i as f64;
-                    loss_n += 1;
-                }
-            }
-            model.encoder.adam_step(&hp, step);
-            model.relations.adam_step(&hp, step);
+            adam_t += 1;
+            step(
+                &mut model,
+                &mut confidence,
+                updater.as_mut(),
+                &ctx,
+                batch,
+                adam_t,
+                &mut workers,
+            );
         }
-        epoch_losses.push(if loss_n == 0 {
-            0.0
-        } else {
-            (loss_sum / loss_n as f64) as f32
-        });
+        let totals = workers.take_totals();
+        epoch_losses.push(totals.mean_loss());
         let secs = epoch_start.elapsed().as_secs_f64();
         let t = EpochTelemetry {
             epoch,
             mean_loss: *epoch_losses.last().unwrap(),
-            triples: loss_n,
-            negatives: negs_drawn,
+            triples: totals.loss_n,
+            negatives: totals.negs,
             secs,
             triples_per_sec: if secs > 0.0 {
-                loss_n as f64 / secs
+                totals.loss_n as f64 / secs
             } else {
                 0.0
             },
-            threads: workers,
-            worker_utilization: if is_cnn && secs > 0.0 {
-                worker_busy.iter().map(|b| b / secs).collect()
+            threads: workers.count(),
+            worker_utilization: if secs > 0.0 {
+                totals.busy.iter().map(|b| b / secs).collect()
             } else {
                 Vec::new()
             },
@@ -814,7 +763,7 @@ pub fn train_pge_resumable(
                 let _s = span("train.checkpoint");
                 let state = TrainerState {
                     epochs_done: epoch + 1,
-                    step,
+                    step: adam_t,
                     config_hash: cfg_hash,
                     data_fingerprint: data_fp,
                     backend: cfg.confidence.name().to_string(),
@@ -1263,21 +1212,6 @@ mod tests {
         let d = tiny_dataset();
         let out = train_pge(&d, &PgeConfig::tiny());
         assert!(out.train_secs > 0.0);
-    }
-
-    #[test]
-    fn bert_encoder_variant_trains() {
-        let d = tiny_dataset();
-        let cfg = PgeConfig {
-            encoder: EncoderKind::Bert,
-            epochs: 2,
-            dim: 16,
-            ..PgeConfig::tiny()
-        };
-        let out = train_pge(&d, &cfg);
-        let f = out.model.plausibility(&d.graph, &d.test[0].triple);
-        assert!(f.is_finite());
-        assert_eq!(out.model.encoder().kind(), EncoderKind::Bert);
     }
 
     #[test]
