@@ -1,7 +1,7 @@
 //! Embedding caching for inference paths.
 //!
 //! Encoding an entity is by far the most expensive step of scoring a
-//! triple — the CNN/BERT forward pass dwarfs the O(dim) scorer — and
+//! triple — the CNN forward pass dwarfs the O(dim) scorer — and
 //! real workloads are heavily skewed toward a small set of hot titles
 //! and values. [`EmbeddingCache`] is a sharded LRU keyed by the
 //! *exact* entity text in front of the model's encoder, and

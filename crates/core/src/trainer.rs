@@ -11,8 +11,8 @@
 //! `step`. It splits the batch across [`GRAD_LANES`] fixed *virtual
 //! lanes*: batch position `p` always belongs to lane `p % GRAD_LANES`,
 //! each lane accumulates encoder and relation gradients into its own
-//! buffer, and the buffers are reduced
-//! in lane order before the single Adam step. Worker threads own
+//! buffer, and the buffers are reduced in lane order before the single
+//! Adam step. Worker threads own
 //! contiguous lane ranges, so the thread count decides only *who*
 //! computes a lane, never which lane a triple lands in or the order of
 //! the floating-point reduction — a run with `threads = 8` is
