@@ -30,8 +30,6 @@ pub struct PgeBertModel {
     encoder: TransformerEncoder,
     relations: Embedding,
     scorer: Scorer,
-    /// Final per-training-triple confidence scores.
-    pub confidence: ConfidenceStore,
     /// Mean triple loss per epoch.
     pub epoch_losses: Vec<f32>,
     pub train_secs: f64,
@@ -169,7 +167,6 @@ pub fn train_pge_bert(dataset: &Dataset, cfg: &PgeConfig) -> PgeBertModel {
         encoder,
         relations,
         scorer,
-        confidence,
         epoch_losses,
         train_secs: start.elapsed().as_secs_f64(),
     }
