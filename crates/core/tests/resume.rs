@@ -15,7 +15,7 @@ use pge_core::{
     CheckpointOptions, Detector, EmbeddingCache, IncrementalConfig, PersistError, PgeConfig,
     PgeModel, ScoreScratch, TrainedPge, CHECKPOINT_FILE,
 };
-use pge_graph::{Dataset, Triple};
+use pge_graph::{Dataset, ProductGraph, Triple};
 use pge_store::{MmapMode, Snapshot};
 use std::path::Path;
 
@@ -237,14 +237,42 @@ fn door_bits(model: &PgeModel, data: &Dataset) -> Vec<(String, Vec<u32>)> {
     doors
 }
 
+/// `data`'s train facts re-interned into a fresh graph, in the same
+/// order, keeping only those `keep` accepts; `first_attr` is interned
+/// before any fact, so it takes attribute id 0.
+fn regraphed(data: &Dataset, first_attr: &str, keep: impl Fn(&str) -> bool) -> Dataset {
+    let g = &data.graph;
+    let mut graph = ProductGraph::new();
+    graph.intern_attr(first_attr);
+    let train = data
+        .train
+        .iter()
+        .filter(|t| keep(g.attr_name(t.attr)))
+        .map(|t| graph.add_fact(g.title(t.product), g.attr_name(t.attr), g.value_text(t.value)))
+        .collect();
+    Dataset::new(graph, train, vec![], vec![])
+}
+
 /// One row per provenance × backing: the model is saved with
-/// `save_model_store`, reloaded with `load_model_auto_path`, and every
-/// scoring door of both the reloaded and the in-memory model must give
-/// the in-memory model's `Detector::scores` bits on every train triple.
+/// `save_model_store`, reloaded with `load_model_auto_path` against a
+/// graph, and every scoring door of the reloaded model on the row's
+/// scored dataset, and of the in-memory model on its own, must give
+/// the in-memory model's `Detector::scores` bits on every train
+/// triple. The last two rows reload against graphs that are not the
+/// training graph: a snapshot carries its own attribute names.
 #[test]
 fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
     let d = tiny_dataset();
     let dir = scratch_dir("rows");
+    // The same facts with `ingredient` interned before `flavor`.
+    let reordered = regraphed(&d, "ingredient", |_| true);
+    assert_ne!(
+        reordered.graph.lookup_attr("flavor"),
+        d.graph.lookup_attr("flavor")
+    );
+    // A graph that never saw an `ingredient` fact.
+    let flavor_only = regraphed(&d, "flavor", |a| a == "flavor");
+    assert_eq!(flavor_only.graph.lookup_attr("ingredient"), None);
     let fresh = train_pge_resumable(&d, &cfg(4), None, None).unwrap().model;
     let resumed = {
         let ckpt = dir.join("killed");
@@ -256,13 +284,29 @@ fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
             .model
     };
     let (incremental, grown) = incremental_window_1(&d, &dir.join("incremental"));
+    // (provenance, model, its training data, graph to reload
+    // against, data to score the reloaded model on)
     let rows = [
-        ("fresh", fresh, &d),
-        ("killed at 4 threads, resumed at 1", resumed, &d),
-        ("incremental window 1", incremental, &grown),
+        ("fresh", fresh.clone(), &d, &d.graph, &d),
+        ("killed at 4 threads, resumed at 1", resumed, &d, &d.graph, &d),
+        ("incremental window 1", incremental, &grown, &grown.graph, &grown),
+        (
+            "fresh, reloaded against reordered attributes",
+            fresh.clone(),
+            &d,
+            &reordered.graph,
+            &reordered,
+        ),
+        (
+            "fresh, reloaded against a graph without ingredient",
+            fresh,
+            &d,
+            &flavor_only.graph,
+            &d,
+        ),
     ];
     let path = dir.join("model.pgebin");
-    for (provenance, model, data) in rows {
+    for (provenance, model, data, graph, scored) in rows {
         let in_memory = door_bits(&model, data);
         let want = &in_memory[0].1;
         assert_eq!(want.len(), data.train.len());
@@ -271,8 +315,8 @@ fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
         }
         save_model_store(&model, &path).unwrap();
         for mode in [MmapMode::On, MmapMode::Off] {
-            let loaded = load_model_auto_path(&path, &data.graph, mode, 0).unwrap();
-            for (door, got) in door_bits(&loaded, data) {
+            let loaded = load_model_auto_path(&path, graph, mode, 0).unwrap();
+            for (door, got) in door_bits(&loaded, scored) {
                 assert_eq!(&got, want, "{provenance}, {mode:?}: {door}");
             }
         }
