@@ -11,12 +11,12 @@
 //! combination** `λ·f_S + (1−λ)·f_D`, instead of learning one unified
 //! representation.
 
-use pge_core::corpus::build_corpus;
+use pge_core::corpus::{build_corpus, TokenizedGraph};
 use pge_core::{ErrorDetector, ScoreKind, Scorer};
 use pge_graph::{Dataset, NegativeSampler, ProductGraph, SamplingMode, Triple};
 use pge_nn::{AdamHparams, CnnConfig, Embedding, TextCnnEncoder};
 use pge_tensor::ops;
-use pge_text::{tokenize, Vocab};
+use pge_text::Vocab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -78,8 +78,7 @@ pub struct DkrlModel {
     encoder: TextCnnEncoder,
     scorer: Scorer,
     lambda: f32,
-    title_tokens: Vec<Vec<u32>>,
-    value_tokens: Vec<Vec<u32>>,
+    tokens: TokenizedGraph,
     pub train_secs: f64,
 }
 
@@ -95,8 +94,10 @@ impl DkrlModel {
 
     /// Description energy score.
     pub fn score_description(&self, t: &Triple) -> f32 {
-        let h = self.encoder.infer(&self.title_tokens[t.product.0 as usize]);
-        let v = self.encoder.infer(&self.value_tokens[t.value.0 as usize]);
+        let h = self
+            .encoder
+            .infer(&self.tokens.titles[t.product.0 as usize]);
+        let v = self.encoder.infer(&self.tokens.values[t.value.0 as usize]);
         self.scorer.score(&h, self.rels.row(t.attr.0 as u32), &v)
     }
 
@@ -144,12 +145,7 @@ pub fn train_dkrl(dataset: &Dataset, cfg: &DkrlConfig) -> DkrlModel {
     let mut rels =
         Embedding::new_xavier(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(cfg.dim));
 
-    let title_tokens: Vec<Vec<u32>> = (0..graph.num_products())
-        .map(|i| vocab.encode(&tokenize(graph.title(pge_graph::ProductId(i as u32)))))
-        .collect();
-    let value_tokens: Vec<Vec<u32>> = (0..graph.num_values())
-        .map(|i| vocab.encode(&tokenize(graph.value_text(pge_graph::ValueId(i as u32)))))
-        .collect();
+    let tokens = TokenizedGraph::new(&vocab, graph);
 
     let sampler = NegativeSampler::new(graph, cfg.sampling);
     let hp = AdamHparams::with_lr(cfg.lr);
@@ -202,15 +198,15 @@ pub fn train_dkrl(dataset: &Dataset, cfg: &DkrlConfig) -> DkrlModel {
 
                 // --- Description energy E_D (separate loss). ---
                 {
-                    let (h, cache_h) = encoder.forward(&title_tokens[triple.product.0 as usize]);
-                    let (t, cache_t) = encoder.forward(&value_tokens[triple.value.0 as usize]);
+                    let (h, cache_h) = encoder.forward(&tokens.titles[triple.product.0 as usize]);
+                    let (t, cache_t) = encoder.forward(&tokens.values[triple.value.0 as usize]);
                     let mut dh = vec![0.0f32; dim];
                     let mut dt = vec![0.0f32; dim];
                     let f_pos = scorer.score(&h, &r, &t);
                     scorer.backward(&h, &r, &t, -ops::sigmoid(-f_pos), &mut dh, &mut dr, &mut dt);
                     encoder.backward(&cache_t, &dt);
                     for &neg in &negs {
-                        let (tn, cache_n) = encoder.forward(&value_tokens[neg.0 as usize]);
+                        let (tn, cache_n) = encoder.forward(&tokens.values[neg.0 as usize]);
                         let f_neg = scorer.score(&h, &r, &tn);
                         let mut dtn = vec![0.0f32; dim];
                         scorer.backward(
@@ -244,8 +240,7 @@ pub fn train_dkrl(dataset: &Dataset, cfg: &DkrlConfig) -> DkrlModel {
         encoder,
         scorer,
         lambda: cfg.lambda,
-        title_tokens,
-        value_tokens,
+        tokens,
         train_secs: start.elapsed().as_secs_f64(),
     }
 }

@@ -7,11 +7,12 @@
 //! text* — no graph ids — which is why they transfer well to the
 //! inductive setting but lag where structure dominates (FB-like data).
 
+use pge_core::corpus::{build_corpus, TokenizedGraph};
 use pge_core::ErrorDetector;
 use pge_graph::{Dataset, NegativeSampler, ProductGraph, SamplingMode, Triple};
 use pge_nn::{Activation, AdamHparams, Linear, Lstm, TransformerConfig, TransformerEncoder};
 use pge_tensor::ops;
-use pge_text::{tokenize, Vocab};
+use pge_text::Vocab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -122,18 +123,17 @@ pub struct NlpModel {
     encoder: SeqEncoder,
     head: Linear,
     arch: NlpArch,
-    /// Token cache per graph title / value id.
-    title_tokens: Vec<Vec<u32>>,
-    value_tokens: Vec<Vec<u32>>,
+    /// Token cache per graph title / value / attribute id.
+    tokens: TokenizedGraph,
     attr_tokens: Vec<Vec<u32>>,
     pub train_secs: f64,
 }
 
 impl NlpModel {
     fn sequence(&self, t: &Triple) -> Vec<u32> {
-        let mut seq = self.title_tokens[t.product.0 as usize].clone();
+        let mut seq = self.tokens.titles[t.product.0 as usize].clone();
         seq.extend(&self.attr_tokens[t.attr.0 as usize]);
-        seq.extend(&self.value_tokens[t.value.0 as usize]);
+        seq.extend(&self.tokens.values[t.value.0 as usize]);
         seq
     }
 
@@ -161,30 +161,7 @@ pub fn train_nlp(dataset: &Dataset, cfg: &NlpConfig) -> NlpModel {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Vocabulary from training triples only.
-    let mut vocab = Vocab::new();
-    let mut seen_title = vec![false; graph.num_products()];
-    let mut seen_value = vec![false; graph.num_values()];
-    let mut seen_attr = vec![false; graph.num_attrs()];
-    for t in &dataset.train {
-        if !seen_title[t.product.0 as usize] {
-            seen_title[t.product.0 as usize] = true;
-            for w in tokenize(graph.title(t.product)) {
-                vocab.add(&w);
-            }
-        }
-        if !seen_attr[t.attr.0 as usize] {
-            seen_attr[t.attr.0 as usize] = true;
-            for w in tokenize(graph.attr_name(t.attr)) {
-                vocab.add(&w);
-            }
-        }
-        if !seen_value[t.value.0 as usize] {
-            seen_value[t.value.0 as usize] = true;
-            for w in tokenize(graph.value_text(t.value)) {
-                vocab.add(&w);
-            }
-        }
-    }
+    let vocab = build_corpus(graph, &dataset.train).vocab;
 
     let encoder = match cfg.arch {
         NlpArch::Lstm => SeqEncoder::Lstm(Box::new(Lstm::new(
@@ -208,15 +185,11 @@ pub fn train_nlp(dataset: &Dataset, cfg: &NlpConfig) -> NlpModel {
     };
     let head = Linear::new(&mut rng, encoder.out_dim(), 1, Activation::None);
 
-    // Token caches.
-    let title_tokens: Vec<Vec<u32>> = (0..graph.num_products())
-        .map(|i| vocab.encode(&tokenize(graph.title(pge_graph::ProductId(i as u32)))))
-        .collect();
-    let value_tokens: Vec<Vec<u32>> = (0..graph.num_values())
-        .map(|i| vocab.encode(&tokenize(graph.value_text(pge_graph::ValueId(i as u32)))))
-        .collect();
-    let attr_tokens: Vec<Vec<u32>> = (0..graph.num_attrs())
-        .map(|i| vocab.encode(&tokenize(graph.attr_name(pge_graph::AttrId(i as u16)))))
+    let tokens = TokenizedGraph::new(&vocab, graph);
+    let attr_tokens = graph
+        .attr_names()
+        .iter()
+        .map(|a| vocab.encode_text(a))
         .collect();
 
     let mut model = NlpModel {
@@ -224,8 +197,7 @@ pub fn train_nlp(dataset: &Dataset, cfg: &NlpConfig) -> NlpModel {
         encoder,
         head,
         arch: cfg.arch,
-        title_tokens,
-        value_tokens,
+        tokens,
         attr_tokens,
         train_secs: 0.0,
     };

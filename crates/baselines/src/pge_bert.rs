@@ -12,7 +12,7 @@
 //! `widths`, `filters_per_width`, `word2vec_epochs`) do not apply. The
 //! model is never checkpointed or saved.
 
-use pge_core::corpus::build_corpus;
+use pge_core::corpus::{build_corpus, TokenizedGraph};
 use pge_core::trainer::shuffle_into;
 use pge_core::{ConfidenceStore, ErrorDetector, PgeConfig, ScoreKind, Scorer};
 use pge_graph::{Dataset, NegativeSampler, ProductGraph, Triple};
@@ -76,12 +76,7 @@ pub fn train_pge_bert(dataset: &Dataset, cfg: &PgeConfig) -> PgeBertModel {
     } else {
         Embedding::new_xavier(&mut rng, attrs, scorer.rel_dim(dim))
     };
-    let title_tokens: Vec<Vec<u32>> = (0..graph.num_products())
-        .map(|i| vocab.encode_text(graph.title(pge_graph::ProductId(i as u32))))
-        .collect();
-    let value_tokens: Vec<Vec<u32>> = (0..graph.num_values())
-        .map(|i| vocab.encode_text(graph.value_text(pge_graph::ValueId(i as u32))))
-        .collect();
+    let tokens = TokenizedGraph::new(&vocab, graph);
 
     let sampler = NegativeSampler::new(graph, cfg.sampling);
     let mut confidence =
@@ -104,8 +99,8 @@ pub fn train_pge_bert(dataset: &Dataset, cfg: &PgeConfig) -> PgeBertModel {
             step += 1;
             for &i in batch {
                 let triple = dataset.train[i];
-                let (e_t, cache_t) = encoder.forward(&title_tokens[triple.product.0 as usize]);
-                let (e_v, cache_v) = encoder.forward(&value_tokens[triple.value.0 as usize]);
+                let (e_t, cache_t) = encoder.forward(&tokens.titles[triple.product.0 as usize]);
+                let (e_v, cache_v) = encoder.forward(&tokens.values[triple.value.0 as usize]);
                 let r = relations.row(triple.attr.0 as u32).to_vec();
                 let f_pos = scorer.score(&e_t, &r, &e_v);
                 let negs = sampler.sample(&mut rng, &triple, k);
@@ -131,7 +126,7 @@ pub fn train_pge_bert(dataset: &Dataset, cfg: &PgeConfig) -> PgeBertModel {
                 }
                 let inv_k = 1.0 / negs.len() as f32;
                 for &neg in &negs {
-                    let (e_n, cache_n) = encoder.forward(&value_tokens[neg.0 as usize]);
+                    let (e_n, cache_n) = encoder.forward(&tokens.values[neg.0 as usize]);
                     let f_neg = scorer.score(&e_t, &r, &e_n);
                     l_i += -inv_k * ops::log_sigmoid(-f_neg);
                     if w > 0.0 {

@@ -499,7 +499,7 @@ mod tests {
         );
         let scorer = Scorer::new(ScoreKind::TransE, 4.0);
         let relations = pge_nn::Embedding::new_xavier(&mut rng, g.num_attrs(), scorer.rel_dim(6));
-        let model = PgeModel::new(vocab, enc, relations, scorer, &g);
+        let model = PgeModel::new(vocab, enc, relations, scorer, g.attr_names().to_vec());
         (g, model)
     }
 

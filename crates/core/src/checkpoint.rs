@@ -46,7 +46,7 @@ use crate::persist::{
     io_err, model_from_snapshot, model_params, store_err, write_model_sections, PersistError,
 };
 use crate::trainer::PgeConfig;
-use pge_graph::{Dataset, ProductGraph};
+use pge_graph::Dataset;
 use pge_store::{MmapMode, Snapshot, SnapshotWriter, StoreError};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -134,8 +134,8 @@ pub struct TrainerState {
 }
 
 /// A checkpoint read back from disk: its [`TrainerState`], plus the
-/// open snapshot the model is rebuilt from once the caller knows
-/// which graph it will train on.
+/// open snapshot the model is rebuilt from once the caller has
+/// verified the state.
 pub struct Checkpoint {
     pub state: TrainerState,
     snap: Arc<Snapshot>,
@@ -379,9 +379,9 @@ impl Checkpoint {
     }
 
     /// Rebuild the model exactly as checkpointed — parameters, then
-    /// the Adam moments of every one — with token caches for `graph`.
-    pub fn restore_model(&self, graph: &ProductGraph) -> Result<PgeModel, PersistError> {
-        let mut model = model_from_snapshot(&self.snap, graph, 0)?;
+    /// the Adam moments of every one.
+    pub fn restore_model(&self) -> Result<PgeModel, PersistError> {
+        let mut model = model_from_snapshot(&self.snap, 0)?;
         for (i, p) in model_params(&mut model).into_iter().enumerate() {
             let (m, v) = p.adam_state_mut();
             for (name, dst) in [
@@ -451,20 +451,20 @@ mod tests {
 
     #[test]
     fn byte_round_trip_is_lossless() {
-        let (state, model, d) = sample_state();
+        let (state, model, _) = sample_state();
         let (path, again) = (tmp("round-trip.ckpt"), tmp("round-trip-again.ckpt"));
         state.store(&model, &path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(back.state, state);
         // Re-storing what was loaded is byte-stable.
-        let restored = back.restore_model(&d.graph).unwrap();
+        let restored = back.restore_model().unwrap();
         back.state.store(&restored, &again).unwrap();
         assert_eq!(std::fs::read(path).unwrap(), std::fs::read(again).unwrap());
     }
 
     #[test]
     fn restore_model_reinstalls_parameters_and_moments() {
-        let (state, mut model, d) = sample_state();
+        let (state, mut model, _) = sample_state();
         let path = tmp("restore.ckpt");
         state.store(&model, &path).unwrap();
         let ck = Checkpoint::load(&path).unwrap();
@@ -485,7 +485,7 @@ mod tests {
         // Training leaves the moments nonzero, so an all-zero restore
         // would be a silent bug.
         assert!(want.iter().any(|[_, m, _]| m.iter().any(|&x| x != 0)));
-        assert_eq!(bits(&mut ck.restore_model(&d.graph).unwrap()), want);
+        assert_eq!(bits(&mut ck.restore_model().unwrap()), want);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! unseen test words then honestly map to `<unk>` in the inductive
 //! evaluation.
 
-use pge_graph::{ProductGraph, Triple};
+use pge_graph::{ProductGraph, ProductId, Triple, ValueId};
 use pge_text::{tokenize, Vocab};
 
 /// A tokenized training corpus: vocabulary plus one sentence per
@@ -21,43 +21,58 @@ pub struct Corpus {
 pub fn build_corpus(graph: &ProductGraph, triples: &[Triple]) -> Corpus {
     let mut vocab = Vocab::new();
     let mut sentences = Vec::with_capacity(triples.len());
-    let mut title_tok: Vec<Option<Vec<u32>>> = vec![None; graph.num_products()];
-    let mut value_tok: Vec<Option<Vec<u32>>> = vec![None; graph.num_values()];
-    let mut attr_tok: Vec<Option<Vec<u32>>> = vec![None; graph.num_attrs()];
+    // Token ids per title / attribute / value id, assigned the first
+    // time a training triple reaches the string.
+    let mut titles = vec![None; graph.num_products()];
+    let mut attrs = vec![None; graph.num_attrs()];
+    let mut values = vec![None; graph.num_values()];
     for t in triples {
-        let ti = t.product.0 as usize;
-        if title_tok[ti].is_none() {
-            title_tok[ti] = Some(
-                tokenize(graph.title(t.product))
-                    .iter()
-                    .map(|w| vocab.add(w))
-                    .collect(),
-            );
+        let mut sent = Vec::new();
+        for (seen, ix, text) in [
+            (&mut titles, t.product.0 as usize, graph.title(t.product)),
+            (&mut attrs, t.attr.0 as usize, graph.attr_name(t.attr)),
+            (&mut values, t.value.0 as usize, graph.value_text(t.value)),
+        ] {
+            let ids = seen[ix].get_or_insert_with(|| vocab.add_all(&tokenize(text)));
+            sent.extend_from_slice(ids);
         }
-        let ai = t.attr.0 as usize;
-        if attr_tok[ai].is_none() {
-            attr_tok[ai] = Some(
-                tokenize(graph.attr_name(t.attr))
-                    .iter()
-                    .map(|w| vocab.add(w))
-                    .collect(),
-            );
-        }
-        let vi = t.value.0 as usize;
-        if value_tok[vi].is_none() {
-            value_tok[vi] = Some(
-                tokenize(graph.value_text(t.value))
-                    .iter()
-                    .map(|w| vocab.add(w))
-                    .collect(),
-            );
-        }
-        let mut sent = title_tok[ti].clone().unwrap_or_default();
-        sent.extend(attr_tok[ai].iter().flatten());
-        sent.extend(value_tok[vi].iter().flatten());
         sentences.push(sent);
     }
     Corpus { vocab, sentences }
+}
+
+/// Token ids of every title and value string of a graph, encoded
+/// through a frozen vocabulary: what a trainer encodes a triple's
+/// entities from. Only trainers hold one; a model encodes raw text.
+#[derive(Clone, Debug, Default)]
+pub struct TokenizedGraph {
+    /// Token ids per product title, indexed by `ProductId`.
+    pub titles: Vec<Vec<u32>>,
+    /// Token ids per value string, indexed by `ValueId`.
+    pub values: Vec<Vec<u32>>,
+}
+
+impl TokenizedGraph {
+    pub fn new(vocab: &Vocab, graph: &ProductGraph) -> TokenizedGraph {
+        let mut tokens = TokenizedGraph::default();
+        tokens.extend(vocab, graph);
+        tokens
+    }
+
+    /// Encode the entities interned into `graph` since the last call —
+    /// how the incremental trainer follows a graph that grows one delta
+    /// window at a time. Ids are append-only, so existing entries stay;
+    /// unseen words map to `<unk>` exactly as they do at inference.
+    pub fn extend(&mut self, vocab: &Vocab, graph: &ProductGraph) {
+        for i in self.titles.len()..graph.num_products() {
+            self.titles
+                .push(vocab.encode_text(graph.title(ProductId(i as u32))));
+        }
+        for i in self.values.len()..graph.num_values() {
+            self.values
+                .push(vocab.encode_text(graph.value_text(ValueId(i as u32))));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -12,10 +12,17 @@ impl ErrorDetector for PgeModel {
         format!("PGE(CNN)-{}", self.scorer().kind.name())
     }
 
-    /// Scores the triple's text, through the same function as the
-    /// oracle [`PgeModel::score_text_triple`].
+    /// Scores the triple's text through the oracle
+    /// [`PgeModel::score_text_triple`], binding the attribute by name:
+    /// `graph` need not be the training graph. An attribute the model
+    /// has no relation for scores NaN, which detection flags.
     fn plausibility(&self, graph: &ProductGraph, t: &Triple) -> f32 {
-        self.score_fact(graph.title(t.product), t.attr, graph.value_text(t.value))
+        self.score_text_triple(
+            graph.title(t.product),
+            graph.attr_name(t.attr),
+            graph.value_text(t.value),
+        )
+        .unwrap_or(f32::NAN)
     }
 }
 

@@ -7,8 +7,8 @@
 //! aux state) and ingests a delta stream window by window:
 //!
 //! 1. apply the window's adds/retractions to the dataset
-//!    ([`pge_graph::apply_window`]) and extend the model's token
-//!    caches over the grown graph;
+//!    ([`pge_graph::apply_window`]) and extend the trainer's
+//!    [`TokenizedGraph`] over the grown graph;
 //! 2. fine-tune a few epochs over **only the touched rows** (the
 //!    window's live adds), continuing the global Adam step so moment
 //!    bias correction stays exact;
@@ -34,16 +34,22 @@
 //! sampling streams index by position): they are masked out of
 //! training and their confidence is pinned to zero, which also
 //! removes them from every future loss term.
+//!
+//! Relations are closed-world: a delta that adds a fact under an
+//! attribute the base model has no relation for is a typed
+//! [`PersistError::Mismatch`] before any window trains.
 
 use crate::checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
 use crate::confidence::ConfidenceStore;
+use crate::corpus::TokenizedGraph;
 use crate::model::PgeModel;
 use crate::persist::{save_model_store, PersistError};
 use crate::trainer::{shuffle_into, step, EpochCtx, PgeConfig, Workers};
-use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaWindow, NegativeSampler};
+use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaOp, DeltaWindow, NegativeSampler};
 use pge_nn::AdamHparams;
+use pge_obs::json::{self, Json};
 use pge_obs::{ingest_event, RunLog};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -138,8 +144,10 @@ pub struct IncrementalOutcome {
 ///   total have been ingested and checkpointed (tests and CI).
 ///
 /// Rejected with a typed error: a config/corpus mismatch against the
-/// checkpoint, a different `--confidence` backend, or a delta stream
-/// whose ingested prefix does not fingerprint-match the checkpoint.
+/// checkpoint, a different `--confidence` backend, a delta stream
+/// whose ingested prefix does not fingerprint-match the checkpoint,
+/// or a window that adds a fact under an attribute the base model was
+/// not trained on.
 pub fn train_incremental(
     base: &Dataset,
     windows: &[DeltaWindow],
@@ -171,6 +179,20 @@ pub fn train_incremental(
             windows.len()
         )));
     }
+    let mut model = loaded.restore_model()?;
+    let unseen = windows.iter().find_map(|w| {
+        w.ops
+            .iter()
+            .find(|d| d.op == DeltaOp::Add && model.lookup_attr(&d.attr).is_none())
+            .map(|d| (w.index, &d.attr))
+    });
+    if let Some((index, attr)) = unseen {
+        return Err(PersistError::Mismatch(format!(
+            "delta window {index} adds a fact under attribute {attr:?}, which the base model \
+             has no relation for; relations are learned in training — retrain on a corpus \
+             that has it"
+        )));
+    }
     // Replay the already-ingested prefix to rebuild the evolved
     // dataset, then prove it is the same prefix the checkpoint saw.
     let mut dataset = base.clone();
@@ -191,10 +213,7 @@ pub fn train_incremental(
         )));
     }
 
-    // The restored model's token caches already cover the replayed
-    // graph: `restore_model` rebuilds them from the graph we just
-    // evolved.
-    let mut model = loaded.restore_model(&dataset.graph)?;
+    let mut tokens = TokenizedGraph::new(&model.vocab, &dataset.graph);
     let mut confidence =
         ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
     confidence
@@ -220,7 +239,7 @@ pub fn train_incremental(
     for (w, window) in windows.iter().enumerate().skip(state.windows_done) {
         let window_start = Instant::now();
         let applied = apply_window(&mut dataset, &mut live, window);
-        model.extend_token_caches(&dataset.graph);
+        tokens.extend(&model.vocab, &dataset.graph);
         while confidence.len() < dataset.train.len() {
             confidence.push_default();
         }
@@ -243,6 +262,7 @@ pub fn train_incremental(
             shuffle_into(&mut order, touched.iter().copied(), cfg.seed, epoch_id);
             let ctx = EpochCtx {
                 train: &dataset.train,
+                tokens: &tokens,
                 sampler: &sampler,
                 hp,
                 // The base run is past warmup by construction;
@@ -334,30 +354,14 @@ pub fn train_incremental(
     })
 }
 
-/// Minimal JSON string escape for the reload request body.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One push attempt: POST the reload, read the full response, return
 /// `(status, body)`.
 fn push_once(addr: &str, snapshot: &Path) -> Result<(u16, String), String> {
-    let body = format!(
-        "{{\"path\": \"{}\"}}",
-        json_escape(&snapshot.to_string_lossy())
-    );
+    let body = Json::Obj(vec![(
+        "path".into(),
+        Json::Str(snapshot.to_string_lossy().into_owned()),
+    )])
+    .to_string();
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -415,18 +419,9 @@ pub fn push_snapshot(
         match push_once(addr, snapshot) {
             Ok((200, body)) => {
                 // The gateway answers {"swapped": true, "version": N}.
-                let version = body
-                    .split("\"version\":")
-                    .nth(1)
-                    .map(|rest| {
-                        rest.trim_start()
-                            .chars()
-                            .take_while(|c| {
-                                c.is_ascii_digit() || matches!(c, '.' | 'e' | '+' | '-')
-                            })
-                            .collect::<String>()
-                    })
-                    .and_then(|n| n.parse::<f64>().ok())
+                let version = json::parse(&body)
+                    .ok()
+                    .and_then(|j| j.get("version").and_then(Json::as_f64))
                     .ok_or_else(|| format!("reload succeeded but no version in body {body:?}"))?;
                 return Ok(PushReport {
                     window: 0,
@@ -628,6 +623,43 @@ mod tests {
             PersistError::Mismatch(msg) => assert!(msg.contains("windows"), "{msg}"),
             other => panic!("expected Mismatch, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Relations are closed-world: a window adding a fact under an
+    /// attribute the base model never saw used to index past the
+    /// relation table inside the training step.
+    #[test]
+    fn unseen_attribute_is_rejected_before_any_window_trains() {
+        let base = tiny_dataset();
+        let cfg = tiny_cfg();
+        let dir = scratch_dir("unseen-attr");
+        base_checkpoint(&base, &cfg, &dir);
+        let inc = IncrementalConfig::new(dir.join("snaps"));
+        let mut windows = sample_windows();
+        windows[1]
+            .ops
+            .push(d(DeltaOp::Add, "latebrand honey wafer", "brand", "acme"));
+        let err = train_incremental(
+            &base,
+            &windows,
+            &cfg,
+            &inc,
+            &CheckpointOptions::new(&dir),
+            None,
+        )
+        .unwrap_err();
+        match err {
+            PersistError::Mismatch(msg) => {
+                assert!(
+                    msg.contains("window 1") && msg.contains("\"brand\""),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+        assert!(!inc.snapshot_dir.exists());
+        assert!(!dir.join(INCREMENTAL_CHECKPOINT_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

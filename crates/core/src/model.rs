@@ -3,9 +3,9 @@
 
 use crate::encoder::TextEncoder;
 use crate::score::Scorer;
-use pge_graph::{AttrId, ProductGraph};
+use pge_graph::AttrId;
 use pge_nn::Embedding;
-use pge_text::{tokenize, tokenize_each, Vocab};
+use pge_text::{tokenize_each, Vocab};
 
 /// Reusable buffers for [`PgeModel::embed_text_with`]: token ids and
 /// the CNN encoder's cache.
@@ -29,14 +29,8 @@ pub struct PgeModel {
     pub(crate) encoder: TextEncoder,
     pub(crate) relations: Embedding,
     pub(crate) scorer: Scorer,
-    /// Token-id cache for every product title in the graph. Only the
-    /// trainer reads it; inference encodes from text.
-    pub(crate) title_tokens: Vec<Vec<u32>>,
-    /// Token-id cache for every value string in the graph (trainer
-    /// only, like `title_tokens`).
-    pub(crate) value_tokens: Vec<Vec<u32>>,
-    /// Attribute names in id order, so raw-text facts can be scored
-    /// without holding the graph (relations are closed-world).
+    /// Attribute names in relation-row order (relations are
+    /// closed-world), so raw-text facts are scored without a graph.
     pub(crate) attr_names: Vec<String>,
     /// Optional out-of-core embedding bank (precomputed entity
     /// vectors served from a PGEBIN02 snapshot, usually mmapped).
@@ -47,57 +41,21 @@ pub struct PgeModel {
 }
 
 impl PgeModel {
-    /// Assemble a model and precompute token caches for `graph`.
+    /// Assemble a model. `attr_names[i]` names relation row `i`.
     pub fn new(
         vocab: Vocab,
         encoder: TextEncoder,
         relations: Embedding,
         scorer: Scorer,
-        graph: &ProductGraph,
+        attr_names: Vec<String>,
     ) -> Self {
-        let title_tokens = (0..graph.num_products())
-            .map(|i| vocab.encode(&tokenize(graph.title(pge_graph::ProductId(i as u32)))))
-            .collect();
-        let value_tokens = (0..graph.num_values())
-            .map(|i| vocab.encode(&tokenize(graph.value_text(pge_graph::ValueId(i as u32)))))
-            .collect();
-        let attr_names = (0..graph.num_attrs())
-            .map(|i| graph.attr_name(AttrId(i as u16)).to_string())
-            .collect();
         PgeModel {
             vocab,
             encoder,
             relations,
             scorer,
-            title_tokens,
-            value_tokens,
             attr_names,
             bank: None,
-        }
-    }
-
-    /// Extend the token caches to cover entities interned into `graph`
-    /// after this model was built — how the incremental trainer keeps
-    /// scoring a graph that grows one delta window at a time. Existing
-    /// cache entries are untouched (ids are append-only), and new
-    /// strings encode through the *frozen* vocabulary: unseen words
-    /// map to `<unk>` exactly as they would at inference time.
-    pub fn extend_token_caches(&mut self, graph: &ProductGraph) {
-        for i in self.title_tokens.len()..graph.num_products() {
-            self.title_tokens.push(
-                self.vocab
-                    .encode(&tokenize(graph.title(pge_graph::ProductId(i as u32)))),
-            );
-        }
-        for i in self.value_tokens.len()..graph.num_values() {
-            self.value_tokens.push(
-                self.vocab
-                    .encode(&tokenize(graph.value_text(pge_graph::ValueId(i as u32)))),
-            );
-        }
-        for i in self.attr_names.len()..graph.num_attrs() {
-            self.attr_names
-                .push(graph.attr_name(AttrId(i as u16)).to_string());
         }
     }
 
@@ -216,7 +174,9 @@ mod tests {
     use super::*;
     use crate::encoder::TextEncoder;
     use crate::score::{ScoreKind, Scorer};
+    use pge_graph::ProductGraph;
     use pge_nn::CnnConfig;
+    use pge_text::tokenize;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -249,7 +209,7 @@ mod tests {
         let scorer = Scorer::new(ScoreKind::TransE, 4.0);
         let relations =
             pge_nn::Embedding::new_xavier(&mut rng, graph.num_attrs(), scorer.rel_dim(6));
-        PgeModel::new(vocab, enc, relations, scorer, graph)
+        PgeModel::new(vocab, enc, relations, scorer, graph.attr_names().to_vec())
     }
 
     fn tiny_graph() -> ProductGraph {

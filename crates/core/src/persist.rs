@@ -4,11 +4,13 @@
 //! A production catalog pipeline trains once and scores continuously;
 //! this module is the hand-off. A model is one PGEBIN02 file (see
 //! `pge-store`): a `model.header` text section — scorer, CNN shape,
-//! relation count and vocabulary — plus one `model.param.{i}` f32
-//! section per parameter. [`save_model_store`] writes it and
-//! [`load_model_auto_path`] reads it back bit-identically, mapped or
-//! heap-backed. Trainer checkpoints are PGEBIN02 files carrying the
-//! same sections (see [`crate::checkpoint`]).
+//! relation count, attribute names and vocabulary — plus one
+//! `model.param.{i}` f32 section per parameter. [`save_model_store`]
+//! writes it and [`load_model_auto_path`] reads it back
+//! bit-identically, mapped or heap-backed. A snapshot is the whole
+//! model: loading reads no graph, and relation row `i` is always the
+//! attribute the header names `i`th. Trainer checkpoints are PGEBIN02
+//! files carrying the same sections (see [`crate::checkpoint`]).
 //!
 //! Every section carries its own CRC, but a CRC only proves the bytes
 //! are the ones written. The loader therefore checks every header
@@ -36,7 +38,8 @@ use std::sync::Arc;
 pub enum PersistError {
     /// A recognized file whose contents this build does not read: a
     /// retired model or checkpoint format, an unknown version, or a
-    /// malformed model header. Retrying the same file cannot help.
+    /// malformed model header; or a model a header cannot describe.
+    /// Retrying the same file cannot help.
     Parse(String),
     /// A snapshot failed structural or checksum validation.
     Corrupt(String),
@@ -81,8 +84,9 @@ const RETIRED_FORMATS: [(&[u8; 8], &str); 3] = [
 /// Name of the snapshot section holding the text header.
 const SEC_MODEL_HEADER: &str = "model.header";
 
-/// First line of the `model.header` section.
-const HEADER_VERSION: &str = "#pge-model v1";
+/// First line of the `model.header` section. v1 headers named no
+/// attributes and are no longer read.
+const HEADER_VERSION: &str = "#pge-model v2";
 
 pub(crate) fn io_err(e: std::io::Error) -> PersistError {
     PersistError::Io(e.to_string())
@@ -118,8 +122,14 @@ pub(crate) fn model_params(model: &mut PgeModel) -> Vec<&mut Param> {
     params
 }
 
-/// The `model.header` text: everything but the parameter values.
-fn header_text(model: &PgeModel, n_params: usize) -> String {
+/// The `model.header` text: everything but the parameter values. An
+/// attribute name is one line, so one with a line break is refused.
+fn header_text(model: &PgeModel, n_params: usize) -> Result<String, PersistError> {
+    if let Some(name) = model.attr_names.iter().find(|n| n.contains(['\n', '\r'])) {
+        return Err(PersistError::Parse(format!(
+            "attribute name {name:?} has a line break, which a model header cannot carry"
+        )));
+    }
     let cfg = model.encoder.config();
     let scorer = model.scorer;
     let mut out = String::new();
@@ -142,12 +152,16 @@ fn header_text(model: &PgeModel, n_params: usize) -> String {
         widths.join(",")
     );
     let _ = writeln!(out, "relations {}", model.relations.len());
+    let _ = writeln!(out, "attrs {}", model.attr_names.len());
+    for name in &model.attr_names {
+        let _ = writeln!(out, "{name}");
+    }
     let _ = writeln!(out, "vocab {}", model.vocab.len());
     for w in model.vocab.words() {
         let _ = writeln!(out, "{w}");
     }
     let _ = writeln!(out, "params {n_params}");
-    out
+    Ok(out)
 }
 
 /// A parsed `model.header`: the shape of the model, not yet its
@@ -156,6 +170,7 @@ struct Header {
     scorer: Scorer,
     cfg: CnnConfig,
     relations: usize,
+    attr_names: Vec<String>,
     vocab: Vocab,
     params: usize,
 }
@@ -181,7 +196,10 @@ impl Header {
 
         let (ln, version) = next("version")?;
         if version.trim() != HEADER_VERSION {
-            return Err(bad(ln, "bad version line"));
+            return Err(bad(
+                ln,
+                &format!("bad version line, this build reads {HEADER_VERSION}; retrain"),
+            ));
         }
 
         let (ln, scorer_line) = next("scorer")?;
@@ -230,6 +248,20 @@ impl Header {
         let (ln, rel_line) = next("relations")?;
         let relations = number(ln, rel_line.strip_prefix("relations "), "relations line")?;
 
+        // One name per relation row, or none for the single row a
+        // trainer gives a graph without attributes.
+        let (ln, attrs_line) = next("attrs")?;
+        let n_attrs = number(ln, attrs_line.strip_prefix("attrs "), "attrs line")?;
+        if n_attrs != relations && (n_attrs, relations) != (0, 1) {
+            return Err(PersistError::Corrupt(format!(
+                "{SEC_MODEL_HEADER} line {}: {n_attrs} attribute names for {relations} relation rows",
+                ln + 1
+            )));
+        }
+        let attr_names = (0..n_attrs)
+            .map(|_| next("attribute name").map(|(_, name)| name.to_string()))
+            .collect::<Result<_, _>>()?;
+
         let (ln, vocab_line) = next("vocab")?;
         let n_words = number(ln, vocab_line.strip_prefix("vocab "), "vocab line")?;
         if n_words != vocab_n {
@@ -264,6 +296,7 @@ impl Header {
                 max_len,
             },
             relations,
+            attr_names,
             vocab,
             params,
         })
@@ -302,7 +335,7 @@ impl Header {
 pub fn write_model_sections(model: &PgeModel, w: &mut SnapshotWriter) -> Result<(), PersistError> {
     let mut clone = model.clone();
     let params = model_params(&mut clone);
-    let header = header_text(model, params.len());
+    let header = header_text(model, params.len())?;
     w.add_bytes(SEC_MODEL_HEADER, header.as_bytes())
         .map_err(io_err)?;
     for (i, p) in params.iter().enumerate() {
@@ -330,7 +363,6 @@ pub fn save_model_store(model: &PgeModel, path: &Path) -> Result<(), PersistErro
 /// [`pge_store::EmbeddingBank`]); irrelevant for heap-backed opens.
 pub fn model_from_snapshot(
     snap: &Arc<Snapshot>,
-    graph: &ProductGraph,
     resident_budget: u64,
 ) -> Result<PgeModel, PersistError> {
     let header = snap.section(SEC_MODEL_HEADER).map_err(store_err)?;
@@ -368,6 +400,7 @@ pub fn model_from_snapshot(
         scorer,
         cfg,
         relations,
+        attr_names,
         vocab,
         ..
     } = header;
@@ -376,7 +409,7 @@ pub fn model_from_snapshot(
     let rel_dim = scorer.rel_dim(cfg.out_dim);
     let encoder = TextEncoder::cnn(&mut rng, cfg, words);
     let relations = Embedding::new(&mut rng, relations, rel_dim);
-    let mut model = PgeModel::new(vocab, encoder, relations, scorer, graph);
+    let mut model = PgeModel::new(vocab, encoder, relations, scorer, attr_names);
     for (p, v) in model_params(&mut model).into_iter().zip(values) {
         p.value.as_mut_slice().copy_from_slice(v);
     }
@@ -405,14 +438,18 @@ pub fn model_from_snapshot(
 /// straight off the page cache, heap is a full in-memory copy. A file
 /// in a retired format is a [`PersistError::Parse`]; any other
 /// non-PGEBIN02 file is a [`PersistError::UnknownFormat`].
+///
+/// `_graph` is ignored, since the snapshot names its own attributes;
+/// the parameter remains because the benchmark harness calls this
+/// signature.
 pub fn load_model_auto_path(
     path: &Path,
-    graph: &ProductGraph,
+    _graph: &ProductGraph,
     mode: pge_store::MmapMode,
     resident_budget: u64,
 ) -> Result<PgeModel, PersistError> {
     let snap = Arc::new(Snapshot::open(path, mode).map_err(store_err)?);
-    model_from_snapshot(&snap, graph, resident_budget)
+    model_from_snapshot(&snap, resident_budget)
 }
 
 #[cfg(test)]
@@ -470,7 +507,7 @@ mod tests {
                 (v.rows() as u64, v.cols() as u64, v.as_slice().to_vec())
             })
             .collect();
-        (header_text(model, params.len()), params)
+        (header_text(model, params.len()).unwrap(), params)
     }
 
     #[test]
@@ -530,12 +567,13 @@ mod tests {
                 &params,
                 "line 3: RotatE needs an even output dim",
             ),
-            (cnn_with(1, "2"), &params, "line 5: vocab count mismatch"),
+            (cnn_with(1, "2"), &params, "line 7: vocab count mismatch"),
             (
-                header.replacen("v1", "v2", 1),
+                header.replacen("v2", "v3", 1),
                 &params,
                 "line 1: bad version line",
             ),
+            (header.replacen("v2", "v1", 1), &params, "retrain"),
             (
                 header.lines().take(3).collect::<Vec<_>>().join("\n"),
                 &params,
@@ -561,6 +599,36 @@ mod tests {
                 "{text}"
             );
         }
+    }
+
+    /// The header names one attribute per relation row (or none for a
+    /// single row) and the loader holds it to that before reading a
+    /// name; the writer refuses a name that would span two lines.
+    #[test]
+    fn attribute_names_match_relation_rows() {
+        let (model, d) = trained(1);
+        let (header, params) = parts(&model);
+        let names = "attrs 1\nflavor\n";
+        assert!(
+            header.contains(&format!("relations 1\n{names}")),
+            "{header}"
+        );
+        let path = tmp("attrs.pgebin");
+        write_raw(&path, &header.replace(names, "attrs 0\n"), &params);
+        assert!(load(&path, &d).unwrap().attr_names().is_empty());
+        for attrs in ["attrs 2\nflavor\nbrand\n", "attrs 18446744073709551615\n"] {
+            write_raw(&path, &header.replace(names, attrs), &params);
+            match load(&path, &d) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("line 5"), "{msg}"),
+                other => panic!("{attrs:?}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let mut broken = model.clone();
+        broken.attr_names = vec!["fla\nvor".into()];
+        assert!(matches!(
+            save_model_store(&broken, &path),
+            Err(PersistError::Parse(_))
+        ));
     }
 
     #[test]

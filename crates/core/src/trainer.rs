@@ -25,6 +25,7 @@ use crate::checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
 };
 use crate::confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, ConfidenceUpdater};
+use crate::corpus::{build_corpus, TokenizedGraph};
 use crate::encoder::TextEncoder;
 use crate::model::PgeModel;
 use crate::persist::PersistError;
@@ -338,6 +339,8 @@ impl Workers {
 /// What every step of one epoch reads and none updates.
 pub(crate) struct EpochCtx<'a> {
     pub(crate) train: &'a [Triple],
+    /// Token ids of every title and value `train` refers to.
+    pub(crate) tokens: &'a TokenizedGraph,
     pub(crate) sampler: &'a NegativeSampler,
     pub(crate) hp: AdamHparams,
     /// Weight triples by their confidence and emit confidence signals.
@@ -403,8 +406,8 @@ fn run_lanes(
             if negs.is_empty() {
                 continue;
             }
-            enc.forward_into(&model.title_tokens[triple.product.0 as usize], title);
-            enc.forward_into(&model.value_tokens[triple.value.0 as usize], value);
+            enc.forward_into(&epoch.tokens.titles[triple.product.0 as usize], title);
+            enc.forward_into(&epoch.tokens.values[triple.value.0 as usize], value);
             let (e_t, e_v) = (title.embedding(), value.embedding());
             let r = model.relations.row(triple.attr.0 as u32);
             let f_pos = scorer.score(e_t, r, e_v);
@@ -428,7 +431,7 @@ fn run_lanes(
             let inv_k = 1.0 / negs.len() as f32;
             f_negs.clear();
             for &n in &negs {
-                enc.forward_into(&model.value_tokens[n.0 as usize], neg);
+                enc.forward_into(&epoch.tokens.values[n.0 as usize], neg);
                 let e_n = neg.embedding();
                 let f_neg = scorer.score(e_t, r, e_n);
                 l_i += -inv_k * ops::log_sigmoid(-f_neg);
@@ -614,11 +617,11 @@ pub fn train_pge_resumable(
     // embeds the vocabulary, so the corpus pass is skipped entirely.
     let scorer = Scorer::new(cfg.score, cfg.gamma);
     let mut model = match &resumed {
-        Some(ck) => ck.restore_model(graph)?,
+        Some(ck) => ck.restore_model()?,
         None => {
             let corpus = {
                 let _s = span("train.corpus");
-                crate::corpus::build_corpus(graph, &dataset.train)
+                build_corpus(graph, &dataset.train)
             };
             let vectors = if cfg.word2vec_epochs > 0 {
                 let _s = span("train.word2vec");
@@ -657,9 +660,16 @@ pub fn train_pge_resumable(
             } else {
                 Embedding::new_xavier(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(ent_dim))
             };
-            PgeModel::new(corpus.vocab, encoder, relations, scorer, graph)
+            PgeModel::new(
+                corpus.vocab,
+                encoder,
+                relations,
+                scorer,
+                graph.attr_names().to_vec(),
+            )
         }
     };
+    let tokens = TokenizedGraph::new(&model.vocab, graph);
 
     // 2. Negative sampler + confidence store + backend updater.
     let sampler = NegativeSampler::new(graph, cfg.sampling);
@@ -703,6 +713,7 @@ pub fn train_pge_resumable(
         shuffle_into(&mut order, 0.., cfg.seed, epoch);
         let ctx = EpochCtx {
             train: &dataset.train,
+            tokens: &tokens,
             sampler: &sampler,
             hp,
             confidence_active: cfg.noise_aware && epoch >= cfg.confidence_warmup,

@@ -154,12 +154,15 @@ proptest! {
 fn fixture() -> &'static (Dataset, PathBuf, PathBuf) {
     static FIXTURE: OnceLock<(Dataset, PathBuf, PathBuf)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        // Four words, so the dimension lines are most of the header.
+        // Six words, so the dimension lines are most of the header,
+        // and two attributes, so mutations reach the attribute names.
         let mut g = ProductGraph::new();
         let mut train = Vec::new();
         for flavor in ["spicy", "sweet"] {
             for kind in ["chips", "snack"] {
-                train.push(g.add_fact(&format!("{flavor} {kind}"), "flavor", flavor));
+                let title = format!("{flavor} {kind}");
+                train.push(g.add_fact(&title, "flavor", flavor));
+                train.push(g.add_fact(&title, "ingredient", kind));
             }
         }
         let data = Dataset::new(g, train, vec![], vec![]);
@@ -170,7 +173,9 @@ fn fixture() -> &'static (Dataset, PathBuf, PathBuf) {
         let dir = std::env::temp_dir().join(format!("pge-snapshot-fuzz-{}", std::process::id()));
         let model = dir.join("model.pgebin");
         std::fs::create_dir_all(&dir).unwrap();
-        save_model_store(&train_pge(&data, &cfg).model, &model).unwrap();
+        let trained = train_pge(&data, &cfg).model;
+        assert_eq!(trained.attr_names().len(), 2);
+        save_model_store(&trained, &model).unwrap();
         train_pge_resumable(&data, &cfg, None, Some(&CheckpointOptions::new(&dir))).unwrap();
         (data, model, dir.join(CHECKPOINT_FILE))
     })
@@ -224,7 +229,7 @@ fn mutated_load(
         let mode = if mmap { MmapMode::On } else { MmapMode::Off };
         load_model_auto_path(out, &data.graph, mode, 0).map(drop)
     } else {
-        Checkpoint::load(out)?.restore_model(&data.graph).map(drop)
+        Checkpoint::load(out)?.restore_model().map(drop)
     }
 }
 

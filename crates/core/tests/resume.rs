@@ -248,7 +248,13 @@ fn regraphed(data: &Dataset, first_attr: &str, keep: impl Fn(&str) -> bool) -> D
         .train
         .iter()
         .filter(|t| keep(g.attr_name(t.attr)))
-        .map(|t| graph.add_fact(g.title(t.product), g.attr_name(t.attr), g.value_text(t.value)))
+        .map(|t| {
+            graph.add_fact(
+                g.title(t.product),
+                g.attr_name(t.attr),
+                g.value_text(t.value),
+            )
+        })
         .collect();
     Dataset::new(graph, train, vec![], vec![])
 }
@@ -288,8 +294,20 @@ fn snapshot_round_trip_scores_bit_identically_for_every_provenance() {
     // against, data to score the reloaded model on)
     let rows = [
         ("fresh", fresh.clone(), &d, &d.graph, &d),
-        ("killed at 4 threads, resumed at 1", resumed, &d, &d.graph, &d),
-        ("incremental window 1", incremental, &grown, &grown.graph, &grown),
+        (
+            "killed at 4 threads, resumed at 1",
+            resumed,
+            &d,
+            &d.graph,
+            &d,
+        ),
+        (
+            "incremental window 1",
+            incremental,
+            &grown,
+            &grown.graph,
+            &grown,
+        ),
         (
             "fresh, reloaded against reordered attributes",
             fresh.clone(),

@@ -147,6 +147,11 @@ impl ProductGraph {
         &self.attributes[id.0 as usize]
     }
 
+    /// Attribute names in id order.
+    pub fn attr_names(&self) -> &[String] {
+        &self.attributes
+    }
+
     #[inline]
     pub fn value_text(&self, id: ValueId) -> &str {
         &self.values[id.0 as usize]
