@@ -258,9 +258,13 @@ impl Header {
                 ln + 1
             )));
         }
-        let attr_names = (0..n_attrs)
+        let attr_names: Vec<String> = (0..n_attrs)
             .map(|_| next("attribute name").map(|(_, name)| name.to_string()))
             .collect::<Result<_, _>>()?;
+        let mut seen = std::collections::HashSet::new();
+        if !attr_names.iter().all(|name| seen.insert(name)) {
+            return Err(bad(ln, "duplicate attribute name"));
+        }
 
         let (ln, vocab_line) = next("vocab")?;
         let n_words = number(ln, vocab_line.strip_prefix("vocab "), "vocab line")?;
@@ -575,6 +579,14 @@ mod tests {
             ),
             (header.replacen("v2", "v1", 1), &params, "retrain"),
             (
+                header.replace(
+                    "relations 1\nattrs 1\nflavor\n",
+                    "relations 2\nattrs 2\nflavor\nflavor\n",
+                ),
+                &params,
+                "line 5: duplicate attribute name",
+            ),
+            (
                 header.lines().take(3).collect::<Vec<_>>().join("\n"),
                 &params,
                 "missing relations",
@@ -588,10 +600,15 @@ mod tests {
             }
         }
         // Sizes no section backs are refused before allocation, and
-        // so is arithmetic that would overflow.
+        // so is arithmetic that would overflow; so is an attribute
+        // count other than the relation rows, before a name is read.
+        let names = "attrs 1\nflavor\n";
+        assert!(header.contains(&format!("relations 1\n{names}")));
         for text in [
             cnn_with(2, "1099511627776"),
             cnn_with(6, "4611686018427387904"),
+            header.replace(names, "attrs 2\nflavor\nbrand\n"),
+            header.replace(names, "attrs 18446744073709551615\n"),
         ] {
             write_raw(&path, &text, &params);
             assert!(
@@ -601,28 +618,20 @@ mod tests {
         }
     }
 
-    /// The header names one attribute per relation row (or none for a
-    /// single row) and the loader holds it to that before reading a
-    /// name; the writer refuses a name that would span two lines.
+    /// One relation row may carry no name (the trainer's row for a
+    /// graph without attributes); a name that would span two header
+    /// lines is refused by the writer.
     #[test]
-    fn attribute_names_match_relation_rows() {
+    fn attribute_names_may_be_absent_but_never_span_lines() {
         let (model, d) = trained(1);
         let (header, params) = parts(&model);
-        let names = "attrs 1\nflavor\n";
-        assert!(
-            header.contains(&format!("relations 1\n{names}")),
-            "{header}"
-        );
         let path = tmp("attrs.pgebin");
-        write_raw(&path, &header.replace(names, "attrs 0\n"), &params);
+        write_raw(
+            &path,
+            &header.replace("attrs 1\nflavor\n", "attrs 0\n"),
+            &params,
+        );
         assert!(load(&path, &d).unwrap().attr_names().is_empty());
-        for attrs in ["attrs 2\nflavor\nbrand\n", "attrs 18446744073709551615\n"] {
-            write_raw(&path, &header.replace(names, attrs), &params);
-            match load(&path, &d) {
-                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("line 5"), "{msg}"),
-                other => panic!("{attrs:?}: expected Corrupt, got {other:?}"),
-            }
-        }
         let mut broken = model.clone();
         broken.attr_names = vec!["fla\nvor".into()];
         assert!(matches!(
