@@ -80,7 +80,7 @@ impl Conv1d {
             act,
             arg,
         );
-        ops::tanh_inplace(act);
+        kern.tanh_inplace(act);
     }
 
     /// Fold external gradient buffers into the inline parameter

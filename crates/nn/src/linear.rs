@@ -19,11 +19,11 @@ pub enum Activation {
 }
 
 impl Activation {
-    #[inline]
-    fn apply(self, y: &mut [f32]) {
+    #[inline(always)]
+    fn apply<O: Ops>(self, kern: O, y: &mut [f32]) {
         match self {
             Activation::None => {}
-            Activation::Tanh => ops::tanh_inplace(y),
+            Activation::Tanh => kern.tanh_inplace(y),
             Activation::Relu => ops::relu_inplace(y),
         }
     }
@@ -109,7 +109,7 @@ impl Linear {
                 *yo = bo + *yo;
             }
         }
-        self.act.apply(y);
+        self.act.apply(kern, y);
     }
 
     /// Training forward pass returning the output and a backward cache.

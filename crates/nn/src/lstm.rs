@@ -6,7 +6,7 @@ use crate::adam::AdamHparams;
 use crate::embedding::Embedding;
 use crate::gradcheck::HasParams;
 use crate::param::Param;
-use pge_tensor::{init, ops};
+use pge_tensor::{init, math, ops};
 use rand::Rng;
 
 /// LSTM over embedded tokens; the encoding of a sequence is the final
@@ -123,7 +123,7 @@ impl Lstm {
         for k in 0..h {
             i[k] = ops::sigmoid(z[k]);
             f[k] = ops::sigmoid(z[h + k]);
-            g[k] = z[2 * h + k].tanh();
+            g[k] = math::tanh(z[2 * h + k]);
             o[k] = ops::sigmoid(z[3 * h + k]);
         }
         let mut c = vec![0.0; h];
@@ -131,7 +131,7 @@ impl Lstm {
         let mut h_t = vec![0.0; h];
         for k in 0..h {
             c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            tanh_c[k] = c[k].tanh();
+            tanh_c[k] = math::tanh(c[k]);
             h_t[k] = o[k] * tanh_c[k];
         }
         let cache = want_cache.then(|| StepCache {

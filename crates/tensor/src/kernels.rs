@@ -32,6 +32,14 @@
 //! CI-gated proptests in `tests/kernel_parity.rs` pin exactly this
 //! contract.
 //!
+//! `tanh_inplace` is elementwise. Its scalar reference is
+//! [`crate::math::tanh`], a port of fdlibm's `tanhf` that returns the
+//! bits of glibc ≤ 2.40's `tanhf` and is within 2 ulp of the exact
+//! tanh; the AVX2 path runs the port's operations on eight lanes at
+//! once, and a vector with a lane outside 2⁻⁵⁵ ≤ |x| < 22 takes the
+//! scalar port. The ignored release-mode tests in
+//! `tests/kernel_parity.rs` check both claims over all 2³² inputs.
+//!
 //! Note the blocked reduction order is *not* the naive sequential sum
 //! the pre-dispatch code used — switching to it changed low bits of
 //! every dot product once, at the PR introducing this module. The
@@ -348,6 +356,38 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
+// tanh — elementwise like axpy. The scalar reference is
+// `math::tanh`, the fdlibm port; the AVX2 path runs its operations on
+// eight lanes at once (see `avx2::tanh8`).
+// ---------------------------------------------------------------------------
+
+/// Scalar reference for [`tanh_inplace`].
+pub fn tanh_inplace_scalar(a: &mut [f32]) {
+    a.iter_mut().for_each(|x| *x = crate::math::tanh(*x));
+}
+
+/// AVX2 implementation of [`tanh_inplace`]; scalar fallback without
+/// AVX2.
+pub fn tanh_inplace_simd(a: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_supported() {
+        // SAFETY: AVX2 availability just confirmed.
+        unsafe { avx2::tanh_inplace(a) };
+        return;
+    }
+    tanh_inplace_scalar(a)
+}
+
+/// `x = tanh(x)` elementwise, dispatched to the active kernel.
+#[inline]
+pub fn tanh_inplace(a: &mut [f32]) {
+    match active_kernel() {
+        Kernel::Simd => tanh_inplace_simd(a),
+        Kernel::Scalar => tanh_inplace_scalar(a),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fused scorer distance kernels. These back `pge-core`'s scoring
 // functions on the bulk-scan/serve hot path; keeping them here lets
 // one blocked reference define the bits for both kernels.
@@ -529,6 +569,7 @@ pub fn rotate_dist(
 pub trait Ops: Copy {
     fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]);
     fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]);
+    fn tanh_inplace(self, a: &mut [f32]);
     #[allow(clippy::too_many_arguments)]
     fn conv_max_pool(
         self,
@@ -563,6 +604,10 @@ impl Ops for ScalarOps {
         axpy_scalar(alpha, x, y)
     }
     #[inline(always)]
+    fn tanh_inplace(self, a: &mut [f32]) {
+        tanh_inplace_scalar(a)
+    }
+    #[inline(always)]
     fn conv_max_pool(
         self,
         w: &[f32],
@@ -592,6 +637,10 @@ impl Ops for DispatchedOps {
     #[inline]
     fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]) {
         axpy(alpha, x, y)
+    }
+    #[inline]
+    fn tanh_inplace(self, a: &mut [f32]) {
+        tanh_inplace(a)
     }
     #[inline]
     fn conv_max_pool(
@@ -802,6 +851,11 @@ mod avx2 {
             unsafe { axpy(alpha, x, y) }
         }
         #[inline(always)]
+        fn tanh_inplace(self, a: &mut [f32]) {
+            // SAFETY: as above.
+            unsafe { tanh_inplace(a) }
+        }
+        #[inline(always)]
         fn conv_max_pool(
             self,
             w: &[f32],
@@ -843,6 +897,116 @@ mod avx2 {
         for (yi, &xi) in y[blocks * 8..].iter_mut().zip(&x[blocks * 8..]) {
             *yi += alpha * xi;
         }
+    }
+
+    // `#[inline]` for the same reason as `axpy`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn tanh_inplace(a: &mut [f32]) {
+        let mut blocks = a.chunks_exact_mut(8);
+        for b in &mut blocks {
+            match tanh8(_mm256_loadu_ps(b.as_ptr())) {
+                Some(t) => _mm256_storeu_ps(b.as_mut_ptr(), t),
+                None => super::tanh_inplace_scalar(b),
+            }
+        }
+        super::tanh_inplace_scalar(blocks.into_remainder());
+    }
+
+    /// `math::tanh` on eight lanes, or `None` unless every lane has
+    /// 2⁻⁵⁵ ≤ |x| < 22 (the caller then takes the scalar port). Each
+    /// lane performs the port's IEEE operations in the port's order and
+    /// its branches become blends. `expm1f`'s three reductions (`k = 0`,
+    /// `k = -1`, general) are the general one with `t = k`, bit for
+    /// bit: `x - (-1)·ln2_hi` is `x + ln2_hi`, and `t = 0` leaves `x`
+    /// as it is with `c = 0`, so the shared `(x·(e − c) − c) − hxs` is
+    /// the `k = 0` branch's `x·e − hxs`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh8(x: __m256) -> Option<__m256> {
+        use crate::math::{INVLN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5};
+        let f = _mm256_set1_ps;
+        let i = _mm256_set1_epi32;
+        let sign = _mm256_castsi256_ps(i(i32::MIN));
+        let ix = _mm256_and_si256(_mm256_castps_si256(x), i(0x7fff_ffff));
+        let in_range = _mm256_and_si256(
+            _mm256_cmpgt_epi32(ix, i(0x2400_0000 - 1)),
+            _mm256_cmpgt_epi32(i(0x41b0_0000), ix),
+        );
+        if _mm256_movemask_ps(_mm256_castsi256_ps(in_range)) != 0xff {
+            return None;
+        }
+        let ax = _mm256_castsi256_ps(ix);
+        // |x| ≥ 1 takes expm1f(2|x|), else expm1f(-2|x|); the second
+        // are exactly the lanes where the expm1f argument is negative.
+        let big = _mm256_cmp_ps::<_CMP_GE_OQ>(ax, f(1.0));
+        let a = _mm256_blendv_ps(_mm256_mul_ps(f(-2.0), ax), _mm256_mul_ps(f(2.0), ax), big);
+
+        // expm1f(a): argument reduction.
+        let ha = _mm256_and_si256(_mm256_castps_si256(a), i(0x7fff_ffff));
+        let reduce = _mm256_cmpgt_epi32(ha, i(0x3eb1_7218));
+        // |a| < 1.5·ln2 only for a < 0 here, whose k is -1.
+        let near = _mm256_cmpgt_epi32(i(0x3f85_1592), ha);
+        let half = _mm256_blendv_ps(f(-0.5), f(0.5), big);
+        let kg = _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(f(INVLN2), a), half));
+        let k = _mm256_and_si256(reduce, _mm256_blendv_epi8(kg, i(-1), near));
+        let t = _mm256_cvtepi32_ps(k);
+        let hi = _mm256_sub_ps(a, _mm256_mul_ps(t, f(LN2_HI)));
+        let lo = _mm256_mul_ps(t, f(LN2_LO));
+        let xr = _mm256_sub_ps(hi, lo);
+        let c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+        // Primary range.
+        let hfx = _mm256_mul_ps(f(0.5), xr);
+        let hxs = _mm256_mul_ps(xr, hfx);
+        // r1 = 1 + hxs·(Q1 + hxs·(Q2 + hxs·(Q3 + hxs·(Q4 + hxs·Q5))))
+        let mut r1 = f(Q5);
+        for coef in [Q4, Q3, Q2, Q1, 1.0] {
+            r1 = _mm256_add_ps(f(coef), _mm256_mul_ps(hxs, r1));
+        }
+        let t = _mm256_sub_ps(f(3.0), _mm256_mul_ps(r1, hfx));
+        let e = _mm256_mul_ps(
+            hxs,
+            _mm256_div_ps(
+                _mm256_sub_ps(r1, t),
+                _mm256_sub_ps(f(6.0), _mm256_mul_ps(xr, t)),
+            ),
+        );
+        let e = _mm256_sub_ps(
+            _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c),
+            hxs,
+        );
+        let e_x = _mm256_sub_ps(e, xr);
+
+        // One candidate per k-class; `scale` adds k to the exponent.
+        let k23 = _mm256_slli_epi32::<23>(k);
+        let scale = |y: __m256| _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), k23));
+        let r_zero = _mm256_sub_ps(xr, e);
+        let r_m1 = _mm256_sub_ps(_mm256_mul_ps(f(0.5), _mm256_sub_ps(xr, e)), f(0.5));
+        let r_ext = _mm256_sub_ps(scale(_mm256_sub_ps(f(1.0), e_x)), f(1.0));
+        let t_mid = _mm256_sub_epi32(i(0x3f80_0000), _mm256_srlv_epi32(i(0x0100_0000), k));
+        let r_mid = scale(_mm256_sub_ps(_mm256_castsi256_ps(t_mid), e_x));
+        let t_high = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(i(0x7f), k)));
+        let r_high = scale(_mm256_add_ps(
+            _mm256_sub_ps(xr, _mm256_add_ps(e, t_high)),
+            f(1.0),
+        ));
+
+        let lanes = |m: __m256i| _mm256_castsi256_ps(m);
+        let ext = _mm256_or_si256(_mm256_cmpgt_epi32(i(-1), k), _mm256_cmpgt_epi32(k, i(56)));
+        let mut em1 = _mm256_blendv_ps(r_high, r_mid, lanes(_mm256_cmpgt_epi32(i(23), k)));
+        em1 = _mm256_blendv_ps(em1, r_ext, lanes(ext));
+        em1 = _mm256_blendv_ps(em1, r_m1, lanes(_mm256_cmpeq_epi32(k, i(-1))));
+        em1 = _mm256_blendv_ps(em1, r_zero, lanes(_mm256_cmpeq_epi32(k, i(0))));
+        // |a| < 2⁻²⁵ returns a itself.
+        em1 = _mm256_blendv_ps(em1, a, lanes(_mm256_cmpgt_epi32(i(0x3300_0000), ha)));
+
+        // tanh: 1 - 2/(t+2) for |x| ≥ 1, -t/(t+2) below, sign of x.
+        let d = _mm256_add_ps(em1, f(2.0));
+        let num = _mm256_blendv_ps(_mm256_xor_ps(em1, sign), f(2.0), big);
+        let qt = _mm256_div_ps(num, d);
+        let z = _mm256_blendv_ps(qt, _mm256_sub_ps(f(1.0), qt), big);
+        Some(_mm256_xor_ps(z, _mm256_and_ps(x, sign)))
     }
 
     #[target_feature(enable = "avx2")]

@@ -3,7 +3,8 @@
 //!
 //! The crate deliberately stays tiny and predictable: a row-major
 //! [`Matrix`] type, the elementwise and reduction kernels the neural
-//! layers need ([`ops`]), weight initializers ([`init`]), and an
+//! layers need ([`ops`]), a tanh whose bits do not depend on the
+//! platform libm ([`math`]), weight initializers ([`init`]), and an
 //! Fx-style fast hasher ([`fx`]) used for string interning throughout
 //! the workspace, and a CRC-32 ([`crc32`]) checksumming the durable
 //! artifacts (model snapshots, scan shards).
@@ -16,6 +17,7 @@ pub mod crc32;
 pub mod fx;
 pub mod init;
 pub mod kernels;
+pub mod math;
 pub mod matrix;
 pub mod ops;
 

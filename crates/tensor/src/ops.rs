@@ -77,9 +77,11 @@ pub fn log_sigmoid(x: f32) -> f32 {
     x.min(0.0) - (-x.abs()).exp().ln_1p()
 }
 
-/// Hyperbolic tangent applied in place.
+/// Hyperbolic tangent ([`crate::math::tanh`]) applied in place;
+/// dispatched like [`dot`].
+#[inline]
 pub fn tanh_inplace(a: &mut [f32]) {
-    a.iter_mut().for_each(|x| *x = x.tanh());
+    crate::kernels::tanh_inplace(a)
 }
 
 /// Derivative of tanh given the *activated* value `t = tanh(x)`.

@@ -13,7 +13,8 @@
 //! scalar reference, making these tests trivially green there; CI
 //! x86-64 runners all have AVX2, so the real comparison runs in CI.
 
-use pge_tensor::kernels;
+use pge_tensor::kernels::{self, Ops};
+use pge_tensor::{math, ops};
 use proptest::prelude::*;
 
 /// An f32 strategy that heavily favors the values that break naive
@@ -244,4 +245,237 @@ fn dispatch_is_kernel_invariant() {
         assert_eq!(kernels::dot(&a, &b).to_bits(), reference.to_bits());
     }
     kernels::set_kernel(None);
+}
+
+// ---------------------------------------------------------------------------
+// tanh: the fdlibm port (`math::tanh`) and its AVX2 lanes.
+// ---------------------------------------------------------------------------
+
+/// `tanh` bits as glibc 2.36's `tanhf` returns them on x86-64, one
+/// input per branch of fdlibm's `s_tanhf.c` and `s_expm1f.c`: ±0 and
+/// subnormals, either side of the 2⁻⁵⁵ edge and of expm1f's 2⁻²⁵ edge,
+/// the expm1f k-classes 0 (0.1), -1 (0.3), -2 (0.6), -3 (-0.9),
+/// 3..22 (|x| = 1 up to 5), 23..56 (8 to 15) and > 56 (20, just below
+/// 22), |x| ≥ 22, ±inf and NaN. 1.5354436e-2 is where the port is
+/// furthest (2 ulp) from the exact tanh.
+const TANH_GOLDEN: [(u32, u32); 34] = [
+    (0x0000_0000, 0x0000_0000), // +0
+    (0x8000_0000, 0x8000_0000), // -0
+    (0x0000_0001, 0x0000_0001), // smallest subnormal
+    (0x807f_ffff, 0x807f_ffff), // largest negative subnormal
+    (0x23ff_ffff, 0x23ff_ffff), // just below 2⁻⁵⁵
+    (0x2400_0000, 0x2400_0000), // 2⁻⁵⁵
+    (0xa400_0000, 0xa400_0000), // -2⁻⁵⁵
+    (0x3080_0000, 0x3080_0000), // 2⁻³⁰
+    (0x327f_ffff, 0x327f_ffff), // just below 2⁻²⁶
+    (0x3280_0000, 0x3280_0000), // 2⁻²⁶
+    (0x3c7b_912c, 0x3c7b_8c1e), // 1.5354436e-2
+    (0x3dcc_cccd, 0x3dcc_1ebc), // 0.1
+    (0xbdcc_cccd, 0xbdcc_1ebc), // -0.1
+    (0x3e99_999a, 0x3e95_26ed), // 0.3
+    (0x3f19_999a, 0x3f09_7c15), // 0.6
+    (0xbf66_6666, 0xbf37_5f4c), // -0.9
+    (0x3f7f_ffff, 0x3f42_f7d5), // just below 1
+    (0x3f80_0000, 0x3f42_f7d6), // 1
+    (0xbf80_0000, 0xbf42_f7d6), // -1
+    (0x4040_0000, 0x3f7e_bbe9), // 3
+    (0xc0a0_0000, 0xbf7f_fa0d), // -5
+    (0x4100_0000, 0x3f7f_fffc), // 8
+    (0xc108_0000, 0xbf7f_ffff), // -8.5
+    (0x4120_0000, 0x3f80_0000), // 10
+    (0xc170_0000, 0xbf80_0000), // -15
+    (0x41a0_0000, 0x3f80_0000), // 20
+    (0x41af_ffff, 0x3f80_0000), // just below 22
+    (0x41b0_0000, 0x3f80_0000), // 22
+    (0xc2c8_0000, 0xbf80_0000), // -100
+    (0x7f7f_ffff, 0x3f80_0000), // f32::MAX
+    (0x7f80_0000, 0x3f80_0000), // +inf
+    (0xff80_0000, 0xbf80_0000), // -inf
+    (0x7fc0_0000, 0x7fc0_0000), // NaN
+    (0xffc0_0001, 0xffc0_0001), // NaN
+];
+
+/// Bit patterns at the port's branch edges, on both signs.
+fn tanh_edges() -> Vec<u32> {
+    let edges = [
+        0x2400_0000u32, // 2⁻⁵⁵
+        0x3280_0000,    // 2⁻²⁶: 2|x| crosses 2⁻²⁵
+        0x3e31_7218,    // 2|x| crosses 0.5·ln2
+        0x3f05_1592,    // 2|x| crosses 1.5·ln2
+        0x3f80_0000,    // 1
+        0x41b0_0000,    // 22
+        0x7f80_0000,    // inf
+    ];
+    let mut v: Vec<u32> = TANH_GOLDEN.iter().map(|&(x, _)| x).collect();
+    for e in edges {
+        for b in e.saturating_sub(2)..=e + 2 {
+            v.extend([b, b | 0x8000_0000]);
+        }
+    }
+    v
+}
+
+fn tanh_scalar_vs_simd(xs: &[f32]) {
+    let mut s = xs.to_vec();
+    let mut v = xs.to_vec();
+    kernels::tanh_inplace_scalar(&mut s);
+    kernels::tanh_inplace_simd(&mut v);
+    for (i, (a, b)) in s.iter().zip(&v).enumerate() {
+        if a.to_bits() != b.to_bits() {
+            assert_bits_eq(*a, *b, &format!("tanh({:e}) [{i}]", xs[i]));
+        }
+    }
+}
+
+#[test]
+fn tanh_matches_recorded_glibc_bits() {
+    for (x, want) in TANH_GOLDEN {
+        let got = math::tanh(f32::from_bits(x));
+        assert_bits_eq(
+            got,
+            f32::from_bits(want),
+            &format!("tanh({:e})", f32::from_bits(x)),
+        );
+    }
+}
+
+/// Every 65,537th bit pattern plus the branch edges, once as they come
+/// (a vector with an out-of-range lane takes the scalar port) and once
+/// with only the lanes the AVX2 arithmetic handles, 2⁻⁵⁵ ≤ |x| < 22.
+#[test]
+fn tanh_scalar_simd_bit_identical_on_strided_patterns() {
+    let mut bits: Vec<u32> = (0..=u32::MAX).step_by(65_537).collect();
+    bits.extend(tanh_edges());
+    let xs: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+    tanh_scalar_vs_simd(&xs);
+    let in_range: Vec<f32> = xs
+        .iter()
+        .copied()
+        .filter(|x| (2f32.powi(-55)..22.0).contains(&x.abs()))
+        .collect();
+    assert!(
+        in_range.len() > 15_000,
+        "{} in-range patterns",
+        in_range.len()
+    );
+    tanh_scalar_vs_simd(&in_range);
+}
+
+struct TanhPass<'a>(&'a mut [f32]);
+
+impl kernels::Pass for TanhPass<'_> {
+    type Output = ();
+    fn run<O: kernels::Ops>(self, ops: O) {
+        ops.tanh_inplace(self.0)
+    }
+}
+
+/// Ragged lengths through every door: the dispatched entry points,
+/// `ops::tanh_inplace`, and the `Ops` impls under each kernel.
+#[test]
+fn tanh_ragged_lengths_through_every_door() {
+    for n in 0..=67usize {
+        let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.71).sin() * 3.0).collect();
+        let want: Vec<u32> = xs.iter().map(|&x| math::tanh(x).to_bits()).collect();
+        let mut doors: Vec<(String, Vec<f32>)> = Vec::new();
+        for k in [kernels::Kernel::Scalar, kernels::Kernel::Simd] {
+            kernels::set_kernel(Some(k));
+            let mut a = xs.clone();
+            ops::tanh_inplace(&mut a);
+            doors.push((format!("ops::tanh_inplace under {}", k.name()), a));
+            let mut a = xs.clone();
+            kernels::run(TanhPass(&mut a));
+            doors.push((format!("run under {}", k.name()), a));
+            let mut a = xs.clone();
+            kernels::DispatchedOps.tanh_inplace(&mut a);
+            doors.push((format!("DispatchedOps under {}", k.name()), a));
+        }
+        kernels::set_kernel(None);
+        for (door, got) in doors {
+            let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{door}, length {n}");
+        }
+    }
+}
+
+/// Run `check(xs)` over all 2³² f32 bit patterns in consecutive
+/// blocks, on every available cpu.
+fn for_every_f32(check: impl Fn(&[f32]) + Sync) {
+    const BLOCK: u64 = 1 << 16;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let blocks = (1u64 << 32) / BLOCK;
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let check = &check;
+            s.spawn(move || {
+                let mut xs = vec![0.0f32; BLOCK as usize];
+                for b in (t..blocks).step_by(threads as usize) {
+                    for (i, x) in xs.iter_mut().enumerate() {
+                        *x = f32::from_bits((b * BLOCK + i as u64) as u32);
+                    }
+                    check(&xs);
+                }
+            });
+        }
+    });
+}
+
+/// Distance in ulps between two non-NaN floats of the same sign
+/// class, counting ±0 as one point.
+fn ulp_distance(a: f32, b: f32) -> u32 {
+    let ordered = |x: f32| {
+        let b = x.to_bits() as i64;
+        if b & 0x8000_0000 != 0 {
+            -(b & 0x7fff_ffff)
+        } else {
+            b
+        }
+    };
+    (ordered(a) - ordered(b)).unsigned_abs() as u32
+}
+
+/// All 2³² inputs: the AVX2 lanes return the scalar port's bits (NaN
+/// for NaN). About a minute on 2 cpus in release mode.
+#[test]
+#[ignore = "exhaustive; run in release"]
+fn tanh_simd_matches_scalar_on_every_f32() {
+    for_every_f32(tanh_scalar_vs_simd);
+}
+
+/// All 2³² inputs: the port is within 2 ulp of tanh computed in f64
+/// and rounded to f32.
+#[test]
+#[ignore = "exhaustive; run in release"]
+fn tanh_within_2ulp_of_f64_on_every_f32() {
+    for_every_f32(|xs| {
+        for &x in xs {
+            let got = math::tanh(x);
+            let want = (x as f64).tanh() as f32;
+            if x.is_nan() {
+                assert!(got.is_nan(), "tanh(NaN) = {got}");
+                continue;
+            }
+            let d = ulp_distance(got, want);
+            assert!(
+                d <= 2,
+                "tanh({x:e}) = {got:e}, f64 reference {want:e}: {d} ulp"
+            );
+        }
+    });
+}
+
+/// All 2³² inputs: the port returns the host libm's `tanhf` bits. It
+/// holds against glibc up to 2.40, whose `tanhf` is fdlibm's; glibc
+/// 2.41 replaced it (CORE-MATH), so this is not a CI check.
+#[test]
+#[ignore = "exhaustive; depends on the host libm"]
+fn tanh_matches_host_libm_on_every_f32() {
+    for_every_f32(|xs| {
+        for &x in xs {
+            let (got, want) = (math::tanh(x), x.tanh());
+            if got.to_bits() != want.to_bits() {
+                assert_bits_eq(got, want, &format!("tanh({x:e}) vs libm"));
+            }
+        }
+    });
 }
