@@ -310,8 +310,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_method_trains_on_tiny_data() {
+    /// Train `m` on a tiny catalog and score one test triple.
+    fn trains_on_tiny_data(m: Method) {
         let scale = Scale {
             products: 120,
             labeled: 40,
@@ -321,13 +321,50 @@ mod tests {
             seed: 7,
         };
         let d = scale.amazon();
-        for m in Method::table3(true)
-            .into_iter()
-            .chain([Method::PgeBertRotatE])
-        {
-            let tm = train_method(&d, m, &scale);
-            let f = tm.detector.plausibility(&d.graph, &d.test[0].triple);
-            assert!(f.is_finite(), "{m:?} produced non-finite score");
-        }
+        let tm = train_method(&d, m, &scale);
+        let f = tm.detector.plausibility(&d.graph, &d.test[0].triple);
+        assert!(f.is_finite(), "{m:?} produced non-finite score");
+    }
+
+    /// One test per method, so that the test harness trains them in
+    /// parallel.
+    macro_rules! every_method {
+        ($($name:ident: $m:expr,)*) => {
+            mod every_method_trains_on_tiny_data {
+                use super::*;
+                $(
+                    #[test]
+                    fn $name() {
+                        trains_on_tiny_data($m);
+                    }
+                )*
+
+                #[test]
+                fn covers_the_table3_roster_and_pge_bert() {
+                    let listed = [$($m),*];
+                    let roster: Vec<Method> = Method::table3(true)
+                        .into_iter()
+                        .chain([Method::PgeBertRotatE])
+                        .collect();
+                    assert_eq!(listed.to_vec(), roster);
+                }
+            }
+        };
+    }
+
+    every_method! {
+        lstm: Method::Lstm,
+        transformer: Method::Transformer,
+        transe: Method::TransE,
+        distmult: Method::DistMult,
+        complex: Method::ComplEx,
+        rotate: Method::RotatE,
+        rotate_plus: Method::RotatEPlus,
+        dkrl: Method::Dkrl,
+        ssp: Method::Ssp,
+        ckrl: Method::Ckrl,
+        pge_cnn_transe: Method::PgeCnnTransE,
+        pge_cnn_rotate: Method::PgeCnnRotatE,
+        pge_bert_rotate: Method::PgeBertRotatE,
     }
 }

@@ -31,6 +31,7 @@ pub mod encoder;
 pub mod incremental;
 pub mod model;
 pub mod persist;
+mod pool;
 pub mod score;
 pub mod trainer;
 

@@ -12,14 +12,16 @@
 //! lanes*: batch position `p` always belongs to lane `p % GRAD_LANES`,
 //! each lane accumulates encoder and relation gradients into its own
 //! buffer, and the buffers are reduced in lane order before the single
-//! Adam step. Worker threads own
-//! contiguous lane ranges, so the thread count decides only *who*
-//! computes a lane, never which lane a triple lands in or the order of
-//! the floating-point reduction — a run with `threads = 8` is
-//! bit-identical to `threads = 1` at the same seed. Negative sampling
-//! draws from a per-triple RNG stream (seeded from `(seed, epoch,
-//! dataset index)`), which keeps the drawn corruptions independent of
-//! the partition as well.
+//! Adam step. A step is two jobs on the run's worker pool: workers
+//! claim lanes from a shared counter until none is left, then each
+//! folds and Adam-steps a disjoint share of the parameters, adding the
+//! lanes to every element in lane order. The thread count therefore
+//! decides only *who* computes a lane or an element, never which lane
+//! a triple lands in or the order of the floating-point reduction — a
+//! run with `threads = 8` is bit-identical to `threads = 1` at the
+//! same seed. Negative sampling draws from a per-triple RNG stream
+//! (seeded from `(seed, epoch, dataset index)`), which keeps the drawn
+//! corruptions independent of the partition as well.
 
 use crate::checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
@@ -29,15 +31,18 @@ use crate::corpus::{build_corpus, TokenizedGraph};
 use crate::encoder::TextEncoder;
 use crate::model::PgeModel;
 use crate::persist::PersistError;
+use crate::pool::Pool;
 use crate::score::{ScoreKind, Scorer};
+use parking_lot::Mutex;
 use pge_graph::{Dataset, NegativeSampler, SamplingMode, Triple};
 use pge_nn::conv::CnnEncCache;
-use pge_nn::{AdamHparams, CnnConfig, Embedding, SparseRowGrads};
+use pge_nn::{AdamHparams, CnnConfig, CnnGrads, Embedding, SparseRowGrads};
 use pge_obs::{checkpoint_event, epoch_event, global_tracer, span, EpochTelemetry, RunLog, Stage};
 use pge_tensor::ops;
 use pge_text::word2vec::{train_word2vec, Word2VecConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Bins of the per-epoch confidence histogram in the run log.
@@ -238,7 +243,7 @@ pub struct TrainedPge {
 /// relation gradients plus the scalar per-lane bookkeeping. Allocated
 /// once and reused across every batch of the run.
 struct Lane {
-    grads: pge_nn::CnnGrads,
+    grads: CnnGrads,
     rel: SparseRowGrads,
     /// Deferred confidence signals; safe to apply after the batch
     /// because each index occurs at most once per epoch, so updates to
@@ -252,7 +257,8 @@ struct Lane {
 
 /// One worker's buffers, allocated once per run and reused by every
 /// batch: an encode cache each for the title, the value and the
-/// negative being scored, and the scorer's gradient vectors.
+/// negative being scored, the scorer's gradient vectors, and the
+/// worker's compute seconds since the last [`Workers::take_totals`].
 #[derive(Default)]
 struct LaneScratch {
     title: CnnEncCache,
@@ -262,10 +268,12 @@ struct LaneScratch {
     dr: Vec<f32>,
     dv: Vec<f32>,
     f_negs: Vec<f32>,
+    busy: f64,
 }
 
 /// Loss, negative-sample and busy-time totals of the steps since the
 /// last [`Workers::take_totals`].
+#[derive(Default)]
 pub(crate) struct Totals {
     pub(crate) loss_sum: f64,
     pub(crate) loss_n: usize,
@@ -275,15 +283,6 @@ pub(crate) struct Totals {
 }
 
 impl Totals {
-    fn zero(workers: usize) -> Totals {
-        Totals {
-            loss_sum: 0.0,
-            loss_n: 0,
-            negs: 0,
-            busy: vec![0.0; workers],
-        }
-    }
-
     /// Mean triple loss (0 when no triple trained).
     pub(crate) fn mean_loss(&self) -> f32 {
         if self.loss_n == 0 {
@@ -295,44 +294,58 @@ impl Totals {
 }
 
 /// What [`step`] reuses across a whole run: the [`GRAD_LANES`]
-/// gradient lanes, one scratch per worker, and the running totals.
+/// gradient lanes, one scratch per worker, the running totals, and the
+/// worker pool. The pool's threads live as long as this value, and
+/// dropping it joins them.
 pub(crate) struct Workers {
-    lanes: Vec<Lane>,
-    scratch: Vec<LaneScratch>,
+    lanes: Vec<Mutex<Lane>>,
+    scratch: Vec<Mutex<LaneScratch>>,
     totals: Totals,
+    pool: Pool,
 }
 
 impl Workers {
-    /// Buffers for training `model` on [`resolve_threads`]`(threads)`
-    /// workers.
+    /// Buffers and threads for training `model` on
+    /// [`resolve_threads`]`(threads)` workers, the calling thread
+    /// included.
     pub(crate) fn new(model: &PgeModel, threads: usize) -> Workers {
         let workers = resolve_threads(threads);
         let rel_dim = model.scorer.rel_dim(model.dim());
         Workers {
             lanes: (0..GRAD_LANES)
-                .map(|_| Lane {
-                    grads: model.encoder.grad_buffer(),
-                    rel: SparseRowGrads::new(rel_dim),
-                    conf: Vec::new(),
-                    loss_sum: 0.0,
-                    loss_n: 0,
-                    negs: 0,
+                .map(|_| {
+                    Mutex::new(Lane {
+                        grads: model.encoder.grad_buffer(),
+                        rel: SparseRowGrads::new(rel_dim),
+                        conf: Vec::new(),
+                        loss_sum: 0.0,
+                        loss_n: 0,
+                        negs: 0,
+                    })
                 })
                 .collect(),
-            scratch: (0..workers).map(|_| LaneScratch::default()).collect(),
-            totals: Totals::zero(workers),
+            scratch: (0..workers).map(|_| Mutex::default()).collect(),
+            totals: Totals::default(),
+            pool: Pool::new(workers),
         }
     }
 
-    /// Worker threads per step.
+    /// Workers per step, the calling thread included.
     pub(crate) fn count(&self) -> usize {
-        self.scratch.len()
+        self.pool.workers()
     }
 
     /// The totals so far; the next step counts from zero.
     pub(crate) fn take_totals(&mut self) -> Totals {
-        let zero = Totals::zero(self.count());
-        std::mem::replace(&mut self.totals, zero)
+        let busy = self
+            .scratch
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.get_mut().busy))
+            .collect();
+        Totals {
+            busy,
+            ..std::mem::take(&mut self.totals)
+        }
     }
 }
 
@@ -364,17 +377,11 @@ struct BatchCtx<'a> {
     epoch: &'a EpochCtx<'a>,
 }
 
-/// Process this worker's lanes for one batch: lane `first_lane + j`
-/// (for `lanes[j]`) owns batch positions `≡ lane (mod GRAD_LANES)`.
-/// Pure accumulation — nothing here mutates shared state, so workers
-/// run concurrently against the same `BatchCtx`.
-fn run_lanes(
-    ctx: &BatchCtx,
-    batch: &[usize],
-    lanes: &mut [Lane],
-    first_lane: usize,
-    scratch: &mut LaneScratch,
-) {
+/// Accumulate lane `l` of one batch — batch positions `≡ l (mod
+/// GRAD_LANES)` — into `lane`, after clearing what the previous batch
+/// left there. Nothing here mutates shared state, so workers run lanes
+/// concurrently against the same `BatchCtx`.
+fn run_lane(ctx: &BatchCtx, batch: &[usize], lane: &mut Lane, l: usize, scratch: &mut LaneScratch) {
     let BatchCtx {
         model,
         confidence,
@@ -391,92 +398,95 @@ fn run_lanes(
         dr,
         dv,
         f_negs,
+        ..
     } = scratch;
     dh.resize(ent_dim, 0.0);
     dr.resize(scorer.rel_dim(ent_dim), 0.0);
     dv.resize(ent_dim, 0.0);
-    for (j, lane) in lanes.iter_mut().enumerate() {
-        for p in (first_lane + j..batch.len()).step_by(GRAD_LANES) {
-            let i = batch[p];
-            let triple = epoch.train[i];
-            // Private RNG stream per (triple, epoch): negative draws
-            // do not depend on which lane or thread runs this triple.
-            let mut trng = StdRng::seed_from_u64(triple_stream_seed(epoch.seed, epoch.id, i));
-            let negs = epoch.sampler.sample(&mut trng, &triple, epoch.k);
-            if negs.is_empty() {
-                continue;
-            }
-            enc.forward_into(&epoch.tokens.titles[triple.product.0 as usize], title);
-            enc.forward_into(&epoch.tokens.values[triple.value.0 as usize], value);
-            let (e_t, e_v) = (title.embedding(), value.embedding());
-            let r = model.relations.row(triple.attr.0 as u32);
-            let f_pos = scorer.score(e_t, r, e_v);
-            lane.negs += negs.len();
-            // Loss bookkeeping (Eq. 3 per-triple term).
-            let mut l_i = -ops::log_sigmoid(f_pos);
-            let w = if epoch.confidence_active {
-                confidence.get(i)
-            } else {
-                1.0
-            };
-            dh.fill(0.0);
-            dr.fill(0.0);
-            if w > 0.0 {
-                // Positive term: dL/df⁺ = −σ(−f⁺).
-                dv.fill(0.0);
-                let df_pos = -w * ops::sigmoid(-f_pos);
-                scorer.backward(e_t, r, e_v, df_pos, dh, dr, dv);
-                enc.backward_into(value, dv, &mut lane.grads);
-            }
-            let inv_k = 1.0 / negs.len() as f32;
-            f_negs.clear();
-            for &n in &negs {
-                enc.forward_into(&epoch.tokens.values[n.0 as usize], neg);
-                let e_n = neg.embedding();
-                let f_neg = scorer.score(e_t, r, e_n);
-                l_i += -inv_k * ops::log_sigmoid(-f_neg);
-                if capture_contrast {
-                    f_negs.push(f_neg);
-                }
-                if w > 0.0 {
-                    // Negative term: dL/df⁻ = σ(f⁻)/k.
-                    dv.fill(0.0);
-                    let df_neg = w * inv_k * ops::sigmoid(f_neg);
-                    scorer.backward(e_t, r, e_n, df_neg, dh, dr, dv);
-                    enc.backward_into(neg, dv, &mut lane.grads);
-                }
-            }
-            if w > 0.0 {
-                enc.backward_into(title, dh, &mut lane.grads);
-                lane.rel.add_row(triple.attr.0 as usize, dr);
-            }
-            if epoch.confidence_active {
-                let (contrast, value_emb) = if capture_contrast {
-                    (info_nce(f_pos, f_negs), e_v.to_vec())
-                } else {
-                    (0.0, Vec::new())
-                };
-                lane.conf.push(ConfidenceSignal {
-                    index: i,
-                    triple_loss: l_i,
-                    contrast,
-                    attr: triple.attr.0,
-                    value_emb,
-                });
-            }
-            lane.loss_sum += l_i as f64;
-            lane.loss_n += 1;
+    lane.grads.clear();
+    lane.rel.clear();
+    for p in (l..batch.len()).step_by(GRAD_LANES) {
+        let i = batch[p];
+        let triple = epoch.train[i];
+        // Private RNG stream per (triple, epoch): negative draws do
+        // not depend on which lane or thread runs this triple.
+        let mut trng = StdRng::seed_from_u64(triple_stream_seed(epoch.seed, epoch.id, i));
+        let negs = epoch.sampler.sample(&mut trng, &triple, epoch.k);
+        if negs.is_empty() {
+            continue;
         }
+        enc.forward_into(&epoch.tokens.titles[triple.product.0 as usize], title);
+        enc.forward_into(&epoch.tokens.values[triple.value.0 as usize], value);
+        let (e_t, e_v) = (title.embedding(), value.embedding());
+        let r = model.relations.row(triple.attr.0 as u32);
+        let f_pos = scorer.score(e_t, r, e_v);
+        lane.negs += negs.len();
+        // Loss bookkeeping (Eq. 3 per-triple term).
+        let mut l_i = -ops::log_sigmoid(f_pos);
+        let w = if epoch.confidence_active {
+            confidence.get(i)
+        } else {
+            1.0
+        };
+        dh.fill(0.0);
+        dr.fill(0.0);
+        if w > 0.0 {
+            // Positive term: dL/df⁺ = −σ(−f⁺).
+            dv.fill(0.0);
+            let df_pos = -w * ops::sigmoid(-f_pos);
+            scorer.backward(e_t, r, e_v, df_pos, dh, dr, dv);
+            enc.backward_into(value, dv, &mut lane.grads);
+        }
+        let inv_k = 1.0 / negs.len() as f32;
+        f_negs.clear();
+        for &n in &negs {
+            enc.forward_into(&epoch.tokens.values[n.0 as usize], neg);
+            let e_n = neg.embedding();
+            let f_neg = scorer.score(e_t, r, e_n);
+            l_i += -inv_k * ops::log_sigmoid(-f_neg);
+            if capture_contrast {
+                f_negs.push(f_neg);
+            }
+            if w > 0.0 {
+                // Negative term: dL/df⁻ = σ(f⁻)/k.
+                dv.fill(0.0);
+                let df_neg = w * inv_k * ops::sigmoid(f_neg);
+                scorer.backward(e_t, r, e_n, df_neg, dh, dr, dv);
+                enc.backward_into(neg, dv, &mut lane.grads);
+            }
+        }
+        if w > 0.0 {
+            enc.backward_into(title, dh, &mut lane.grads);
+            lane.rel.add_row(triple.attr.0 as usize, dr);
+        }
+        if epoch.confidence_active {
+            let (contrast, value_emb) = if capture_contrast {
+                (info_nce(f_pos, f_negs), e_v.to_vec())
+            } else {
+                (0.0, Vec::new())
+            };
+            lane.conf.push(ConfidenceSignal {
+                index: i,
+                triple_loss: l_i,
+                contrast,
+                attr: triple.attr.0,
+                value_emb,
+            });
+        }
+        lane.loss_sum += l_i as f64;
+        lane.loss_n += 1;
     }
 }
 
-/// One minibatch of Eq. (3)/(6): fan [`run_lanes`] out over the
-/// workers against the read-only model, then fold the lanes in fixed
-/// lane order — independent of the thread count — into the encoder and
-/// relation gradients and the confidence table, and take the single
-/// Adam step `t`. The batch's loss, negatives and per-worker busy
-/// seconds add to `workers`' totals lane by lane, the order epoch
-/// losses have always been summed in.
+/// One minibatch of Eq. (3)/(6), as two jobs on the worker pool.
+/// First the workers claim lanes from a shared counter and run
+/// [`run_lane`] against the read-only model. Then the calling thread
+/// applies the confidence signals and adds the loss totals in lane
+/// order, and every worker folds the lanes into its disjoint share of
+/// the encoder and relation parameters and takes Adam step `t` on it;
+/// each element adds lanes 0..[`GRAD_LANES`] in order, so no bit
+/// depends on the thread count. Each worker's busy seconds add to
+/// `workers`' totals.
 pub(crate) fn step(
     model: &mut PgeModel,
     confidence: &mut ConfidenceStore,
@@ -490,6 +500,7 @@ pub(crate) fn step(
         lanes,
         scratch,
         totals,
+        pool,
     } = workers;
     let ctx = BatchCtx {
         model,
@@ -497,38 +508,22 @@ pub(crate) fn step(
         capture_contrast: epoch.confidence_active && updater.wants_contrast(),
         epoch,
     };
-    let per_worker = GRAD_LANES.div_ceil(scratch.len());
-    if scratch.len() == 1 {
+    let next = AtomicUsize::new(0);
+    pool.run(&|w| {
         let t0 = Instant::now();
-        run_lanes(&ctx, batch, lanes, 0, &mut scratch[0]);
-        totals.busy[0] += t0.elapsed().as_secs_f64();
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = lanes
-                .chunks_mut(per_worker)
-                .zip(scratch.iter_mut())
-                .enumerate()
-                .map(|(w, (chunk, scratch))| {
-                    let ctx = &ctx;
-                    s.spawn(move || {
-                        let t0 = Instant::now();
-                        run_lanes(ctx, batch, chunk, w * per_worker, scratch);
-                        (w, t0.elapsed().as_secs_f64())
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (w, busy) = h.join().expect("training worker panicked");
-                totals.busy[w] += busy;
+        let mut scratch = scratch[w].lock();
+        loop {
+            let l = next.fetch_add(1, Ordering::Relaxed);
+            if l >= GRAD_LANES {
+                break;
             }
-        });
-    }
-    let PgeModel {
-        encoder, relations, ..
-    } = model;
-    for lane in lanes.iter_mut() {
-        encoder.apply_grads(&mut lane.grads);
-        relations.apply_sparse_grads(&mut lane.rel);
+            run_lane(&ctx, batch, &mut lanes[l].lock(), l, &mut scratch);
+        }
+        scratch.busy += t0.elapsed().as_secs_f64();
+    });
+
+    let t0 = Instant::now();
+    for lane in lanes.iter_mut().map(Mutex::get_mut) {
         for sig in lane.conf.drain(..) {
             updater.apply(confidence, sig);
         }
@@ -539,8 +534,26 @@ pub(crate) fn step(
         lane.loss_n = 0;
         lane.negs = 0;
     }
-    encoder.adam_step(&epoch.hp, t);
-    relations.adam_step(&epoch.hp, t);
+    let lanes: Vec<&Lane> = lanes.iter_mut().map(|l| &*l.get_mut()).collect();
+    let grads: Vec<&CnnGrads> = lanes.iter().map(|l| &l.grads).collect();
+    let PgeModel {
+        encoder, relations, ..
+    } = model;
+    let parts = pool.workers();
+    let shares: Vec<_> = encoder
+        .split_step(&grads, parts)
+        .into_iter()
+        .zip(relations.split_step(lanes.iter().map(|l| &l.rel), parts))
+        .map(Mutex::new)
+        .collect();
+    scratch[0].get_mut().busy += t0.elapsed().as_secs_f64();
+    pool.run(&|w| {
+        let t0 = Instant::now();
+        let (enc, rel) = &mut *shares[w].lock();
+        enc.fold_adam_step(&grads, &epoch.hp, t);
+        rel.fold_adam_step(lanes.iter().map(|l| &l.rel), &epoch.hp, t);
+        scratch[w].lock().busy += t0.elapsed().as_secs_f64();
+    });
 }
 
 /// InfoNCE win probability of the positive score against its sampled
@@ -932,9 +945,10 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        // The tentpole guarantee: the fixed-lane partition and
-        // fixed-order reduction make results *bit-identical* for any
-        // worker count at the same seed.
+        // The fixed-lane partition and fixed-order reduction make
+        // results *bit-identical* for any worker count at the same
+        // seed: 3 workers split lanes and shares unevenly, and 32 is
+        // one lane per worker.
         let d = tiny_dataset();
         let score_all = |out: &TrainedPge| -> Vec<f32> {
             d.test
@@ -949,7 +963,7 @@ mod tests {
                 ..PgeConfig::tiny()
             },
         );
-        for threads in [2, 8] {
+        for threads in [2, 3, 8, GRAD_LANES] {
             let out = train_pge(
                 &d,
                 &PgeConfig {

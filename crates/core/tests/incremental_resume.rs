@@ -13,7 +13,7 @@ mod common;
 
 use common::{param_bits, scratch_dir, tiny_dataset, windows};
 use pge_core::{
-    train_incremental, train_pge_resumable, CheckpointOptions, ConfidenceBackend,
+    train_incremental, train_pge_resumable, CheckpointOptions, ConfidenceBackend, ErrorDetector,
     IncrementalConfig, IncrementalOutcome, PersistError, PgeConfig, CHECKPOINT_FILE,
 };
 use pge_graph::Dataset;
@@ -153,6 +153,39 @@ fn resume_may_change_thread_count() {
     }
     std::fs::remove_dir_all(&base_dir).unwrap();
     std::fs::remove_dir_all(&full_dir).unwrap();
+}
+
+#[test]
+fn thread_count_does_not_change_incremental_results() {
+    // Both ingests warm-start from one base checkpoint; 3 workers
+    // split the lanes and the parameter shares unevenly.
+    let base = tiny_dataset();
+    let base_dir = scratch_dir("tbase");
+    seed_base_checkpoint(&base, &cfg(1), &base_dir);
+    let ingest = |threads: usize| {
+        let dir = scratch_dir(&format!("t{threads}ingest"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(base_dir.join(CHECKPOINT_FILE), dir.join(CHECKPOINT_FILE)).unwrap();
+        let out = run(&base, &cfg(threads), &dir, false, None).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let losses: Vec<u32> = out.window_losses.iter().map(|l| l.to_bits()).collect();
+        let scores: Vec<u32> = out
+            .dataset
+            .train
+            .iter()
+            .map(|t| out.model.plausibility(&out.dataset.graph, t).to_bits())
+            .collect();
+        (losses, fingerprint(&out), scores)
+    };
+    let one = ingest(1);
+    let three = ingest(3);
+    assert_eq!(one.0, three.0, "window losses diverged");
+    assert_eq!(
+        one.1, three.1,
+        "parameters, confidences or live mask diverged"
+    );
+    assert_eq!(one.2, three.2, "scores diverged");
+    std::fs::remove_dir_all(&base_dir).unwrap();
 }
 
 #[test]

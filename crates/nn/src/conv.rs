@@ -8,10 +8,10 @@
 //! text-based representation.
 
 use crate::adam::AdamHparams;
-use crate::embedding::Embedding;
+use crate::embedding::{Embedding, RowShare};
 use crate::gradcheck::HasParams;
 use crate::linear::{self, Activation, Linear};
-use crate::param::Param;
+use crate::param::{Param, ParamShare};
 use pge_tensor::kernels::{self, DispatchedOps, Ops, Pass};
 use pge_tensor::{init, ops, Matrix};
 use rand::Rng;
@@ -199,6 +199,56 @@ pub struct CnnGrads {
     dy: Vec<f32>,
     dh: Vec<f32>,
     dx: Vec<f32>,
+}
+
+impl CnnGrads {
+    /// Dense buffer `i` in [`TextCnnEncoder::split_step`]'s parameter
+    /// order: each convolution's `dW` and `db`, then the projection's.
+    fn dense(&self, i: usize) -> &Matrix {
+        let (w, b) = self.convs.get(i / 2).unwrap_or(&self.proj);
+        if i.is_multiple_of(2) {
+            w
+        } else {
+            b
+        }
+    }
+
+    /// Zero every buffer for reuse, as [`TextCnnEncoder::apply_grads`]
+    /// leaves them.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        for (w, b) in self.convs.iter_mut().chain([&mut self.proj]) {
+            w.fill_zero();
+            b.fill_zero();
+        }
+    }
+}
+
+/// One worker's part of a split [`TextCnnEncoder`] optimizer step
+/// ([`TextCnnEncoder::split_step`]): an element range of every dense
+/// parameter and a row range of the word table.
+#[derive(Debug)]
+pub struct EncoderShare<'a> {
+    dense: Vec<ParamShare<'a>>,
+    words: RowShare<'a>,
+}
+
+impl EncoderShare<'_> {
+    /// Fold `grads` — the buffers given to `split_step`, in the same
+    /// order — into this share, then take Adam step `t` on it: bit for
+    /// bit what [`TextCnnEncoder::apply_grads`] per buffer followed by
+    /// [`TextCnnEncoder::adam_step`] does to the share's elements. The
+    /// buffers are read, not cleared.
+    pub fn fold_adam_step(&mut self, grads: &[&CnnGrads], hp: &AdamHparams, t: u64) {
+        self.words
+            .fold_adam_step(grads.iter().map(|g| &g.words), hp, t);
+        for (i, share) in self.dense.iter_mut().enumerate() {
+            for g in grads {
+                share.accumulate(g.dense(i));
+            }
+            share.adam_step(hp, t);
+        }
+    }
 }
 
 /// The buffers of one [`TextCnnEncoder::forward_into`]: its backward
@@ -491,6 +541,33 @@ impl TextCnnEncoder {
         self.proj.apply_grads(&mut g.proj.0, &mut g.proj.1);
     }
 
+    /// Split the fold of `grads` and the Adam step after it over
+    /// `parts` workers; `result[w]` is worker `w`'s share. Each dense
+    /// parameter is cut into near-equal element ranges, and the word
+    /// table into [`Embedding::split_step`] row ranges. Shares are
+    /// disjoint, so workers may run
+    /// [`EncoderShare::fold_adam_step`] concurrently.
+    pub fn split_step(&mut self, grads: &[&CnnGrads], parts: usize) -> Vec<EncoderShare<'_>> {
+        let words = self.words.split_step(grads.iter().map(|g| &g.words), parts);
+        let mut dense: Vec<Vec<ParamShare>> = (0..parts).map(|_| Vec::new()).collect();
+        let params = self.convs.iter_mut().flat_map(Conv1d::params_mut);
+        for p in params.chain(self.proj.params_mut()) {
+            let n = p.value.len();
+            for (w, share) in p
+                .shares((1..=parts).map(|k| n * k / parts))
+                .into_iter()
+                .enumerate()
+            {
+                dense[w].push(share);
+            }
+        }
+        dense
+            .into_iter()
+            .zip(words)
+            .map(|(dense, words)| EncoderShare { dense, words })
+            .collect()
+    }
+
     /// Optimizer step over all parameters (sparse for the word table).
     pub fn adam_step(&mut self, hp: &AdamHparams, t: u64) {
         self.words.adam_step(hp, t);
@@ -678,6 +755,64 @@ mod tests {
             .all(|(dw, db)| dw.as_slice().iter().all(|&x| x == 0.0)
                 && db.as_slice().iter().all(|&x| x == 0.0)));
         assert!(buf.proj.0.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn split_step_matches_apply_grads_then_adam_step() {
+        // Workers folding disjoint shares must leave every value and
+        // Adam moment with the bits of the one-thread fold + step,
+        // also when a share holds no touched row at all.
+        let mut rng = StdRng::seed_from_u64(12);
+        let cfg = CnnConfig {
+            vocab: 40,
+            ..tiny_cfg()
+        };
+        let base = TextCnnEncoder::new(&mut rng, cfg);
+        let texts: Vec<Vec<u32>> = (0..7)
+            .map(|i| {
+                (0..3 + i % 4)
+                    .map(|j| ((i * 7 + j * 5) % 40) as u32)
+                    .collect()
+            })
+            .collect();
+        let hp = AdamHparams::with_lr(0.05);
+        let bits = |enc: &mut TextCnnEncoder| -> Vec<u32> {
+            let mut out = Vec::new();
+            for p in enc.params_mut() {
+                let (m, v) = p.adam_state();
+                for x in [&p.value, m, v] {
+                    out.extend(x.as_slice().iter().map(|x| x.to_bits()));
+                }
+            }
+            out
+        };
+        let train = |parts: usize| -> Vec<u32> {
+            let mut enc = base.clone();
+            let mut bufs: Vec<CnnGrads> = (0..3).map(|_| enc.grad_buffer()).collect();
+            for t in 1..=3u64 {
+                for (i, text) in texts.iter().enumerate() {
+                    let (e, cache) = enc.forward(text);
+                    enc.backward_into(&cache, &e, &mut bufs[(i + t as usize) % 3]);
+                }
+                if parts == 0 {
+                    for b in &mut bufs {
+                        enc.apply_grads(b);
+                    }
+                    enc.adam_step(&hp, t);
+                } else {
+                    let grads: Vec<&CnnGrads> = bufs.iter().collect();
+                    for mut share in enc.split_step(&grads, parts) {
+                        share.fold_adam_step(&grads, &hp, t);
+                    }
+                    bufs.iter_mut().for_each(CnnGrads::clear);
+                }
+            }
+            bits(&mut enc)
+        };
+        let whole = train(0);
+        for parts in [1, 2, 3, 5, 64] {
+            assert_eq!(train(parts), whole, "parts={parts}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Lookup-table embeddings with sparse gradients.
 
 use crate::adam::AdamHparams;
-use crate::param::Param;
+use crate::grad::SparseRowGrads;
+use crate::param::{Param, ParamShare};
 use pge_tensor::{init, ops, Matrix};
 use rand::Rng;
 
@@ -113,7 +114,7 @@ impl Embedding {
     /// workers) into the inline row gradients, clearing the buffer.
     /// Rows are folded in the buffer's first-touch order, so repeated
     /// reductions over a fixed buffer sequence are deterministic.
-    pub fn apply_sparse_grads(&mut self, g: &mut crate::grad::SparseRowGrads) {
+    pub fn apply_sparse_grads(&mut self, g: &mut SparseRowGrads) {
         debug_assert_eq!(g.dim(), self.dim());
         for (row, grad) in g.iter() {
             self.accumulate_grad(row as u32, grad);
@@ -130,6 +131,54 @@ impl Embedding {
         self.touched.clear();
     }
 
+    /// Split the next optimizer step over `parts` workers. Every row
+    /// the buffers `grads` touch is marked, as
+    /// [`Embedding::apply_sparse_grads`] would mark it, and the marked
+    /// rows are cut into `parts` contiguous row ranges holding
+    /// near-equal numbers of them. The buffers are read, not cleared.
+    pub fn split_step<'a, 'g>(
+        &'a mut self,
+        grads: impl IntoIterator<Item = &'g SparseRowGrads>,
+        parts: usize,
+    ) -> Vec<RowShare<'a>> {
+        let mut touched = std::mem::take(&mut self.touched);
+        for g in grads {
+            for (r, _) in g.iter() {
+                if !self.touched_mark[r] {
+                    self.touched_mark[r] = true;
+                    touched.push(r);
+                }
+            }
+        }
+        for &r in &touched {
+            self.touched_mark[r] = false;
+        }
+        touched.sort_unstable();
+        let (n, rows, cols) = (touched.len(), self.len(), self.dim());
+        // Share p holds touched rows n·p/parts.. and starts at the
+        // first of them; share 0 starts at row 0, and the last share
+        // ends at the end of the table.
+        let first = |p: usize| match p {
+            0 => 0,
+            p if p == parts => rows,
+            p => touched.get(n * p / parts).copied().unwrap_or(rows),
+        };
+        let shares = self.table.shares((1..=parts).map(|p| first(p) * cols));
+        let out = shares
+            .into_iter()
+            .enumerate()
+            .map(|(p, share)| RowShare {
+                rows: first(p)..first(p + 1),
+                touched: touched[n * p / parts..n * (p + 1) / parts].to_vec(),
+                cols,
+                share,
+            })
+            .collect();
+        touched.clear();
+        self.touched = touched;
+        out
+    }
+
     /// Rows currently touched (for tests/diagnostics).
     pub fn touched_rows(&self) -> &[usize] {
         &self.touched
@@ -143,6 +192,40 @@ impl Embedding {
     /// Raw parameter access for gradient checking.
     pub fn param_mut(&mut self) -> &mut Param {
         &mut self.table
+    }
+}
+
+/// The rows of an [`Embedding`] that one worker folds and steps in a
+/// split optimizer step ([`Embedding::split_step`]): a contiguous row
+/// range of the table, and the touched rows inside it.
+#[derive(Debug)]
+pub struct RowShare<'a> {
+    rows: std::ops::Range<usize>,
+    touched: Vec<usize>,
+    cols: usize,
+    share: ParamShare<'a>,
+}
+
+impl RowShare<'_> {
+    /// Add the rows of `grads` that lie in this share, buffer by buffer
+    /// in the order given, then take the lazy Adam step `t` over the
+    /// share's touched rows: bit for bit what
+    /// [`Embedding::apply_sparse_grads`] per buffer followed by
+    /// [`Embedding::adam_step`] does to these rows.
+    pub fn fold_adam_step<'g>(
+        &mut self,
+        grads: impl IntoIterator<Item = &'g SparseRowGrads>,
+        hp: &AdamHparams,
+        t: u64,
+    ) {
+        for g in grads {
+            for (r, row) in g.iter() {
+                if self.rows.contains(&r) {
+                    self.share.accumulate_row(r, self.cols, row);
+                }
+            }
+        }
+        self.share.adam_step_rows(&self.touched, self.cols, hp, t);
     }
 }
 

@@ -39,8 +39,8 @@ pub mod param;
 pub mod transformer;
 
 pub use adam::AdamHparams;
-pub use conv::{CnnConfig, CnnGrads, TextCnnEncoder};
-pub use embedding::Embedding;
+pub use conv::{CnnConfig, CnnGrads, EncoderShare, TextCnnEncoder};
+pub use embedding::{Embedding, RowShare};
 pub use grad::SparseRowGrads;
 pub use linear::{Activation, Linear};
 pub use lstm::Lstm;

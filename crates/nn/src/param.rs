@@ -66,20 +66,7 @@ impl Param {
     ///
     /// `t` is the 1-based global step count used for bias correction.
     pub fn adam_step(&mut self, hp: &AdamHparams, t: u64) {
-        let (bc1, bc2) = hp.bias_corrections(t);
-        let value = self.value.as_mut_slice();
-        let grad = self.grad.as_mut_slice();
-        let m = self.m.as_mut_slice();
-        let v = self.v.as_mut_slice();
-        for i in 0..value.len() {
-            let g = grad[i];
-            m[i] = hp.beta1 * m[i] + (1.0 - hp.beta1) * g;
-            v[i] = hp.beta2 * v[i] + (1.0 - hp.beta2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            value[i] -= hp.lr * m_hat / (v_hat.sqrt() + hp.eps);
-            grad[i] = 0.0;
-        }
+        self.share().adam_step(hp, t);
     }
 
     /// Sparse ("lazy") Adam step over the listed rows only.
@@ -91,27 +78,53 @@ impl Param {
     /// standard lazy-Adam behaviour and harmless because its gradient
     /// is cleared by the first step.
     pub fn adam_step_rows(&mut self, rows: &[usize], hp: &AdamHparams, t: u64) {
-        let (bc1, bc2) = hp.bias_corrections(t);
         let cols = self.value.cols();
-        let value = self.value.as_mut_slice();
-        let grad = self.grad.as_mut_slice();
-        let m = self.m.as_mut_slice();
-        let v = self.v.as_mut_slice();
-        for &r in rows {
-            let lo = r * cols;
-            for i in lo..lo + cols {
-                let g = grad[i];
-                if g == 0.0 && m[i] == 0.0 && v[i] == 0.0 {
-                    continue;
-                }
-                m[i] = hp.beta1 * m[i] + (1.0 - hp.beta1) * g;
-                v[i] = hp.beta2 * v[i] + (1.0 - hp.beta2) * g * g;
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                value[i] -= hp.lr * m_hat / (v_hat.sqrt() + hp.eps);
-                grad[i] = 0.0;
-            }
+        self.share().adam_step_rows(rows, cols, hp, t);
+    }
+
+    /// The whole parameter as one [`ParamShare`].
+    fn share(&mut self) -> ParamShare<'_> {
+        ParamShare {
+            offset: 0,
+            value: self.value.as_mut_slice(),
+            grad: self.grad.as_mut_slice(),
+            m: self.m.as_mut_slice(),
+            v: self.v.as_mut_slice(),
         }
+    }
+
+    /// Cut the parameter into consecutive element ranges, ending at
+    /// each of `ends` in turn (ascending, the last one `rows · cols`),
+    /// so that several workers can fold and step disjoint ranges of
+    /// one parameter at once. A share updates its elements exactly as
+    /// the whole-parameter methods do.
+    pub(crate) fn shares(&mut self, ends: impl IntoIterator<Item = usize>) -> Vec<ParamShare<'_>> {
+        let mut rest = (
+            self.value.as_mut_slice(),
+            self.grad.as_mut_slice(),
+            self.m.as_mut_slice(),
+            self.v.as_mut_slice(),
+        );
+        let mut offset = 0;
+        let mut out = Vec::new();
+        for end in ends {
+            let len = end - offset;
+            let (value, r0) = std::mem::take(&mut rest.0).split_at_mut(len);
+            let (grad, r1) = std::mem::take(&mut rest.1).split_at_mut(len);
+            let (m, r2) = std::mem::take(&mut rest.2).split_at_mut(len);
+            let (v, r3) = std::mem::take(&mut rest.3).split_at_mut(len);
+            rest = (r0, r1, r2, r3);
+            out.push(ParamShare {
+                offset,
+                value,
+                grad,
+                m,
+                v,
+            });
+            offset = end;
+        }
+        debug_assert!(rest.0.is_empty(), "the last bound must be the length");
+        out
     }
 
     /// Plain SGD step (used by word2vec pre-training where Adam's
@@ -142,6 +155,99 @@ impl Param {
     /// a trainer checkpoint.
     pub fn adam_state_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
         (&mut self.m, &mut self.v)
+    }
+}
+
+/// A contiguous element range of one [`Param`] — its values, gradient
+/// and Adam moments — cut off by [`Param::shares`]. Shares of one
+/// parameter are disjoint, so workers may update them concurrently.
+#[derive(Debug)]
+pub(crate) struct ParamShare<'a> {
+    /// Offset of the range in the parameter's row-major elements.
+    offset: usize,
+    value: &'a mut [f32],
+    grad: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+}
+
+/// Adam's update of one element from its gradient `g`; `bc1`/`bc2` are
+/// [`AdamHparams::bias_corrections`]. Every Adam step in this crate
+/// runs this one function, so a split step has the bits of a whole one.
+#[inline(always)]
+fn adam_update(
+    hp: &AdamHparams,
+    (bc1, bc2): (f32, f32),
+    g: f32,
+    x: &mut f32,
+    m: &mut f32,
+    v: &mut f32,
+) {
+    *m = hp.beta1 * *m + (1.0 - hp.beta1) * g;
+    *v = hp.beta2 * *v + (1.0 - hp.beta2) * g * g;
+    let m_hat = *m / bc1;
+    let v_hat = *v / bc2;
+    *x -= hp.lr * m_hat / (v_hat.sqrt() + hp.eps);
+}
+
+impl ParamShare<'_> {
+    /// [`Param::accumulate_matrix`] restricted to this range: add the
+    /// range's elements of `g` (shaped like the whole parameter).
+    pub(crate) fn accumulate(&mut self, g: &Matrix) {
+        let src = &g.as_slice()[self.offset..self.offset + self.grad.len()];
+        for (a, b) in self.grad.iter_mut().zip(src) {
+            *a += b;
+        }
+    }
+
+    /// Add `g` to table row `row` of a `cols`-wide parameter; the row
+    /// must lie in this range.
+    pub(crate) fn accumulate_row(&mut self, row: usize, cols: usize, g: &[f32]) {
+        let lo = row * cols - self.offset;
+        for (a, b) in self.grad[lo..lo + cols].iter_mut().zip(g) {
+            *a += b;
+        }
+    }
+
+    /// [`Param::adam_step`] restricted to this range.
+    pub(crate) fn adam_step(&mut self, hp: &AdamHparams, t: u64) {
+        let bc = hp.bias_corrections(t);
+        for i in 0..self.value.len() {
+            let g = self.grad[i];
+            adam_update(
+                hp,
+                bc,
+                g,
+                &mut self.value[i],
+                &mut self.m[i],
+                &mut self.v[i],
+            );
+            self.grad[i] = 0.0;
+        }
+    }
+
+    /// [`Param::adam_step_rows`] restricted to this range: `rows` are
+    /// table rows of a `cols`-wide parameter, each inside the range.
+    pub(crate) fn adam_step_rows(&mut self, rows: &[usize], cols: usize, hp: &AdamHparams, t: u64) {
+        let bc = hp.bias_corrections(t);
+        for &r in rows {
+            let lo = r * cols - self.offset;
+            for i in lo..lo + cols {
+                let g = self.grad[i];
+                if g == 0.0 && self.m[i] == 0.0 && self.v[i] == 0.0 {
+                    continue;
+                }
+                adam_update(
+                    hp,
+                    bc,
+                    g,
+                    &mut self.value[i],
+                    &mut self.m[i],
+                    &mut self.v[i],
+                );
+                self.grad[i] = 0.0;
+            }
+        }
     }
 }
 

@@ -567,6 +567,7 @@ pub fn rotate_dist(
 /// A kernel's primitives, each bit-identical to the dispatched entry
 /// point of the same name.
 pub trait Ops: Copy {
+    fn dot(self, a: &[f32], b: &[f32]) -> f32;
     fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]);
     fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]);
     fn tanh_inplace(self, a: &mut [f32]);
@@ -595,6 +596,10 @@ pub trait Pass {
 struct ScalarOps;
 
 impl Ops for ScalarOps {
+    #[inline(always)]
+    fn dot(self, a: &[f32], b: &[f32]) -> f32 {
+        dot_scalar(a, b)
+    }
     #[inline(always)]
     fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
         gemv_scalar(w, x, out)
@@ -630,6 +635,10 @@ impl Ops for ScalarOps {
 pub struct DispatchedOps;
 
 impl Ops for DispatchedOps {
+    #[inline]
+    fn dot(self, a: &[f32], b: &[f32]) -> f32 {
+        dot(a, b)
+    }
     #[inline]
     fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
         gemv(w, x, out)
@@ -686,6 +695,8 @@ mod avx2 {
         super::reduce_lanes(&lanes) + tail
     }
 
+    // `#[inline]` for the same reason as `axpy`.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -841,8 +852,13 @@ mod avx2 {
 
     impl super::Ops for SimdOps {
         #[inline(always)]
-        fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
+        fn dot(self, a: &[f32], b: &[f32]) -> f32 {
             // SAFETY: a `SimdOps` exists only inside `run`.
+            unsafe { dot(a, b) }
+        }
+        #[inline(always)]
+        fn gemv(self, w: &[f32], x: &[f32], out: &mut [f32]) {
+            // SAFETY: as above.
             unsafe { gemv(w, x, out) }
         }
         #[inline(always)]

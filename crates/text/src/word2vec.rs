@@ -7,6 +7,7 @@
 //! fine-tuning.
 
 use crate::vocab::Vocab;
+use pge_tensor::kernels::{self, Ops, Pass};
 use pge_tensor::{init, ops, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,9 +44,14 @@ impl Default for Word2VecConfig {
 
 /// Unigram^0.75 sampling table over non-reserved vocabulary ids.
 struct NegativeTable {
-    /// Cumulative weights paired with ids, for binary-search sampling.
+    /// Cumulative weights paired with ids, for inverse-CDF sampling.
     cumulative: Vec<f32>,
     ids: Vec<u32>,
+    /// `x · scale` truncated is the bucket of a draw `x`.
+    scale: f32,
+    /// Per bucket, how many cumulative weights lie in earlier buckets:
+    /// a lower bound on the position of any draw in the bucket.
+    starts: Vec<u32>,
 }
 
 impl NegativeTable {
@@ -61,14 +67,43 @@ impl NegativeTable {
                 cumulative.push(acc);
             }
         }
-        NegativeTable { cumulative, ids }
+        let buckets = 2 * cumulative.len().max(1);
+        let scale = if acc > 0.0 { buckets as f32 / acc } else { 0.0 };
+        let mut table = NegativeTable {
+            cumulative,
+            ids,
+            scale,
+            starts: vec![0; buckets],
+        };
+        let starts = (0..buckets)
+            .map(|b| table.cumulative.partition_point(|&c| table.bucket(c) < b) as u32)
+            .collect();
+        table.starts = starts;
+        table
+    }
+
+    /// The bucket of a draw `x ≥ 0`; monotone in `x`.
+    fn bucket(&self, x: f32) -> usize {
+        ((x * self.scale) as usize).min(self.starts.len() - 1)
+    }
+
+    /// `cumulative.partition_point(|&c| c < x)`, found from the bucket
+    /// of `x`. Every weight in an earlier bucket than `x`'s is below
+    /// `x`, because [`NegativeTable::bucket`] is monotone, so the
+    /// bucket's start never overshoots and a forward scan ends on the
+    /// binary search's answer.
+    fn position(&self, x: f32) -> usize {
+        let mut i = self.starts[self.bucket(x)] as usize;
+        while self.cumulative.get(i).is_some_and(|&c| c < x) {
+            i += 1;
+        }
+        i
     }
 
     fn sample<R: Rng>(&self, rng: &mut R) -> Option<u32> {
         let total = *self.cumulative.last()?;
         let x = rng.gen_range(0.0..total);
-        let i = self.cumulative.partition_point(|&c| c < x);
-        Some(self.ids[i.min(self.ids.len() - 1)])
+        Some(self.ids[self.position(x).min(self.ids.len() - 1)])
     }
 }
 
@@ -77,72 +112,99 @@ impl NegativeTable {
 /// reserved ids keep near-zero rows (the pad row in particular stays
 /// small, so convolution padding is close to a no-op).
 pub fn train_word2vec(vocab: &Vocab, sentences: &[Vec<u32>], cfg: &Word2VecConfig) -> Matrix {
-    let n = vocab.len();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut input = init::embedding(&mut rng, n, cfg.dim);
-    let mut output = Matrix::zeros(n, cfg.dim);
-    let table = NegativeTable::new(vocab);
-    if table.ids.is_empty() {
-        return input;
-    }
+    kernels::run(Sgns {
+        vocab,
+        sentences,
+        cfg,
+    })
+}
 
-    let total_steps = (cfg.epochs * sentences.len()).max(1) as f32;
-    let mut step = 0usize;
-    let mut grad_in = vec![0.0f32; cfg.dim];
-    for _ in 0..cfg.epochs {
-        for sent in sentences {
-            step += 1;
-            let progress = step as f32 / total_steps;
-            let lr = cfg.lr * (1.0 - 0.9 * progress);
-            for (ci, &center) in sent.iter().enumerate() {
-                if center < 3 {
-                    continue;
-                }
-                let lo = ci.saturating_sub(cfg.window);
-                let hi = (ci + cfg.window + 1).min(sent.len());
-                for (oi, &ctx) in sent[lo..hi].iter().enumerate() {
-                    if lo + oi == ci || ctx < 3 {
+/// [`train_word2vec`] as one pass over the active kernel, so that the
+/// per-pair `dot` and `axpy` inline into the loop.
+struct Sgns<'a> {
+    vocab: &'a Vocab,
+    sentences: &'a [Vec<u32>],
+    cfg: &'a Word2VecConfig,
+}
+
+impl Pass for Sgns<'_> {
+    type Output = Matrix;
+
+    #[inline(always)]
+    fn run<O: Ops>(self, kern: O) -> Matrix {
+        let Sgns {
+            vocab,
+            sentences,
+            cfg,
+        } = self;
+        let n = vocab.len();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut input = init::embedding(&mut rng, n, cfg.dim);
+        let mut output = Matrix::zeros(n, cfg.dim);
+        let table = NegativeTable::new(vocab);
+        if table.ids.is_empty() {
+            return input;
+        }
+
+        let total_steps = (cfg.epochs * sentences.len()).max(1) as f32;
+        let mut step = 0usize;
+        let mut grad_in = vec![0.0f32; cfg.dim];
+        for _ in 0..cfg.epochs {
+            for sent in sentences {
+                step += 1;
+                let progress = step as f32 / total_steps;
+                let lr = cfg.lr * (1.0 - 0.9 * progress);
+                for (ci, &center) in sent.iter().enumerate() {
+                    if center < 3 {
                         continue;
                     }
-                    grad_in.iter_mut().for_each(|g| *g = 0.0);
-                    // Positive pair.
-                    sgns_pair(&input, &mut output, center, ctx, 1.0, lr, &mut grad_in);
-                    // Negatives.
-                    for _ in 0..cfg.negatives {
-                        if let Some(neg) = table.sample(&mut rng) {
-                            if neg != ctx {
-                                sgns_pair(&input, &mut output, center, neg, 0.0, lr, &mut grad_in);
+                    let lo = ci.saturating_sub(cfg.window);
+                    let hi = (ci + cfg.window + 1).min(sent.len());
+                    for (oi, &ctx) in sent[lo..hi].iter().enumerate() {
+                        if lo + oi == ci || ctx < 3 {
+                            continue;
+                        }
+                        grad_in.iter_mut().for_each(|g| *g = 0.0);
+                        // Positive pair.
+                        let vi = input.row(center as usize);
+                        sgns_pair(kern, vi, &mut output, ctx, 1.0, lr, &mut grad_in);
+                        // Negatives.
+                        for _ in 0..cfg.negatives {
+                            if let Some(neg) = table.sample(&mut rng) {
+                                if neg != ctx {
+                                    sgns_pair(kern, vi, &mut output, neg, 0.0, lr, &mut grad_in);
+                                }
                             }
                         }
+                        kern.axpy(-lr, &grad_in, input.row_mut(center as usize));
                     }
-                    ops::axpy(-lr, &grad_in, input.row_mut(center as usize));
                 }
             }
         }
+        input
     }
-    input
 }
 
 /// One (center, context/negative) update. Accumulates the gradient
-/// w.r.t. the input vector into `grad_in`; updates the output vector
-/// immediately (standard word2vec scheme). The input vector is only
-/// read here — the caller applies `grad_in` after the last pair.
-#[inline]
-fn sgns_pair(
-    input: &Matrix,
+/// w.r.t. the center's input vector `vi` into `grad_in`; updates the
+/// output vector immediately (standard word2vec scheme). The input
+/// vector is only read here — the caller applies `grad_in` after the
+/// last pair.
+#[inline(always)]
+fn sgns_pair<O: Ops>(
+    kern: O,
+    vi: &[f32],
     output: &mut Matrix,
-    center: u32,
     other: u32,
     label: f32,
     lr: f32,
     grad_in: &mut [f32],
 ) {
-    let vi = input.row(center as usize);
     let vo = output.row_mut(other as usize);
-    let score = ops::sigmoid(ops::dot(vi, vo));
+    let score = ops::sigmoid(kern.dot(vi, vo));
     let g = score - label; // d(-log σ(±x))/dx folded into one form
-    ops::axpy(g, vo, grad_in);
-    ops::axpy(-lr * g, vi, vo);
+    kern.axpy(g, vo, grad_in);
+    kern.axpy(-lr * g, vi, vo);
 }
 
 /// Most similar words to `id` by cosine over the vector table
@@ -244,6 +306,65 @@ mod tests {
         let vecs = train_word2vec(&vocab, &[], &Word2VecConfig::default());
         assert_eq!(vecs.rows(), 3);
         assert!(vecs.as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    /// A Zipf-like vocabulary: word `i` occurs `⌈4000 / i⌉` times.
+    fn zipf_vocab(words: usize) -> Vocab {
+        let mut vocab = Vocab::new();
+        for i in 1..=words {
+            for _ in 0..4000_usize.div_ceil(i) {
+                vocab.add(&format!("w{i}"));
+            }
+        }
+        vocab
+    }
+
+    #[test]
+    fn bucket_sampler_equals_binary_search() {
+        let table = NegativeTable::new(&zipf_vocab(3000));
+        let binary = |x: f32| table.cumulative.partition_point(|&c| c < x);
+        let total = *table.cumulative.last().unwrap();
+        // The edges, and every cumulative weight with its neighbours.
+        let mut xs = vec![0.0, f32::from_bits(1), total, total.next_down()];
+        for &c in &table.cumulative {
+            xs.extend([c.next_down(), c, c.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(table.position(x), binary(x), "x={x:e}");
+        }
+        // Seeded draws, as `sample` makes them; the scan stays short.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut scanned = 0;
+        let draws = 10_000_000;
+        for _ in 0..draws {
+            let x = rng.gen_range(0.0..total);
+            let i = table.position(x);
+            assert_eq!(i, binary(x), "x={x:e}");
+            scanned += i - table.starts[table.bucket(x)] as usize;
+        }
+        assert!(
+            scanned < 2 * draws,
+            "mean scan {}",
+            scanned as f64 / draws as f64
+        );
+    }
+
+    #[test]
+    fn word2vec_bits_match_under_both_kernels() {
+        use pge_tensor::{set_kernel, Kernel};
+        let mut vocab = Vocab::new();
+        let sentences = cluster_corpus(&mut vocab);
+        let cfg = Word2VecConfig::default();
+        let bits = |kernel| {
+            set_kernel(Some(kernel));
+            let v = train_word2vec(&vocab, &sentences, &cfg);
+            set_kernel(None);
+            v.as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(bits(Kernel::Scalar), bits(Kernel::Simd));
     }
 
     #[test]
