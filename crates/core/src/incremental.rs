@@ -14,9 +14,10 @@
 //!    bias correction stays exact;
 //! 3. write a durable window checkpoint (`incremental.ckpt`, kept
 //!    next to — never on top of — the base run's `trainer.ckpt`);
-//! 4. emit a fresh `PGEBIN02` snapshot for the window and optionally
-//!    push it to a running gateway via `POST /admin/reload` with
-//!    bounded retry/backoff ([`push_snapshot`]).
+//! 4. emit a fresh `PGEBIN02` snapshot for the window and hand it to
+//!    the caller's per-window callback ([`train_incremental_with`]),
+//!    which `pge train --incremental --push` uses to publish it to a
+//!    running gateway through `pge_gateway::client`.
 //!
 //! # Exact resume
 //!
@@ -49,12 +50,9 @@ use crate::persist::{save_model_store, PersistError};
 use crate::trainer::{shuffle_into, step, EpochCtx, PgeConfig, Workers};
 use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaOp, DeltaWindow, NegativeSampler};
 use pge_nn::AdamHparams;
-use pge_obs::json::{self, Json};
 use pge_obs::{ingest_event, RunLog};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// File name of the incremental window checkpoint, stored in the same
 /// directory as (but never overwriting) the base `trainer.ckpt`.
@@ -71,15 +69,6 @@ pub struct IncrementalConfig {
     /// ingested window (per-window files: a gateway may still be
     /// serving the previous one off its mapping).
     pub snapshot_dir: PathBuf,
-    /// Gateway address (`host:port`) to push each window's snapshot
-    /// to via `POST /admin/reload`; `None` disables pushing.
-    pub push: Option<String>,
-    /// Bounded retry budget per push (connect errors, 409 busy, and
-    /// 503 retryable reload failures all consume attempts).
-    pub push_attempts: usize,
-    /// Base backoff between push attempts; doubles per retry, capped
-    /// at two seconds.
-    pub push_backoff_ms: u64,
 }
 
 impl IncrementalConfig {
@@ -87,25 +76,8 @@ impl IncrementalConfig {
         IncrementalConfig {
             epochs_per_window: 2,
             snapshot_dir: snapshot_dir.into(),
-            push: None,
-            push_attempts: 5,
-            push_backoff_ms: 50,
         }
     }
-}
-
-/// Outcome of one snapshot push: which window, which file, the
-/// gateway's new snapshot generation, and how many attempts it took.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PushReport {
-    /// Ingest window the snapshot belongs to (filled by the ingest
-    /// loop; [`push_snapshot`] itself returns it as 0).
-    pub window: usize,
-    pub snapshot: PathBuf,
-    /// Snapshot generation the gateway reported after the swap.
-    pub version: u64,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: usize,
 }
 
 /// The result of an incremental ingest run.
@@ -127,8 +99,6 @@ pub struct IncrementalOutcome {
     pub window_losses: Vec<f32>,
     /// Snapshot file per window ingested by this process.
     pub snapshots: Vec<PathBuf>,
-    /// One report per successful gateway push.
-    pub pushes: Vec<PushReport>,
     pub train_secs: f64,
 }
 
@@ -155,6 +125,24 @@ pub fn train_incremental(
     inc: &IncrementalConfig,
     ckpt: &CheckpointOptions,
     log: Option<&RunLog>,
+) -> Result<IncrementalOutcome, PersistError> {
+    train_incremental_with(base, windows, cfg, inc, ckpt, log, &mut |_, _| Ok(None))
+}
+
+/// [`train_incremental`], calling `on_window(w, snapshot)` once per
+/// window this process ingests, after the window's snapshot and
+/// checkpoint are on disk and before its `ingest` runlog event. The
+/// callback may publish the snapshot; the generation it returns is
+/// recorded as the event's `push_version` (-1 for `None`), and an
+/// error stops the run with the checkpoint kept.
+pub fn train_incremental_with(
+    base: &Dataset,
+    windows: &[DeltaWindow],
+    cfg: &PgeConfig,
+    inc: &IncrementalConfig,
+    ckpt: &CheckpointOptions,
+    log: Option<&RunLog>,
+    on_window: &mut dyn FnMut(usize, &Path) -> Result<Option<u64>, PersistError>,
 ) -> Result<IncrementalOutcome, PersistError> {
     let start = Instant::now();
     let cfg_hash = config_hash(cfg);
@@ -234,7 +222,6 @@ pub fn train_incremental(
     let mut windows_done = state.windows_done;
     let mut window_losses = Vec::new();
     let mut snapshots = Vec::new();
-    let mut pushes = Vec::new();
 
     for (w, window) in windows.iter().enumerate().skip(state.windows_done) {
         let window_start = Instant::now();
@@ -313,15 +300,7 @@ pub fn train_incremental(
         st.store(&model, &inc_ckpt)?;
         windows_done = w + 1;
 
-        let mut push_version = -1.0f64;
-        if let Some(addr) = &inc.push {
-            let mut report =
-                push_snapshot(addr, &snap_path, inc.push_attempts, inc.push_backoff_ms)
-                    .map_err(|e| PersistError::Io(format!("push window {w} to {addr}: {e}")))?;
-            report.window = w;
-            push_version = report.version as f64;
-            pushes.push(report);
-        }
+        let push_version = on_window(w, &snap_path)?.map_or(-1.0, |v| v as f64);
         if let Some(log) = log {
             log.write(&ingest_event(&[
                 ("window", w as f64),
@@ -349,103 +328,8 @@ pub fn train_incremental(
         windows_done,
         window_losses,
         snapshots,
-        pushes,
         train_secs: start.elapsed().as_secs_f64(),
     })
-}
-
-/// One push attempt: POST the reload, read the full response, return
-/// `(status, body)`.
-fn push_once(addr: &str, snapshot: &Path) -> Result<(u16, String), String> {
-    let body = Json::Obj(vec![(
-        "path".into(),
-        Json::Str(snapshot.to_string_lossy().into_owned()),
-    )])
-    .to_string();
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("set timeout: {e}"))?;
-    let req = format!(
-        "POST /admin/reload HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(req.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    let mut resp = String::new();
-    stream
-        .read_to_string(&mut resp)
-        .map_err(|e| format!("read response: {e}"))?;
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            format!(
-                "malformed response: {:?}",
-                resp.lines().next().unwrap_or("")
-            )
-        })?;
-    let body = resp
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
-/// Push a snapshot to a gateway's `POST /admin/reload` with bounded
-/// retry/backoff.
-///
-/// Retried (consuming one attempt each): connection/transport errors,
-/// `409` (another reload in flight), and `503` (the gateway classed
-/// the failure retryable — e.g. the snapshot's CRC check raced a
-/// writer that had not patched the header yet). Any other non-200 is
-/// a hard error. The backoff doubles per retry from
-/// `backoff_ms`, capped at two seconds.
-///
-/// On success the returned [`PushReport`] carries the gateway's new
-/// snapshot generation (`window` is left 0 for the caller to fill).
-pub fn push_snapshot(
-    addr: &str,
-    snapshot: &Path,
-    attempts: usize,
-    backoff_ms: u64,
-) -> Result<PushReport, String> {
-    let attempts = attempts.max(1);
-    let mut last_err = String::new();
-    for attempt in 1..=attempts {
-        match push_once(addr, snapshot) {
-            Ok((200, body)) => {
-                // The gateway answers {"swapped": true, "version": N}.
-                let version = json::parse(&body)
-                    .ok()
-                    .and_then(|j| j.get("version").and_then(Json::as_f64))
-                    .ok_or_else(|| format!("reload succeeded but no version in body {body:?}"))?;
-                return Ok(PushReport {
-                    window: 0,
-                    snapshot: snapshot.to_path_buf(),
-                    version: version as u64,
-                    attempts: attempt,
-                });
-            }
-            Ok((status @ (409 | 503), body)) => {
-                last_err = format!("gateway answered {status}: {}", body.trim());
-            }
-            Ok((status, body)) => {
-                return Err(format!("gateway answered {status}: {}", body.trim()));
-            }
-            Err(e) => last_err = e,
-        }
-        if attempt < attempts {
-            let backoff = (backoff_ms << (attempt - 1)).min(2_000);
-            std::thread::sleep(Duration::from_millis(backoff));
-        }
-    }
-    Err(format!(
-        "{attempts} attempts exhausted; last error: {last_err}"
-    ))
 }
 
 #[cfg(test)]
@@ -453,7 +337,6 @@ mod tests {
     use super::*;
     use crate::trainer::train_pge_resumable;
     use pge_graph::{DeltaOp, ProductGraph, TripleDelta};
-    use std::net::TcpListener;
 
     fn tiny_dataset() -> Dataset {
         let mut g = ProductGraph::new();
@@ -661,66 +544,5 @@ mod tests {
         assert!(!inc.snapshot_dir.exists());
         assert!(!dir.join(INCREMENTAL_CHECKPOINT_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn push_snapshot_retries_busy_then_succeeds() {
-        // A gateway stand-in: answers 503 (retryable), then 409
-        // (busy), then 200 with a version.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let responses = [
-                "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 26\r\nConnection: close\r\n\r\n{\"error\": \"snapshot torn\"}",
-                "HTTP/1.1 409 Conflict\r\nContent-Length: 20\r\nConnection: close\r\n\r\n{\"error\": \"reload\"}\n",
-                "HTTP/1.1 200 OK\r\nContent-Length: 35\r\nConnection: close\r\n\r\n{\"swapped\": true, \"version\": 7}\n\n\n\n",
-            ];
-            for resp in responses {
-                let (mut s, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                let _ = s.read(&mut buf);
-                s.write_all(resp.as_bytes()).unwrap();
-            }
-        });
-        let report = push_snapshot(&addr, Path::new("/tmp/some snap.pgebin"), 5, 1).unwrap();
-        assert_eq!(report.version, 7);
-        assert_eq!(report.attempts, 3);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn push_snapshot_gives_up_after_bounded_attempts() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let (mut s, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                let _ = s.read(&mut buf);
-                s.write_all(
-                    b"HTTP/1.1 409 Conflict\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
-                )
-                .unwrap();
-            }
-        });
-        let err = push_snapshot(&addr, Path::new("/tmp/x.pgebin"), 2, 1).unwrap_err();
-        assert!(err.contains("2 attempts exhausted"), "{err}");
-        assert!(err.contains("409"), "{err}");
-        server.join().unwrap();
-        // A hard error (404) does not consume retries.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let _ = s.read(&mut buf);
-            s.write_all(
-                b"HTTP/1.1 404 Not Found\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
-            )
-            .unwrap();
-        });
-        let err = push_snapshot(&addr, Path::new("/tmp/x.pgebin"), 5, 1).unwrap_err();
-        assert!(err.contains("404"), "{err}");
-        server.join().unwrap();
     }
 }

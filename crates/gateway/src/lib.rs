@@ -26,10 +26,12 @@
 //!
 //! Endpoints: `POST /v1/score` (same contract as `pge-serve`),
 //! `GET /healthz`, `GET /metrics`, `GET /admin/version`,
-//! `POST /admin/reload`.
+//! `POST /admin/reload`. [`client`] is the other end of the reload:
+//! it pushes a snapshot to a running gateway.
 //!
 //! Linux-only: the event loop speaks `epoll(7)` directly.
 
+pub mod client;
 pub mod conn;
 pub mod epoll;
 pub mod metrics;

@@ -67,15 +67,16 @@
 //! and `pge report` summarizes it.
 
 use pge::core::{
-    load_model_auto_path, resolve_threads, save_model_store, train_incremental,
+    load_model_auto_path, resolve_threads, save_model_store, train_incremental_with,
     train_pge_resumable, write_model_sections, CheckpointOptions, ConfidenceBackend, Detector,
-    IncrementalConfig, PgeConfig, PgeModel, ScoreKind,
+    IncrementalConfig, PersistError, PgeConfig, PgeModel, ScoreKind,
 };
 use pge::datagen::{
     generate_catalog, generate_drift, generate_fbkg, stream_catalog, write_drift_eval,
     CatalogConfig, DriftConfig, FbkgConfig,
 };
 use pge::eval::{average_precision, recall_at_precision, Scored};
+use pge::gateway::client::push_snapshot;
 use pge::gateway::GatewayConfig;
 use pge::graph::tsv::{from_tsv, to_tsv, write_raw_triples};
 use pge::graph::{read_delta_stream, write_delta_stream, Dataset, ProductGraph, Triple};
@@ -443,13 +444,13 @@ fn main() {
                 if let Some(n) = get("window-epochs").and_then(|s| s.parse().ok()) {
                     inc.epochs_per_window = n;
                 }
-                inc.push = get("push");
-                if let Some(n) = get("push-attempts").and_then(|s| s.parse().ok()) {
-                    inc.push_attempts = n;
-                }
-                if let Some(ms) = get("push-backoff-ms").and_then(|s| s.parse().ok()) {
-                    inc.push_backoff_ms = ms;
-                }
+                let push = get("push");
+                let push_attempts = get("push-attempts")
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or(5);
+                let push_backoff_ms = get("push-backoff-ms")
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or(50);
                 if let Some(log) = &log {
                     log.write(&manifest_event(
                         "train-incremental",
@@ -462,10 +463,7 @@ fn main() {
                             ("window_epochs".into(), inc.epochs_per_window.to_string()),
                             ("confidence".into(), cfg.confidence.name().into()),
                             ("threads".into(), resolve_threads(cfg.threads).to_string()),
-                            (
-                                "push".into(),
-                                inc.push.clone().unwrap_or_else(|| "none".into()),
-                            ),
+                            ("push".into(), push.clone().unwrap_or_else(|| "none".into())),
                         ],
                     ));
                 }
@@ -475,20 +473,33 @@ fn main() {
                     cfg.confidence.name(),
                     resolve_threads(cfg.threads)
                 );
-                let outcome = train_incremental(&data, &windows, &cfg, &inc, &ckpt, log.as_ref())
-                    .unwrap_or_else(|e| {
-                        eprintln!("incremental training failed: {e}");
-                        exit(1)
-                    });
-                for p in &outcome.pushes {
+                // Each window's snapshot goes to the gateway once it
+                // and the window checkpoint are on disk.
+                let mut push_window = |w: usize, snapshot: &std::path::Path| {
+                    let Some(addr) = &push else { return Ok(None) };
+                    let p = push_snapshot(addr, snapshot, push_attempts, push_backoff_ms)
+                        .map_err(|e| PersistError::Io(format!("push window {w} to {addr}: {e}")))?;
                     println!(
-                        "window {} pushed -> gateway version {} ({} attempt{})",
-                        p.window,
+                        "window {w} pushed -> gateway version {} ({} attempt{})",
                         p.version,
                         p.attempts,
                         if p.attempts == 1 { "" } else { "s" }
                     );
-                }
+                    Ok(Some(p.version))
+                };
+                let outcome = train_incremental_with(
+                    &data,
+                    &windows,
+                    &cfg,
+                    &inc,
+                    &ckpt,
+                    log.as_ref(),
+                    &mut push_window,
+                )
+                .unwrap_or_else(|e| {
+                    eprintln!("incremental training failed: {e}");
+                    exit(1)
+                });
                 println!(
                     "ingested {} of {} windows in {:.1}s ({} train triples now)",
                     outcome.windows_done,

@@ -18,10 +18,11 @@
 //!   requests and attributes the delay to queue time on that replica.
 
 use pge::core::{
-    save_model_store, train_incremental, train_pge, train_pge_resumable, CheckpointOptions,
-    Detector, IncrementalConfig, PgeConfig, PgeModel,
+    save_model_store, train_incremental_with, train_pge, train_pge_resumable, CheckpointOptions,
+    Detector, IncrementalConfig, PersistError, PgeConfig, PgeModel,
 };
 use pge::datagen::{generate_catalog, CatalogConfig};
+use pge::gateway::client::push_snapshot;
 use pge::gateway::{start, GatewayConfig, GatewayHandle};
 use pge::graph::{Dataset, DeltaOp, DeltaWindow, TripleDelta};
 use pge::obs::json::{self, Json};
@@ -666,8 +667,9 @@ fn reload_of_partially_written_snapshot_is_retryable() {
 }
 
 /// End-to-end streaming ingest: a gateway serves live traffic while
-/// `train_incremental` fine-tunes on delta windows and pushes each
-/// window's snapshot through `POST /admin/reload`. Every push must
+/// `train_incremental_with` fine-tunes on delta windows and its
+/// per-window callback pushes each window's snapshot through
+/// `POST /admin/reload` (`pge_gateway::client::push_snapshot`). Every push must
 /// swap (version advances once per window) and every scoring request
 /// racing the swaps must succeed — zero failed requests mid-ingest.
 #[test]
@@ -748,15 +750,20 @@ fn mid_ingest_push_hot_swaps_with_zero_failed_requests() {
             )],
         },
     ];
-    let mut inc = IncrementalConfig::new(dir.join("snapshots"));
-    inc.push = Some(addr.to_string());
-    let outcome = train_incremental(
+    let mut pushes = Vec::new();
+    let outcome = train_incremental_with(
         &data,
         &windows,
         &cfg,
-        &inc,
+        &IncrementalConfig::new(dir.join("snapshots")),
         &CheckpointOptions::new(&dir),
         None,
+        &mut |w, snapshot| {
+            let report = push_snapshot(&addr.to_string(), snapshot, 5, 50)
+                .map_err(|e| PersistError::Io(format!("push window {w}: {e}")))?;
+            pushes.push((w, report.version));
+            Ok(Some(report.version))
+        },
     )
     .expect("ingest with push");
 
@@ -764,10 +771,10 @@ fn mid_ingest_push_hot_swaps_with_zero_failed_requests() {
     let statuses = scorer.join().expect("scorer thread");
 
     assert_eq!(outcome.windows_done, windows.len());
-    assert_eq!(outcome.pushes.len(), windows.len(), "every window pushes");
-    for (w, p) in outcome.pushes.iter().enumerate() {
-        assert_eq!(p.window, w);
-        assert_eq!(p.version, w as u64 + 1, "each push swaps exactly once");
+    assert_eq!(pushes.len(), windows.len(), "every window pushes");
+    for (i, &(w, version)) in pushes.iter().enumerate() {
+        assert_eq!(w, i);
+        assert_eq!(version, w as u64 + 1, "each push swaps exactly once");
     }
     assert_eq!(handle.version(), windows.len() as u64);
     assert!(
