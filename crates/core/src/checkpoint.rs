@@ -100,7 +100,7 @@ impl CheckpointOptions {
 /// apart from the model and its Adam moments: those are written from
 /// the live model by [`TrainerState::store`] and rebuilt by
 /// [`Checkpoint::restore_model`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrainerState {
     /// Epochs fully completed (and reflected in the parameters).
     pub epochs_done: usize,
@@ -230,12 +230,27 @@ pub fn data_fingerprint(dataset: &Dataset) -> u64 {
 }
 
 impl TrainerState {
-    /// Reject a checkpoint taken under a different config or corpus.
-    /// The confidence backend is checked *first* (it also feeds the
-    /// config hash): warm-starting from a table produced by another
-    /// update rule would silently blend two incompatible confidence
-    /// semantics, so it gets its own specific error.
-    pub fn verify(&self, config_hash: u64, data_fingerprint: u64) -> Result<(), PersistError> {
+    /// Reject a checkpoint taken under a different confidence
+    /// backend, config or corpus. The backend is checked *first* (it
+    /// also feeds the config hash): warm-starting from a table
+    /// produced by another update rule would silently blend two
+    /// incompatible confidence semantics, so it gets its own specific
+    /// error.
+    pub fn verify(
+        &self,
+        backend: &str,
+        config_hash: u64,
+        data_fingerprint: u64,
+    ) -> Result<(), PersistError> {
+        if self.backend != backend {
+            return Err(PersistError::Mismatch(format!(
+                "checkpoint confidence table was trained with the {:?} backend \
+                 but this run selected --confidence {backend:?}; the two update \
+                 rules are not interchangeable — warm-start from a checkpoint \
+                 trained with the same backend",
+                self.backend
+            )));
+        }
         if self.config_hash != config_hash {
             return Err(PersistError::Mismatch(format!(
                 "checkpoint was written by a run with different training config \
@@ -251,23 +266,6 @@ impl TrainerState {
                  sampling streams are positional, so resuming would corrupt training — \
                  point --data at the original file",
                 self.data_fingerprint, data_fingerprint
-            )));
-        }
-        Ok(())
-    }
-
-    /// Reject a checkpoint whose confidence table was produced by a
-    /// different `--confidence` backend. Run before [`Self::verify`]
-    /// so the caller gets the specific story, not the generic
-    /// config-hash one.
-    pub fn verify_backend(&self, backend: &str) -> Result<(), PersistError> {
-        if self.backend != backend {
-            return Err(PersistError::Mismatch(format!(
-                "checkpoint confidence table was trained with the {:?} backend \
-                 but this run selected --confidence {backend:?}; the two update \
-                 rules are not interchangeable — warm-start from a checkpoint \
-                 trained with the same backend",
-                self.backend
             )));
         }
         Ok(())
@@ -527,8 +525,9 @@ mod tests {
             epochs: 2,
             ..PgeConfig::tiny()
         };
+        let backend = cfg.confidence.name();
         state
-            .verify(config_hash(&cfg), data_fingerprint(&d))
+            .verify(backend, config_hash(&cfg), data_fingerprint(&d))
             .unwrap();
         let other_cfg = PgeConfig {
             epochs: 2,
@@ -536,7 +535,7 @@ mod tests {
             ..PgeConfig::tiny()
         };
         assert!(matches!(
-            state.verify(config_hash(&other_cfg), data_fingerprint(&d)),
+            state.verify(backend, config_hash(&other_cfg), data_fingerprint(&d)),
             Err(PersistError::Mismatch(_))
         ));
         let mut other_data = tiny_dataset();
@@ -544,7 +543,7 @@ mod tests {
             .graph
             .add_fact("new brand cola", "flavor", "cola");
         assert!(matches!(
-            state.verify(config_hash(&cfg), data_fingerprint(&other_data)),
+            state.verify(backend, config_hash(&cfg), data_fingerprint(&other_data)),
             Err(PersistError::Mismatch(_))
         ));
     }
@@ -605,8 +604,10 @@ mod tests {
     fn verify_backend_rejects_cross_backend_warm_start() {
         let (state, _, _) = sample_state();
         assert_eq!(state.backend, "pge");
-        state.verify_backend("pge").unwrap();
-        match state.verify_backend("cca") {
+        let (cfg_hash, data_fp) = (state.config_hash, state.data_fingerprint);
+        state.verify("pge", cfg_hash, data_fp).unwrap();
+        // The backend is named even though the config hash matches.
+        match state.verify("cca", cfg_hash, data_fp) {
             Err(PersistError::Mismatch(msg)) => {
                 assert!(msg.contains("pge") && msg.contains("cca"), "{msg}")
             }

@@ -1,56 +1,24 @@
 //! Streaming incremental training: `pge train --incremental`.
 //!
-//! A catalog churns; retraining from scratch on every batch of edits
-//! wastes almost all of its work re-learning what the model already
-//! knows. This module warm-starts from a trainer checkpoint (the full
-//! trainer state: parameters, Adam moments, confidence table, backend
-//! aux state) and ingests a delta stream window by window:
-//!
-//! 1. apply the window's adds/retractions to the dataset
-//!    ([`pge_graph::apply_window`]) and extend the trainer's
-//!    [`TokenizedGraph`] over the grown graph;
-//! 2. fine-tune a few epochs over **only the touched rows** (the
-//!    window's live adds), continuing the global Adam step so moment
-//!    bias correction stays exact;
-//! 3. write a durable window checkpoint (`incremental.ckpt`, kept
-//!    next to — never on top of — the base run's `trainer.ckpt`);
-//! 4. emit a fresh `PGEBIN02` snapshot for the window and hand it to
-//!    the caller's per-window callback ([`train_incremental_with`]),
-//!    which `pge train --incremental --push` uses to publish it to a
-//!    running gateway through `pge_gateway::client`.
-//!
-//! # Exact resume
-//!
-//! Kill+resume is byte-identical at any window boundary and any
-//! `--threads`: every random stream is a pure function of
-//! `(seed, epoch-id, index)`, fine-tune epochs use epoch ids disjoint
-//! from the base run's (`cfg.epochs + window * epochs_per_window +
-//! e`), and confidence updates apply in fixed lane order. The window
-//! checkpoint stores [`pge_graph::stream_fingerprint`] over the
-//! ingested prefix, so resuming against an edited or truncated delta
-//! stream is a typed [`PersistError::Mismatch`], not silent
-//! corruption.
-//!
-//! Retracted train entries stay **positional** (confidence tables and
-//! sampling streams index by position): they are masked out of
-//! training and their confidence is pinned to zero, which also
-//! removes them from every future loss term.
-//!
-//! Relations are closed-world: a delta that adds a fact under an
-//! attribute the base model has no relation for is a typed
-//! [`PersistError::Mismatch`] before any window trains.
+//! [`train_incremental`] warm-starts from a trainer checkpoint and
+//! runs one phase of the trainer's driver per delta window: apply the
+//! window, fine-tune over the rows it added, write the window's
+//! snapshot and `incremental.ckpt` (next to, never on top of, the base
+//! run's `trainer.ckpt`), and hand the snapshot to the caller
+//! ([`train_incremental_with`]). Kill+resume is byte-identical at any
+//! window boundary and any `--threads`; an edited or truncated delta
+//! stream, or a window adding a fact under an attribute the model has
+//! no relation for, is a typed [`PersistError::Mismatch`]. DESIGN.md
+//! §16 has the rules.
 
-use crate::checkpoint::{
-    config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
-};
+use crate::checkpoint::{config_hash, data_fingerprint, CheckpointOptions, CHECKPOINT_FILE};
 use crate::confidence::ConfidenceStore;
-use crate::corpus::TokenizedGraph;
 use crate::model::PgeModel;
-use crate::persist::{save_model_store, PersistError};
-use crate::trainer::{shuffle_into, step, EpochCtx, PgeConfig, Workers};
-use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaOp, DeltaWindow, NegativeSampler};
-use pge_nn::AdamHparams;
-use pge_obs::{ingest_event, RunLog};
+use crate::persist::PersistError;
+use crate::trainer::{load_checkpoint, run_phases, PgeConfig, Phase, Start, Workers};
+use pge_graph::{apply_window, stream_fingerprint, Dataset, DeltaOp, DeltaWindow};
+use pge_obs::RunLog;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -97,8 +65,6 @@ pub struct IncrementalOutcome {
     pub windows_done: usize,
     /// Mean fine-tune loss per window ingested *by this process*.
     pub window_losses: Vec<f32>,
-    /// Snapshot file per window ingested by this process.
-    pub snapshots: Vec<PathBuf>,
     pub train_secs: f64,
 }
 
@@ -129,6 +95,10 @@ pub fn train_incremental(
     train_incremental_with(base, windows, cfg, inc, ckpt, log, &mut |_, _| Ok(None))
 }
 
+/// A per-window callback: `(window, snapshot path)` in, the generation
+/// the snapshot was published under, if any, out.
+pub type OnWindow<'a> = dyn FnMut(usize, &Path) -> Result<Option<u64>, PersistError> + 'a;
+
 /// [`train_incremental`], calling `on_window(w, snapshot)` once per
 /// window this process ingests, after the window's snapshot and
 /// checkpoint are on disk and before its `ingest` runlog event. The
@@ -142,32 +112,32 @@ pub fn train_incremental_with(
     inc: &IncrementalConfig,
     ckpt: &CheckpointOptions,
     log: Option<&RunLog>,
-    on_window: &mut dyn FnMut(usize, &Path) -> Result<Option<u64>, PersistError>,
+    on_window: &mut OnWindow,
 ) -> Result<IncrementalOutcome, PersistError> {
-    let start = Instant::now();
-    let cfg_hash = config_hash(cfg);
-    let base_fp = data_fingerprint(base);
-
+    let started = Instant::now();
+    let fingerprints = (config_hash(cfg), data_fingerprint(base));
     // Warm start: the incremental checkpoint when resuming past one,
     // otherwise the base trainer checkpoint.
     let inc_ckpt = ckpt.dir.join(INCREMENTAL_CHECKPOINT_FILE);
-    let loaded = if ckpt.resume && inc_ckpt.exists() {
-        Checkpoint::load(&inc_ckpt)?
+    let file = if ckpt.resume && inc_ckpt.exists() {
+        inc_ckpt.clone()
     } else {
-        Checkpoint::load(&ckpt.dir.join(CHECKPOINT_FILE))?
+        ckpt.dir.join(CHECKPOINT_FILE)
     };
-    let state = &loaded.state;
-    state.verify_backend(cfg.confidence.name())?;
-    state.verify(cfg_hash, base_fp)?;
-    if state.windows_done > windows.len() {
+    let (model, state) = load_checkpoint(&file, cfg, fingerprints, log.filter(|_| ckpt.resume))?;
+    // The base checkpoint has ingested nothing and stores fingerprint
+    // 0; an incremental one must match this stream's prefix.
+    let done = state.windows_done;
+    let prefix = windows.get(..done).map(stream_fingerprint);
+    if done > 0 && prefix != Some(state.delta_fingerprint) {
         return Err(PersistError::Mismatch(format!(
-            "checkpoint has ingested {} delta windows but the stream only provides {} — \
-             point --deltas at the stream the run was started with",
-            state.windows_done,
+            "checkpoint has ingested {done} delta windows with fingerprint {:016x}, which \
+             this stream of {} windows does not start with; the delta-stream was edited, \
+             truncated or replaced — resume with the original delta file",
+            state.delta_fingerprint,
             windows.len()
         )));
     }
-    let mut model = loaded.restore_model()?;
     let unseen = windows.iter().find_map(|w| {
         w.ops
             .iter()
@@ -181,160 +151,51 @@ pub fn train_incremental_with(
              that has it"
         )));
     }
-    // Replay the already-ingested prefix to rebuild the evolved
-    // dataset, then prove it is the same prefix the checkpoint saw.
+    // Replay the ingested prefix, then one phase per window over the
+    // rows it adds. The base run is past warmup by construction, so
+    // confidence adapts from the first window.
     let mut dataset = base.clone();
     let mut live = vec![true; dataset.train.len()];
-    for w in &windows[..state.windows_done] {
+    for w in &windows[..done] {
         apply_window(&mut dataset, &mut live, w);
     }
-    // (The base checkpoint stores delta_fingerprint = 0 with zero
-    // windows ingested; there is no prefix to verify until an
-    // incremental checkpoint exists.)
-    let prefix_fp = stream_fingerprint(&windows[..state.windows_done]);
-    if state.windows_done > 0 && prefix_fp != state.delta_fingerprint {
-        return Err(PersistError::Mismatch(format!(
-            "checkpoint ingested a delta-stream prefix with fingerprint {:016x} but this \
-             stream's first {} windows fingerprint to {prefix_fp:016x}; the stream was \
-             edited or replaced — resume with the original delta file",
-            state.delta_fingerprint, state.windows_done
-        )));
-    }
-
-    let mut tokens = TokenizedGraph::new(&model.vocab, &dataset.graph);
-    let mut confidence =
-        ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
-    confidence
-        .restore_scores(&state.confidence)
-        .map_err(PersistError::Mismatch)?;
-    let mut updater = cfg
-        .confidence
-        .make_updater(dataset.graph.num_attrs(), model.dim());
-    updater
-        .restore_aux(&state.aux)
-        .map_err(PersistError::Mismatch)?;
-
-    let hp = AdamHparams::with_lr(cfg.lr);
-    let k = cfg.negatives.max(1);
-    let mut workers = Workers::new(&model, cfg.threads);
-    let mut adam_t = state.step;
-    let mut epoch_losses = state.epoch_losses.clone();
-    let mut windows_done = state.windows_done;
-    let mut window_losses = Vec::new();
-    let mut snapshots = Vec::new();
-
-    for (w, window) in windows.iter().enumerate().skip(state.windows_done) {
-        let window_start = Instant::now();
-        let applied = apply_window(&mut dataset, &mut live, window);
-        tokens.extend(&model.vocab, &dataset.graph);
-        while confidence.len() < dataset.train.len() {
-            confidence.push_default();
+    let phases = windows.iter().enumerate().skip(done).map(|(w, window)| {
+        let first = cfg.epochs + w * inc.epochs_per_window;
+        Phase {
+            n: w,
+            window: Some((window, stream_fingerprint(&windows[..=w]))),
+            epochs: first..first + inc.epochs_per_window,
+            confidence_active: cfg.noise_aware,
+            checkpoint: Some(inc_ckpt.clone()),
+            snapshot: Some(inc.snapshot_dir.join(format!("window-{w}.pgebin"))),
         }
-        for &i in &applied.retracted {
-            confidence.set(i, 0.0);
-        }
-        // The graph grew: rebuild the sampler so fresh values are
-        // drawable as corruptions.
-        let sampler = NegativeSampler::new(&dataset.graph, cfg.sampling);
-        // Touched rows = this window's adds still live at its end (an
-        // add retracted within the same window never trains).
-        let touched: Vec<usize> = applied.added.iter().copied().filter(|&i| live[i]).collect();
-
-        let mut order = vec![0; touched.len()];
-        for e in 0..inc.epochs_per_window {
-            // Disjoint from every base-run epoch id, pure in
-            // (window, e): a resumed run regenerates the exact
-            // shuffle and sampling streams.
-            let epoch_id = cfg.epochs + w * inc.epochs_per_window + e;
-            shuffle_into(&mut order, touched.iter().copied(), cfg.seed, epoch_id);
-            let ctx = EpochCtx {
-                train: &dataset.train,
-                tokens: &tokens,
-                sampler: &sampler,
-                hp,
-                // The base run is past warmup by construction;
-                // confidence adapts from the first window.
-                confidence_active: cfg.noise_aware,
-                k,
-                id: epoch_id,
-                seed: cfg.seed,
-            };
-            for batch in order.chunks(cfg.batch.max(1)) {
-                adam_t += 1;
-                step(
-                    &mut model,
-                    &mut confidence,
-                    updater.as_mut(),
-                    &ctx,
-                    batch,
-                    adam_t,
-                    &mut workers,
-                );
-            }
-        }
-        let mean_loss = workers.take_totals().mean_loss();
-        epoch_losses.push(mean_loss);
-        window_losses.push(mean_loss);
-
-        // Snapshot first, checkpoint second: a kill between the two
-        // re-ingests this window on resume (bit-identical by
-        // determinism) and rewrites the identical snapshot.
-        std::fs::create_dir_all(&inc.snapshot_dir)
-            .map_err(|e| PersistError::Io(format!("create {}: {e}", inc.snapshot_dir.display())))?;
-        let snap_path = inc.snapshot_dir.join(format!("window-{w}.pgebin"));
-        save_model_store(&model, &snap_path)?;
-        snapshots.push(snap_path.clone());
-
-        let st = TrainerState {
-            epochs_done: state.epochs_done,
-            step: adam_t,
-            config_hash: cfg_hash,
-            data_fingerprint: base_fp,
-            backend: cfg.confidence.name().to_string(),
-            delta_fingerprint: stream_fingerprint(&windows[..=w]),
-            windows_done: w + 1,
-            epoch_losses: epoch_losses.clone(),
-            confidence: confidence.scores().to_vec(),
-            aux: updater.aux_state(),
-        };
-        st.store(&model, &inc_ckpt)?;
-        windows_done = w + 1;
-
-        let push_version = on_window(w, &snap_path)?.map_or(-1.0, |v| v as f64);
-        if let Some(log) = log {
-            log.write(&ingest_event(&[
-                ("window", w as f64),
-                ("added", applied.added.len() as f64),
-                ("retracted", applied.retracted.len() as f64),
-                ("missed_retractions", applied.missed_retractions as f64),
-                ("train_len", dataset.train.len() as f64),
-                ("mean_loss", mean_loss as f64),
-                ("secs", window_start.elapsed().as_secs_f64()),
-                ("push_version", push_version),
-            ]));
-        }
-        // Simulated kill at a window boundary (the checkpoint is on
-        // disk; the process "dies" here).
-        if ckpt.stop_after == Some(w + 1) {
-            break;
-        }
-    }
-
-    Ok(IncrementalOutcome {
+    });
+    let start = Start {
+        dataset: Cow::Owned(dataset),
+        live,
+        workers: Workers::new(&model, cfg.threads),
         model,
-        confidence,
-        dataset,
+        resumed: Some(state),
+        fingerprints,
+        started,
+    };
+    let (trained, dataset, live) = run_phases(start, phases, cfg, log, ckpt.stop_after, on_window)?;
+    let windows_done = done + trained.telemetry.len();
+    Ok(IncrementalOutcome {
+        model: trained.model,
+        confidence: trained.confidence,
+        dataset: dataset.into_owned(),
         live,
         windows_done,
-        window_losses,
-        snapshots,
-        train_secs: start.elapsed().as_secs_f64(),
+        window_losses: trained.telemetry.iter().map(|t| t.mean_loss).collect(),
+        train_secs: trained.train_secs,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::trainer::train_pge_resumable;
     use pge_graph::{DeltaOp, ProductGraph, TripleDelta};
 
@@ -436,7 +297,8 @@ mod tests {
         // The retracted entry is masked and zero-confidence.
         assert!(!out.live[0]);
         assert_eq!(out.confidence.get(0), 0.0);
-        for p in &out.snapshots {
+        for w in 0..2 {
+            let p = inc.snapshot_dir.join(format!("window-{w}.pgebin"));
             assert!(p.exists(), "missing snapshot {}", p.display());
         }
         let st = Checkpoint::load(&dir.join(INCREMENTAL_CHECKPOINT_FILE))

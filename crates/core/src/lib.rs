@@ -44,7 +44,7 @@ pub use confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, Confi
 pub use detector::Detector;
 pub use encoder::TextEncoder;
 pub use incremental::{
-    train_incremental, train_incremental_with, IncrementalConfig, IncrementalOutcome,
+    train_incremental, train_incremental_with, IncrementalConfig, IncrementalOutcome, OnWindow,
     INCREMENTAL_CHECKPOINT_FILE,
 };
 pub use model::PgeModel;

@@ -29,19 +29,25 @@ use crate::checkpoint::{
 use crate::confidence::{ConfidenceBackend, ConfidenceSignal, ConfidenceStore, ConfidenceUpdater};
 use crate::corpus::{build_corpus, TokenizedGraph};
 use crate::encoder::TextEncoder;
+use crate::incremental::OnWindow;
 use crate::model::PgeModel;
-use crate::persist::PersistError;
+use crate::persist::{save_model_store, PersistError};
 use crate::pool::Pool;
 use crate::score::{ScoreKind, Scorer};
 use parking_lot::Mutex;
-use pge_graph::{Dataset, NegativeSampler, SamplingMode, Triple};
+use pge_graph::{apply_window, Dataset, DeltaWindow, NegativeSampler, SamplingMode, Triple};
 use pge_nn::conv::CnnEncCache;
 use pge_nn::{AdamHparams, CnnConfig, CnnGrads, Embedding, SparseRowGrads};
-use pge_obs::{checkpoint_event, epoch_event, global_tracer, span, EpochTelemetry, RunLog, Stage};
+use pge_obs::{
+    checkpoint_event, epoch_event, global_tracer, ingest_event, span, EpochTelemetry, RunLog, Stage,
+};
 use pge_tensor::ops;
 use pge_text::word2vec::{train_word2vec, Word2VecConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -55,14 +61,17 @@ const CONFIDENCE_HIST_BINS: usize = 10;
 /// thread count (which is capped here).
 pub const GRAD_LANES: usize = 32;
 
-/// Resolve a requested thread count: `0` means auto-detect from
-/// [`std::thread::available_parallelism`]; everything is clamped to
-/// `1..=GRAD_LANES`.
+/// Resolve a requested thread count into the workers a run uses:
+/// `0` means one per cpu ([`std::thread::available_parallelism`]);
+/// everything is clamped to `1..=GRAD_LANES` and to the cpu count,
+/// since no bit depends on the count and workers past the cpu count
+/// only wait on each other.
 pub fn resolve_threads(requested: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let n = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        cpus
     } else {
-        requested
+        requested.min(cpus)
     };
     n.clamp(1, GRAD_LANES)
 }
@@ -160,8 +169,9 @@ pub struct PgeConfig {
     pub rotate_phase_init: bool,
     /// Worker threads for data-parallel training: `0` = auto-detect
     /// (`available_parallelism`), otherwise clamped to
-    /// `1..=GRAD_LANES`. Any value yields bit-identical results at a
-    /// given seed (see the module docs); only wall-clock time changes.
+    /// `1..=GRAD_LANES` and to the cpu count. Any value yields
+    /// bit-identical results at a given seed (see the module docs);
+    /// only wall-clock time changes.
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -309,7 +319,12 @@ impl Workers {
     /// [`resolve_threads`]`(threads)` workers, the calling thread
     /// included.
     pub(crate) fn new(model: &PgeModel, threads: usize) -> Workers {
-        let workers = resolve_threads(threads);
+        Workers::exactly(model, resolve_threads(threads))
+    }
+
+    /// [`Workers::new`] on exactly `workers` workers, however many cpus
+    /// there are.
+    pub(crate) fn exactly(model: &PgeModel, workers: usize) -> Workers {
         let rel_dim = model.scorer.rel_dim(model.dim());
         Workers {
             lanes: (0..GRAD_LANES)
@@ -600,163 +615,273 @@ pub fn train_pge_resumable(
     log: Option<&RunLog>,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<TrainedPge, PersistError> {
-    let start = Instant::now();
+    train_on(dataset, cfg, log, ckpt, Workers::new)
+}
+
+/// [`train_pge_resumable`] on the pool `workers(model, cfg.threads)`
+/// builds: one phase per epoch over every row.
+pub(crate) fn train_on(
+    dataset: &Dataset,
+    cfg: &PgeConfig,
+    log: Option<&RunLog>,
+    ckpt: Option<&CheckpointOptions>,
+    workers: fn(&PgeModel, usize) -> Workers,
+) -> Result<TrainedPge, PersistError> {
+    let started = Instant::now();
+    let file = ckpt.map(|opts| opts.dir.join(CHECKPOINT_FILE));
+    let fingerprints = ckpt.map_or((0, 0), |_| (config_hash(cfg), data_fingerprint(dataset)));
+    // A resume restores the parameters and moments verbatim; the
+    // snapshot embeds the vocabulary, so the corpus pass is skipped.
+    let (model, resumed) = match (ckpt, &file) {
+        (Some(opts), Some(file)) if opts.resume => {
+            let (model, state) = load_checkpoint(file, cfg, fingerprints, log)?;
+            (model, Some(state))
+        }
+        _ => (init_model(dataset, cfg), None),
+    };
+    let first = resumed.as_ref().map_or(0, |s| s.epochs_done);
+    let phases = (first..cfg.epochs).map(|epoch| Phase {
+        n: epoch,
+        window: None,
+        epochs: epoch..epoch + 1,
+        confidence_active: cfg.noise_aware && epoch >= cfg.confidence_warmup,
+        checkpoint: file.clone(),
+        snapshot: None,
+    });
+    let start = Start {
+        live: vec![true; dataset.train.len()],
+        dataset: Cow::Borrowed(dataset),
+        workers: workers(&model, cfg.threads),
+        model,
+        resumed,
+        fingerprints,
+        started,
+    };
+    let stop_after = ckpt.and_then(|opts| opts.stop_after);
+    let (trained, ..) = run_phases(start, phases, cfg, log, stop_after, &mut |_, _| Ok(None))?;
+    Ok(trained)
+}
+
+/// A fresh model (§3.1): the corpus, word2vec-initialised word
+/// vectors, the CNN encoder and the relation table.
+fn init_model(dataset: &Dataset, cfg: &PgeConfig) -> PgeModel {
     let graph = &dataset.graph;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    let (cfg_hash, data_fp) = if ckpt.is_some() {
-        (config_hash(cfg), data_fingerprint(dataset))
+    let corpus = {
+        let _s = span("train.corpus");
+        build_corpus(graph, &dataset.train)
+    };
+    let vectors = if cfg.word2vec_epochs > 0 {
+        let _s = span("train.word2vec");
+        train_word2vec(
+            &corpus.vocab,
+            &corpus.sentences,
+            &Word2VecConfig {
+                dim: cfg.word_dim,
+                epochs: cfg.word2vec_epochs,
+                seed: cfg.seed ^ 0x5eed,
+                ..Default::default()
+            },
+        )
     } else {
-        (0, 0)
+        pge_tensor::init::embedding(&mut rng, corpus.vocab.len(), cfg.word_dim)
     };
-    let resumed = match ckpt {
-        Some(opts) if opts.resume => {
-            let ck = Checkpoint::load(&opts.dir.join(CHECKPOINT_FILE))?;
-            ck.state.verify_backend(cfg.confidence.name())?;
-            ck.state.verify(cfg_hash, data_fp)?;
-            if let Some(log) = log {
-                log.write(&checkpoint_event(&[(
-                    "resumed_from",
-                    ck.state.epochs_done as f64,
-                )]));
-            }
-            Some(ck)
-        }
-        _ => None,
-    };
-
-    // 1. Corpus + word2vec initialization (§3.1) — or, on resume, the
-    // checkpointed parameters and moments verbatim. The snapshot
-    // embeds the vocabulary, so the corpus pass is skipped entirely.
+    let encoder = TextEncoder::cnn(
+        &mut rng,
+        CnnConfig {
+            vocab: corpus.vocab.len(),
+            word_dim: cfg.word_dim,
+            widths: cfg.widths.clone(),
+            filters_per_width: cfg.filters_per_width,
+            out_dim: cfg.dim,
+            max_len: cfg.max_len,
+        },
+        Embedding::from_matrix(vectors),
+    );
     let scorer = Scorer::new(cfg.score, cfg.gamma);
-    let mut model = match &resumed {
-        Some(ck) => ck.restore_model()?,
-        None => {
-            let corpus = {
-                let _s = span("train.corpus");
-                build_corpus(graph, &dataset.train)
-            };
-            let vectors = if cfg.word2vec_epochs > 0 {
-                let _s = span("train.word2vec");
-                train_word2vec(
-                    &corpus.vocab,
-                    &corpus.sentences,
-                    &Word2VecConfig {
-                        dim: cfg.word_dim,
-                        epochs: cfg.word2vec_epochs,
-                        seed: cfg.seed ^ 0x5eed,
-                        ..Default::default()
-                    },
-                )
-            } else {
-                pge_tensor::init::embedding(&mut rng, corpus.vocab.len(), cfg.word_dim)
-            };
-            let encoder = TextEncoder::cnn(
-                &mut rng,
-                CnnConfig {
-                    vocab: corpus.vocab.len(),
-                    word_dim: cfg.word_dim,
-                    widths: cfg.widths.clone(),
-                    filters_per_width: cfg.filters_per_width,
-                    out_dim: cfg.dim,
-                    max_len: cfg.max_len,
-                },
-                Embedding::from_matrix(vectors),
-            );
-            let ent_dim = encoder.out_dim();
-            // The paper: "we use randomly initialized learnable vectors
-            // to represent relations". See
-            // `PgeConfig::rotate_phase_init` for the RotatE-specific
-            // choice between Xavier and ±π phases.
-            let relations = if cfg.score == ScoreKind::RotatE && cfg.rotate_phase_init {
-                Embedding::new_phases(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(ent_dim))
-            } else {
-                Embedding::new_xavier(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(ent_dim))
-            };
-            PgeModel::new(
-                corpus.vocab,
-                encoder,
-                relations,
-                scorer,
-                graph.attr_names().to_vec(),
-            )
-        }
+    let ent_dim = encoder.out_dim();
+    // The paper: "we use randomly initialized learnable vectors to
+    // represent relations". See `PgeConfig::rotate_phase_init` for the
+    // RotatE-specific choice between Xavier and ±π phases.
+    let relations = if cfg.score == ScoreKind::RotatE && cfg.rotate_phase_init {
+        Embedding::new_phases(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(ent_dim))
+    } else {
+        Embedding::new_xavier(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(ent_dim))
     };
-    let tokens = TokenizedGraph::new(&model.vocab, graph);
+    PgeModel::new(
+        corpus.vocab,
+        encoder,
+        relations,
+        scorer,
+        graph.attr_names().to_vec(),
+    )
+}
 
-    // 2. Negative sampler + confidence store + backend updater.
-    let sampler = NegativeSampler::new(graph, cfg.sampling);
+/// The model and trainer state of the checkpoint at `file`, once
+/// [`TrainerState::verify`] accepts them for this config and corpus.
+/// A resume logs where it continues from.
+pub(crate) fn load_checkpoint(
+    file: &Path,
+    cfg: &PgeConfig,
+    (cfg_hash, data_fp): (u64, u64),
+    log: Option<&RunLog>,
+) -> Result<(PgeModel, TrainerState), PersistError> {
+    let ck = Checkpoint::load(file)?;
+    ck.state.verify(cfg.confidence.name(), cfg_hash, data_fp)?;
+    if let Some(log) = log {
+        let from = ck.state.epochs_done as f64;
+        log.write(&checkpoint_event(&[("resumed_from", from)]));
+    }
+    Ok((ck.restore_model()?, ck.state))
+}
+
+/// One phase of a run: apply `window`, if any, train over the
+/// `epochs` ids and record one loss, then write the snapshot and the
+/// checkpoint.
+pub(crate) struct Phase<'w> {
+    /// The epoch of full training or the window of an ingest: the
+    /// checkpoint records `n + 1` of them done, and `stop_after`
+    /// counts them.
+    pub(crate) n: usize,
+    /// A delta window and the stream fingerprint through it. The phase
+    /// trains the window's adds still live at its end, or every row
+    /// when it has no window.
+    pub(crate) window: Option<(&'w DeltaWindow, u64)>,
+    pub(crate) epochs: Range<usize>,
+    /// Weight triples by their confidence and update it (Eq. 6).
+    pub(crate) confidence_active: bool,
+    pub(crate) checkpoint: Option<PathBuf>,
+    pub(crate) snapshot: Option<PathBuf>,
+}
+
+/// What a run of phases starts from: the dataset with every ingested
+/// window applied and its live mask, the model and its worker pool,
+/// the checkpointed state it continues, the config hash and data
+/// fingerprint its checkpoints record, and when the run began.
+pub(crate) struct Start<'d> {
+    pub(crate) dataset: Cow<'d, Dataset>,
+    pub(crate) live: Vec<bool>,
+    pub(crate) model: PgeModel,
+    pub(crate) workers: Workers,
+    pub(crate) resumed: Option<TrainerState>,
+    pub(crate) fingerprints: (u64, u64),
+    pub(crate) started: Instant,
+}
+
+/// The one training driver. It runs `phases` in order, one [`step`]
+/// per minibatch, and returns the trained model with this process's
+/// telemetry, the dataset and its live mask. Each phase is one
+/// flight-recorder trace and logs an `epoch` event; its snapshot goes
+/// to `on_snapshot` once the checkpoint is down, and the generation
+/// that returns is its `ingest` event's `push_version`. The run ends
+/// after `stop_after` phases, a simulated kill.
+pub(crate) fn run_phases<'d, 'w>(
+    start: Start<'d>,
+    phases: impl Iterator<Item = Phase<'w>>,
+    cfg: &PgeConfig,
+    log: Option<&RunLog>,
+    stop_after: Option<usize>,
+    on_snapshot: &mut OnWindow,
+) -> Result<(TrainedPge, Cow<'d, Dataset>, Vec<bool>), PersistError> {
+    let Start {
+        mut dataset,
+        mut live,
+        mut model,
+        mut workers,
+        resumed,
+        fingerprints: (config_hash, data_fingerprint),
+        started,
+    } = start;
+    let mut tokens = TokenizedGraph::new(&model.vocab, &dataset.graph);
+    let mut sampler = NegativeSampler::new(&dataset.graph, cfg.sampling);
     let mut confidence =
         ConfidenceStore::new(dataset.train.len(), cfg.alpha, cfg.beta, cfg.confidence_lr);
-    let mut updater: Box<dyn ConfidenceUpdater> =
-        cfg.confidence.make_updater(graph.num_attrs(), model.dim());
-    let resumed = resumed.map(|ck| ck.state);
-    if let Some(state) = &resumed {
-        confidence
-            .restore_scores(&state.confidence)
-            .map_err(PersistError::Mismatch)?;
-        updater
-            .restore_aux(&state.aux)
-            .map_err(PersistError::Mismatch)?;
-    }
-
-    // 3. Minibatch Adam over Eq. (3)/(6), one `step` per batch.
-    let hp = AdamHparams::with_lr(cfg.lr);
-    let k = cfg.negatives.max(1);
-    let mut order = vec![0; dataset.train.len()];
-    let mut adam_t: u64 = resumed.as_ref().map_or(0, |s| s.step);
-    let start_epoch = resumed.as_ref().map_or(0, |s| s.epochs_done);
-    let mut epoch_losses = resumed.as_ref().map_or_else(
-        || Vec::with_capacity(cfg.epochs),
-        |s| s.epoch_losses.clone(),
-    );
-    let mut telemetry = Vec::with_capacity(cfg.epochs);
-    let mut workers = Workers::new(&model, cfg.threads);
-    // Each epoch is one trace in the process-wide flight recorder:
-    // its shuffle / batch / checkpoint phases become stage events, so
-    // a stalled epoch shows up in `pge trace` with the slow phase
-    // attributed.
+    let mut updater = cfg
+        .confidence
+        .make_updater(dataset.graph.num_attrs(), model.dim());
+    let mut state = match resumed {
+        Some(state) => {
+            confidence
+                .restore_scores(&state.confidence)
+                .map_err(PersistError::Mismatch)?;
+            updater
+                .restore_aux(&state.aux)
+                .map_err(PersistError::Mismatch)?;
+            state
+        }
+        None => TrainerState {
+            config_hash,
+            data_fingerprint,
+            backend: cfg.confidence.name().to_string(),
+            ..TrainerState::default()
+        },
+    };
+    let batch = cfg.batch.max(1);
+    let (mut order, mut telemetry) = (Vec::new(), Vec::new());
     let tracer = global_tracer();
-    for epoch in start_epoch..cfg.epochs {
-        let _epoch_span = span("train.epoch");
-        let epoch_start = Instant::now();
+    for phase in phases {
+        let _phase_span = span("train.epoch");
+        let phase_start = Instant::now();
         let trace = tracer.begin();
-        tracer.record(trace, Stage::EpochStart, epoch as u64);
-        tracer.record(trace, Stage::EpochShuffle, order.len() as u64);
-        shuffle_into(&mut order, 0.., cfg.seed, epoch);
-        let ctx = EpochCtx {
-            train: &dataset.train,
-            tokens: &tokens,
-            sampler: &sampler,
-            hp,
-            confidence_active: cfg.noise_aware && epoch >= cfg.confidence_warmup,
-            k,
-            id: epoch,
-            seed: cfg.seed,
-        };
-        tracer.record(
-            trace,
-            Stage::EpochBatches,
-            order.chunks(cfg.batch.max(1)).len() as u64,
-        );
-        for batch in order.chunks(cfg.batch.max(1)) {
-            adam_t += 1;
-            step(
-                &mut model,
-                &mut confidence,
-                updater.as_mut(),
-                &ctx,
-                batch,
-                adam_t,
-                &mut workers,
-            );
+        tracer.record(trace, Stage::EpochStart, phase.epochs.start as u64);
+        let applied = phase.window.map(|(window, _)| {
+            let applied = apply_window(dataset.to_mut(), &mut live, window);
+            tokens.extend(&model.vocab, &dataset.graph);
+            while confidence.len() < dataset.train.len() {
+                confidence.push_default();
+            }
+            for &i in &applied.retracted {
+                confidence.set(i, 0.0);
+            }
+            // Fresh values must be drawable as corruptions.
+            sampler = NegativeSampler::new(&dataset.graph, cfg.sampling);
+            applied
+        });
+        // A window trains its adds still live at its end; a phase
+        // without one trains every row, shuffled from `0..`: a row
+        // list built per phase raised the `train` workload's peak RSS
+        // by ~2 MiB.
+        let touched: Option<Vec<usize>> = applied
+            .as_ref()
+            .map(|a| a.added.iter().copied().filter(|&i| live[i]).collect());
+        order.resize(touched.as_ref().map_or(dataset.train.len(), Vec::len), 0);
+        for epoch in phase.epochs.clone() {
+            tracer.record(trace, Stage::EpochShuffle, order.len() as u64);
+            match &touched {
+                Some(rows) => shuffle_into(&mut order, rows.iter().copied(), cfg.seed, epoch),
+                None => shuffle_into(&mut order, 0.., cfg.seed, epoch),
+            }
+            let ctx = EpochCtx {
+                train: &dataset.train,
+                tokens: &tokens,
+                sampler: &sampler,
+                hp: AdamHparams::with_lr(cfg.lr),
+                confidence_active: phase.confidence_active,
+                k: cfg.negatives.max(1),
+                id: epoch,
+                seed: cfg.seed,
+            };
+            tracer.record(trace, Stage::EpochBatches, order.chunks(batch).len() as u64);
+            for batch in order.chunks(batch) {
+                state.step += 1;
+                step(
+                    &mut model,
+                    &mut confidence,
+                    updater.as_mut(),
+                    &ctx,
+                    batch,
+                    state.step,
+                    &mut workers,
+                );
+            }
         }
         let totals = workers.take_totals();
-        epoch_losses.push(totals.mean_loss());
-        let secs = epoch_start.elapsed().as_secs_f64();
+        let mean_loss = totals.mean_loss();
+        state.epoch_losses.push(mean_loss);
+        let secs = phase_start.elapsed().as_secs_f64();
         let t = EpochTelemetry {
-            epoch,
-            mean_loss: *epoch_losses.last().unwrap(),
+            epoch: phase.epochs.start,
+            mean_loss,
             triples: totals.loss_n,
             negatives: totals.negs,
             secs,
@@ -780,49 +905,70 @@ pub fn train_pge_resumable(
         }
         telemetry.push(t);
 
-        if let Some(opts) = ckpt {
-            let write_start = Instant::now();
-            tracer.record(trace, Stage::EpochCheckpoint, (epoch + 1) as u64);
-            let bytes = {
-                let _s = span("train.checkpoint");
-                let state = TrainerState {
-                    epochs_done: epoch + 1,
-                    step: adam_t,
-                    config_hash: cfg_hash,
-                    data_fingerprint: data_fp,
-                    backend: cfg.confidence.name().to_string(),
-                    delta_fingerprint: 0,
-                    windows_done: 0,
-                    epoch_losses: epoch_losses.clone(),
-                    confidence: confidence.scores().to_vec(),
-                    aux: updater.aux_state(),
-                };
-                state.store(&model, &opts.dir.join(CHECKPOINT_FILE))?
-            };
-            if let Some(log) = log {
-                log.write(&checkpoint_event(&[
-                    ("epoch", (epoch + 1) as f64),
-                    ("bytes", bytes as f64),
-                    ("write_secs", write_start.elapsed().as_secs_f64()),
-                ]));
-            }
-            // Simulated kill for resume tests and CI: the checkpoint
-            // is on disk, the process "dies" here.
-            if opts.stop_after == Some(epoch + 1) {
-                tracer.finish(trace, epoch_start.elapsed(), false);
-                break;
-            }
+        // Snapshot first, checkpoint second: a kill between the two
+        // redoes the phase on resume (bit-identical by determinism)
+        // and rewrites the identical snapshot.
+        if let Some(path) = &phase.snapshot {
+            let dir = path.parent().unwrap_or(Path::new("."));
+            std::fs::create_dir_all(dir)
+                .map_err(|e| PersistError::Io(format!("create {}: {e}", dir.display())))?;
+            save_model_store(&model, path)?;
         }
-        tracer.finish(trace, epoch_start.elapsed(), false);
+        match phase.window {
+            Some((_, fingerprint)) => {
+                state.windows_done = phase.n + 1;
+                state.delta_fingerprint = fingerprint;
+            }
+            None => state.epochs_done = phase.n + 1,
+        }
+        let mut written = None;
+        if let Some(file) = &phase.checkpoint {
+            let write_start = Instant::now();
+            tracer.record(trace, Stage::EpochCheckpoint, (phase.n + 1) as u64);
+            let _s = span("train.checkpoint");
+            state.confidence = confidence.scores().to_vec();
+            state.aux = updater.aux_state();
+            let bytes = state.store(&model, file)? as f64;
+            let write_secs = write_start.elapsed().as_secs_f64();
+            written = Some([
+                ("epoch", (phase.n + 1) as f64),
+                ("bytes", bytes),
+                ("write_secs", write_secs),
+            ]);
+        }
+        let push_version = match &phase.snapshot {
+            Some(path) => on_snapshot(phase.n, path)?.map_or(-1.0, |v| v as f64),
+            None => -1.0,
+        };
+        // A window reports in its `ingest` event, an epoch in its
+        // `checkpoint` event.
+        match (log, &applied, written) {
+            (Some(log), Some(applied), _) => log.write(&ingest_event(&[
+                ("window", phase.n as f64),
+                ("added", applied.added.len() as f64),
+                ("retracted", applied.retracted.len() as f64),
+                ("missed_retractions", applied.missed_retractions as f64),
+                ("train_len", dataset.train.len() as f64),
+                ("mean_loss", mean_loss as f64),
+                ("secs", phase_start.elapsed().as_secs_f64()),
+                ("push_version", push_version),
+            ])),
+            (Some(log), None, Some(written)) => log.write(&checkpoint_event(&written)),
+            _ => {}
+        }
+        tracer.finish(trace, phase_start.elapsed(), false);
+        if stop_after == Some(phase.n + 1) {
+            break;
+        }
     }
-
-    Ok(TrainedPge {
+    let trained = TrainedPge {
         model,
         confidence,
-        train_secs: start.elapsed().as_secs_f64(),
-        epoch_losses,
+        train_secs: started.elapsed().as_secs_f64(),
+        epoch_losses: state.epoch_losses,
         telemetry,
-    })
+    };
+    Ok((trained, dataset, live))
 }
 
 #[cfg(test)]
@@ -943,6 +1089,12 @@ mod tests {
         );
     }
 
+    /// [`train_pge`] on exactly `cfg.threads` workers, however many
+    /// cpus the host has.
+    fn train_exactly(d: &Dataset, cfg: &PgeConfig) -> TrainedPge {
+        train_on(d, cfg, None, None, Workers::exactly).unwrap()
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
         // The fixed-lane partition and fixed-order reduction make
@@ -956,21 +1108,13 @@ mod tests {
                 .map(|lt| out.model.plausibility(&d.graph, &lt.triple))
                 .collect()
         };
-        let base = train_pge(
-            &d,
-            &PgeConfig {
-                threads: 1,
-                ..PgeConfig::tiny()
-            },
-        );
+        let cfg = |threads| PgeConfig {
+            threads,
+            ..PgeConfig::tiny()
+        };
+        let base = train_exactly(&d, &cfg(1));
         for threads in [2, 3, 8, GRAD_LANES] {
-            let out = train_pge(
-                &d,
-                &PgeConfig {
-                    threads,
-                    ..PgeConfig::tiny()
-                },
-            );
+            let out = train_exactly(&d, &cfg(threads));
             assert_eq!(score_all(&base), score_all(&out), "threads={threads}");
             assert_eq!(
                 base.epoch_losses, out.epoch_losses,
@@ -1026,7 +1170,7 @@ mod tests {
             threads: 2,
             ..PgeConfig::tiny()
         };
-        let out = train_pge(&d, &cfg);
+        let out = train_exactly(&d, &cfg);
         for t in &out.telemetry {
             assert_eq!(t.threads, 2);
             assert_eq!(t.worker_utilization.len(), 2);
@@ -1036,9 +1180,10 @@ mod tests {
 
     #[test]
     fn resolve_threads_clamps_to_lane_count() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(resolve_threads(1), 1);
-        assert_eq!(resolve_threads(GRAD_LANES + 50), GRAD_LANES);
-        assert!(resolve_threads(0) >= 1, "auto-detect must give >= 1");
+        assert_eq!(resolve_threads(GRAD_LANES + 50), GRAD_LANES.min(cpus));
+        assert_eq!(resolve_threads(0), GRAD_LANES.min(cpus));
     }
 
     #[test]
@@ -1198,7 +1343,7 @@ mod tests {
             threads,
             ..PgeConfig::tiny()
         };
-        let base = train_pge(&d, &cfg(1));
+        let base = train_exactly(&d, &cfg(1));
         // Scores moved off the all-ones init and stayed in range.
         assert!(base.confidence.scores().iter().any(|&c| c < 1.0));
         assert!(base
@@ -1208,7 +1353,7 @@ mod tests {
             .all(|&c| (0.0..=1.0).contains(&c)));
         // The CCA rule is applied in lane order → thread invariant.
         for threads in [2, 8] {
-            let out = train_pge(&d, &cfg(threads));
+            let out = train_exactly(&d, &cfg(threads));
             assert_eq!(
                 base.confidence.scores(),
                 out.confidence.scores(),

@@ -214,3 +214,91 @@ fn backend_mismatch_is_rejected() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn delta_windows_log_epoch_events_and_trace_stages() {
+    use pge_obs::json::parse;
+    use pge_obs::{global_tracer, RunLog, Stage};
+    use std::io;
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Clone, Default)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+    impl io::Write for Buf {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    // Epoch ids no other test in this binary trains under: window w
+    // starts at 10 + 3w.
+    let cfg = PgeConfig {
+        epochs: 10,
+        ..cfg(2)
+    };
+    let base = tiny_dataset();
+    let dir = scratch_dir("events");
+    seed_base_checkpoint(&base, &cfg, &dir);
+    let mut inc = IncrementalConfig::new(dir.join("snapshots"));
+    inc.epochs_per_window = 3;
+    let buf = Buf::default();
+    let log = RunLog::to_writer(buf.clone());
+    let opts = CheckpointOptions::new(&dir);
+    let out = train_incremental(&base, &windows(), &cfg, &inc, &opts, Some(&log)).unwrap();
+    let starts: Vec<u64> = (0..windows().len() as u64).map(|w| 10 + 3 * w).collect();
+
+    // Per window: an `epoch` event with the confidence histogram, then
+    // its `ingest` event.
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let events: Vec<_> = text.lines().map(|l| parse(l).unwrap()).collect();
+    let kinds: Vec<&str> = events
+        .iter()
+        .map(|e| e.get("event").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(kinds, ["epoch", "ingest"].repeat(windows().len()));
+    for (w, pair) in events.chunks(2).enumerate() {
+        let (epoch, ingest) = (&pair[0], &pair[1]);
+        assert_eq!(epoch.get("epoch").unwrap().as_f64(), Some(starts[w] as f64));
+        let loss = epoch.get("mean_loss").unwrap().as_f64();
+        assert_eq!(loss, Some(out.window_losses[w] as f64));
+        assert_eq!(ingest.get("mean_loss").unwrap().as_f64(), loss);
+        assert_eq!(ingest.get("window").unwrap().as_f64(), Some(w as f64));
+        let conf = epoch.get("confidence").expect("noise-aware run");
+        let hist = conf.get("hist").unwrap().as_array().unwrap();
+        // Over the whole table, which grows with each window's adds.
+        let total: f64 = hist.iter().filter_map(|c| c.as_f64()).sum();
+        assert_eq!(Some(total), ingest.get("train_len").unwrap().as_f64());
+        let frac = conf.get("polarized_frac").unwrap().as_f64().unwrap();
+        assert!((0.0..=1.0).contains(&frac), "polarized_frac {frac}");
+    }
+
+    // Each window is one flight-recorder trace: start, a shuffle and
+    // a batch stage per epoch, then the checkpoint.
+    let recorder = global_tracer().recorder();
+    let snapshot = recorder.snapshot();
+    for (w, &start) in starts.iter().enumerate() {
+        let trace = snapshot
+            .iter()
+            .find(|e| e.stage == Stage::EpochStart && e.arg == start)
+            .unwrap_or_else(|| panic!("no trace for window {w}"))
+            .trace_id;
+        let stages: Vec<(Stage, u64)> = recorder
+            .events_for(trace)
+            .iter()
+            .map(|e| (e.stage, e.arg))
+            .collect();
+        let mut want = vec![(Stage::EpochStart, start)];
+        let rows = stages[1].1;
+        for _ in 0..inc.epochs_per_window {
+            let batches = rows.div_ceil(cfg.batch as u64);
+            want.extend([(Stage::EpochShuffle, rows), (Stage::EpochBatches, batches)]);
+        }
+        want.push((Stage::EpochCheckpoint, w as u64 + 1));
+        assert_eq!(stages, want, "window {w}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

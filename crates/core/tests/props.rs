@@ -200,7 +200,11 @@ fn mutated_load(
     out: &Path,
 ) -> Result<(), PersistError> {
     let (data, model, ckpt) = fixture();
-    let src = if target % 2 == 0 { model } else { ckpt };
+    let src = if target.is_multiple_of(2) {
+        model
+    } else {
+        ckpt
+    };
     if target < 2 {
         let (name, inserts) = if target == 0 {
             ("model.header", &TEXT_INSERTS)
@@ -225,7 +229,7 @@ fn mutated_load(
         let bytes = std::fs::read(src).unwrap();
         std::fs::write(out, mutator::mutate(bytes, m, &BYTE_INSERTS)).unwrap();
     }
-    if target % 2 == 0 {
+    if target.is_multiple_of(2) {
         let mode = if mmap { MmapMode::On } else { MmapMode::Off };
         load_model_auto_path(out, &data.graph, mode, 0).map(drop)
     } else {

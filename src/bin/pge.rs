@@ -57,9 +57,9 @@
 //! (with the checkpoint on disk) to simulate a kill in tests/CI.
 //!
 //! `train --threads N` splits every minibatch across N worker
-//! threads (default: the machine's available parallelism). Results
-//! are bit-identical for any thread count at a fixed seed — see
-//! DESIGN.md on gradient-lane reduction.
+//! threads, at most one per cpu (default: the machine's available
+//! parallelism). Results are bit-identical for any thread count at a
+//! fixed seed — see DESIGN.md on gradient-lane reduction.
 //!
 //! `--runlog` appends structured JSONL telemetry (run manifest,
 //! per-epoch training records, eval results, serve snapshots, span
@@ -191,6 +191,20 @@ fn save_model_file(model: &PgeModel, path: &str) {
         eprintln!("cannot write {path}: {e}");
         exit(1)
     });
+}
+
+/// Save a trained model, then close the run log with the epoch traces
+/// the trainer's flight recorder retained (oldest first, for
+/// `pge trace`) and the span timings.
+fn finish_training(model: &PgeModel, out: &str, log: Option<&RunLog>) {
+    save_model_file(model, out);
+    if let Some(log) = log {
+        for t in global_tracer().retained(usize::MAX).iter().rev() {
+            log.write(&trace_event(t));
+        }
+        log.write(&spans_event());
+    }
+    println!("model saved to {out}");
 }
 
 fn load_dataset(path: &str) -> Dataset {
@@ -510,8 +524,7 @@ fn main() {
                 if outcome.windows_done < windows.len() {
                     println!("stopped early (checkpoint retained; continue with --resume)");
                 }
-                save_model_file(&outcome.model, &out);
-                println!("model saved to {out}");
+                finish_training(&outcome.model, &out, log.as_ref());
                 return;
             }
             if let Some(log) = &log {
@@ -575,16 +588,7 @@ fn main() {
                     cfg.epochs
                 );
             }
-            save_model_file(&trained.model, &out);
-            if let Some(log) = &log {
-                // Epoch traces retained by the trainer's flight
-                // recorder, oldest first, for `pge trace`.
-                for t in global_tracer().retained(usize::MAX).iter().rev() {
-                    log.write(&trace_event(t));
-                }
-                log.write(&spans_event());
-            }
-            println!("model saved to {out}");
+            finish_training(&trained.model, &out, log.as_ref());
         }
         "embed" => {
             let data = load_dataset(&require("data"));
