@@ -193,20 +193,6 @@ fn save_model_file(model: &PgeModel, path: &str) {
     });
 }
 
-/// Save a trained model, then close the run log with the epoch traces
-/// the trainer's flight recorder retained (oldest first, for
-/// `pge trace`) and the span timings.
-fn finish_training(model: &PgeModel, out: &str, log: Option<&RunLog>) {
-    save_model_file(model, out);
-    if let Some(log) = log {
-        for t in global_tracer().retained(usize::MAX).iter().rev() {
-            log.write(&trace_event(t));
-        }
-        log.write(&spans_event());
-    }
-    println!("model saved to {out}");
-}
-
 fn load_dataset(path: &str) -> Dataset {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -437,7 +423,7 @@ fn main() {
             // Streaming ingest: warm-start from the base checkpoint,
             // fine-tune per delta window, snapshot + optionally push
             // each window to a gateway. Resumable like full training.
-            if flags.contains_key("incremental") {
+            let model = if flags.contains_key("incremental") {
                 let deltas_path = require("deltas");
                 let Some(ckpt) = ckpt else {
                     eprintln!("--incremental needs --checkpoint DIR (the base run's checkpoint; add --resume to continue a killed ingest)");
@@ -524,71 +510,81 @@ fn main() {
                 if outcome.windows_done < windows.len() {
                     println!("stopped early (checkpoint retained; continue with --resume)");
                 }
-                finish_training(&outcome.model, &out, log.as_ref());
-                return;
-            }
+                outcome.model
+            } else {
+                if let Some(log) = &log {
+                    log.write(&manifest_event(
+                        "train",
+                        cfg.seed,
+                        &[
+                            ("data".into(), data_path.clone()),
+                            ("out".into(), out.clone()),
+                            ("label".into(), cfg.label()),
+                            ("epochs".into(), cfg.epochs.to_string()),
+                            ("batch".into(), cfg.batch.to_string()),
+                            ("negatives".into(), cfg.negatives.to_string()),
+                            ("noise_aware".into(), cfg.noise_aware.to_string()),
+                            ("threads".into(), resolve_threads(cfg.threads).to_string()),
+                            ("train_triples".into(), data.train.len().to_string()),
+                            (
+                                "checkpoint".into(),
+                                ckpt.as_ref()
+                                    .map_or("none".into(), |o| o.dir.display().to_string()),
+                            ),
+                            (
+                                "resume".into(),
+                                ckpt.as_ref().is_some_and(|o| o.resume).to_string(),
+                            ),
+                        ],
+                    ));
+                }
+                println!(
+                    "training {} on {} triples ({} threads) ...",
+                    cfg.label(),
+                    data.train.len(),
+                    resolve_threads(cfg.threads)
+                );
+                if let Some(opts) = &ckpt {
+                    println!(
+                        "{} epoch-boundary checkpoints in {}",
+                        if opts.resume {
+                            "resuming from"
+                        } else {
+                            "writing"
+                        },
+                        opts.dir.display()
+                    );
+                }
+                let trained = train_pge_resumable(&data, &cfg, log.as_ref(), ckpt.as_ref())
+                    .unwrap_or_else(|e| {
+                        eprintln!("training failed: {e}");
+                        exit(1)
+                    });
+                println!(
+                    "done in {:.1}s (loss {:.3} -> {:.3})",
+                    trained.train_secs,
+                    trained.epoch_losses.first().unwrap_or(&0.0),
+                    trained.epoch_losses.last().unwrap_or(&0.0)
+                );
+                if trained.epoch_losses.len() < cfg.epochs {
+                    println!(
+                        "stopped after {} of {} epochs (checkpoint retained; continue with --resume)",
+                        trained.epoch_losses.len(),
+                        cfg.epochs
+                    );
+                }
+                trained.model
+            };
+            save_model_file(&model, &out);
             if let Some(log) = &log {
-                log.write(&manifest_event(
-                    "train",
-                    cfg.seed,
-                    &[
-                        ("data".into(), data_path.clone()),
-                        ("out".into(), out.clone()),
-                        ("label".into(), cfg.label()),
-                        ("epochs".into(), cfg.epochs.to_string()),
-                        ("batch".into(), cfg.batch.to_string()),
-                        ("negatives".into(), cfg.negatives.to_string()),
-                        ("noise_aware".into(), cfg.noise_aware.to_string()),
-                        ("threads".into(), resolve_threads(cfg.threads).to_string()),
-                        ("train_triples".into(), data.train.len().to_string()),
-                        (
-                            "checkpoint".into(),
-                            ckpt.as_ref()
-                                .map_or("none".into(), |o| o.dir.display().to_string()),
-                        ),
-                        (
-                            "resume".into(),
-                            ckpt.as_ref().is_some_and(|o| o.resume).to_string(),
-                        ),
-                    ],
-                ));
+                // Epoch traces retained by the trainer's flight
+                // recorder, oldest first, for `pge trace`.
+                for t in global_tracer().retained(usize::MAX).iter().rev() {
+                    log.write(&trace_event(t));
+                }
+                log.write(&spans_event());
             }
-            println!(
-                "training {} on {} triples ({} threads) ...",
-                cfg.label(),
-                data.train.len(),
-                resolve_threads(cfg.threads)
-            );
-            if let Some(opts) = &ckpt {
-                println!(
-                    "{} epoch-boundary checkpoints in {}",
-                    if opts.resume {
-                        "resuming from"
-                    } else {
-                        "writing"
-                    },
-                    opts.dir.display()
-                );
-            }
-            let trained = train_pge_resumable(&data, &cfg, log.as_ref(), ckpt.as_ref())
-                .unwrap_or_else(|e| {
-                    eprintln!("training failed: {e}");
-                    exit(1)
-                });
-            println!(
-                "done in {:.1}s (loss {:.3} -> {:.3})",
-                trained.train_secs,
-                trained.epoch_losses.first().unwrap_or(&0.0),
-                trained.epoch_losses.last().unwrap_or(&0.0)
-            );
-            if trained.epoch_losses.len() < cfg.epochs {
-                println!(
-                    "stopped after {} of {} epochs (checkpoint retained; continue with --resume)",
-                    trained.epoch_losses.len(),
-                    cfg.epochs
-                );
-            }
-            finish_training(&trained.model, &out, log.as_ref());
+            println!("model saved to {out}");
         }
         "embed" => {
             let data = load_dataset(&require("data"));
