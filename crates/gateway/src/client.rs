@@ -6,14 +6,13 @@
 use pge_obs::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-/// Outcome of one snapshot push: which file, the gateway's new
-/// snapshot generation, and how many attempts it took.
+/// Outcome of one snapshot push: the gateway's new snapshot
+/// generation, and how many attempts it took.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PushReport {
-    pub snapshot: PathBuf,
     /// Snapshot generation the gateway reported after the swap.
     pub version: u64,
     /// Attempts consumed (1 = first try succeeded).
@@ -90,7 +89,6 @@ pub fn push_snapshot(
                     .and_then(|j| j.get("version").and_then(Json::as_f64))
                     .ok_or_else(|| format!("reload succeeded but no version in body {body:?}"))?;
                 return Ok(PushReport {
-                    snapshot: snapshot.to_path_buf(),
                     version: version as u64,
                     attempts: attempt,
                 });

@@ -475,7 +475,7 @@ fn main() {
                 );
                 // Each window's snapshot goes to the gateway once it
                 // and the window checkpoint are on disk.
-                let mut push_window = |w: usize, snapshot: &std::path::Path| {
+                let mut push_window = |w: usize, snapshot: &Path| {
                     let Some(addr) = &push else { return Ok(None) };
                     let p = push_snapshot(addr, snapshot, push_attempts, push_backoff_ms)
                         .map_err(|e| PersistError::Io(format!("push window {w} to {addr}: {e}")))?;
