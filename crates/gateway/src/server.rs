@@ -667,11 +667,16 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
 
 /// Parse every complete pipelined request sitting in the read buffer.
 /// Returns `Err(())` when the connection must be dropped on the spot.
+///
+/// Requests parse from a cursor and the buffer is drained once at the
+/// end: draining per request made a backlog of N pipelined requests
+/// cost O(N²) in byte moves on the loop thread.
 fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(), ()> {
+    let mut consumed = 0;
     while conn.close_after.is_none() {
-        match http::try_parse_request(&conn.rbuf) {
-            Ok(Some((req, consumed))) => {
-                conn.rbuf.drain(..consumed);
+        match http::try_parse_request(&conn.rbuf[consumed..]) {
+            Ok(Some((req, n))) => {
+                consumed += n;
                 let seq = conn.claim_seq();
                 shared.metrics.requests_total.inc();
                 if !req.keep_alive {
@@ -686,7 +691,7 @@ fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
                 // Malformed framing poisons everything after it on
                 // the stream: answer, then close.
                 conn.close_after = Some(seq);
-                conn.rbuf.clear();
+                consumed = conn.rbuf.len();
                 respond_inline(
                     conn,
                     seq,
@@ -701,6 +706,7 @@ fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
             Err(_) => return Err(()),
         }
     }
+    conn.rbuf.drain(..consumed);
     Ok(())
 }
 
@@ -722,20 +728,24 @@ fn read_and_parse(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
     parse_buffered(conn, token, shared)
 }
 
-/// Write as much of the pending response bytes as the socket accepts.
+/// Write as much of the pending response bytes as the socket accepts,
+/// draining what was written once at the end.
 fn flush(conn: &mut Conn) -> Result<(), ()> {
-    while !conn.wbuf.is_empty() {
-        match conn.stream.write(&conn.wbuf) {
-            Ok(0) => return Err(()),
-            Ok(n) => {
-                conn.wbuf.drain(..n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
+    let mut written = 0;
+    let result = loop {
+        if written == conn.wbuf.len() {
+            break Ok(());
         }
-    }
-    Ok(())
+        match conn.stream.write(&conn.wbuf[written..]) {
+            Ok(0) => break Err(()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break Err(()),
+        }
+    };
+    conn.wbuf.drain(..written);
+    result
 }
 
 /// Post-event bookkeeping for one connection: opportunistic flush,

@@ -283,13 +283,30 @@ impl FlightRecorder {
     /// never misread — the seqlock version is checked on both sides
     /// of the field reads.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
+        self.collect(|_| true)
+    }
+
+    /// All stable events carrying `trace_id`, oldest first. The id is
+    /// matched during the slot walk, so only the trace's own events
+    /// are copied and sorted: tail sampling calls this on the serving
+    /// thread for every slow completion.
+    pub fn events_for(&self, trace_id: u64) -> Vec<TraceEvent> {
+        self.collect(|id| id == trace_id)
+    }
+
+    /// The stable events whose trace id passes `keep`, stably sorted
+    /// by timestamp (ties keep slot order).
+    fn collect(&self, keep: impl Fn(u64) -> bool) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
         for slot in &self.slots {
             let v1 = slot.version.load(Ordering::Acquire);
             if v1 == 0 || v1 & 1 == 1 {
                 continue;
             }
             let trace_id = slot.trace_id.load(Ordering::Relaxed);
+            if !keep(trace_id) {
+                continue;
+            }
             let meta = slot.meta.load(Ordering::Relaxed);
             let t_nanos = slot.t_nanos.load(Ordering::Relaxed);
             fence(Ordering::Acquire);
@@ -306,17 +323,6 @@ impl FlightRecorder {
                 t_nanos,
             });
         }
-        out.sort_by_key(|e| e.t_nanos);
-        out
-    }
-
-    /// All stable events carrying `trace_id`, oldest first.
-    pub fn events_for(&self, trace_id: u64) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.trace_id == trace_id)
-            .collect();
         out.sort_by_key(|e| e.t_nanos);
         out
     }

@@ -932,3 +932,65 @@ fn health_version_metrics_and_errors_speak_http() {
     }
     handle.shutdown();
 }
+
+/// Time until the last of `n` pipelined single-triple requests on one
+/// keep-alive connection is answered. A writer thread sends while this
+/// thread reads, so the gateway sees a backlog as deep as the socket
+/// buffers allow. Every answer must be a 200 or a shed 503.
+fn pipelined_backlog_time(addr: SocketAddr, data: &Dataset, n: usize) -> Duration {
+    let m = data.test.len();
+    let bodies: Vec<String> = (0..m)
+        .map(|i| score_request(&body_for(data, &[i]), true))
+        .collect();
+    let raw: Vec<u8> = (0..n).flat_map(|i| bodies[i % m].bytes()).collect();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let t0 = Instant::now();
+    let sender = std::thread::spawn(move || writer.write_all(&raw).expect("send backlog"));
+    let mut buf = Vec::new();
+    for k in 0..n {
+        let (status, body) = read_one_response(&mut stream, &mut buf)
+            .unwrap_or_else(|| panic!("connection dropped at response {k} of {n}"));
+        assert!(
+            status == 200 || status == 503,
+            "response {k}: {status} {body}"
+        );
+    }
+    let elapsed = t0.elapsed();
+    sender.join().expect("writer");
+    elapsed
+}
+
+/// A backlog of pipelined requests on one connection drains in time
+/// linear in its depth. The loop thread once front-drained the read
+/// buffer per request and copied and sorted the whole trace ring per
+/// slow completion, so 16k requests took ~50× longer per request than
+/// 1k. Best of three, interleaved so a busy moment hits both sizes.
+#[test]
+fn pipelined_backlog_drains_in_linear_time() {
+    let data = tiny_data();
+    let (model, threshold) = tiny_model(&data, 2);
+    let handle = gateway(
+        &data,
+        model,
+        threshold,
+        GatewayConfig {
+            addr: "127.0.0.1:0".into(),
+            replicas: 1,
+            ..GatewayConfig::default()
+        },
+    );
+    let addr = handle.local_addr();
+    let (small, large) = (1_000usize, 16_000usize);
+    let (mut t_small, mut t_large) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        t_small = t_small.min(pipelined_backlog_time(addr, &data, small));
+        t_large = t_large.min(pipelined_backlog_time(addr, &data, large));
+    }
+    let bound = t_small * (8 * large / small) as u32;
+    assert!(
+        t_large <= bound,
+        "{large} pipelined requests took {t_large:?}, over 8x linear from {small} ({t_small:?})"
+    );
+    handle.shutdown();
+}
