@@ -16,11 +16,8 @@
 use crate::model::{EncodeScratch, PgeModel};
 use parking_lot::RwLock;
 use pge_graph::AttrId;
-use pge_obs::AtomicHistogram;
 use pge_tensor::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 const SHARDS: usize = 16;
 
@@ -43,10 +40,6 @@ pub struct EmbeddingCache {
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Optional latency sink for encoder forward passes. Only the
-    /// miss path pays the timing cost (two `Instant` reads around a
-    /// CNN forward, i.e. noise); the hit path never touches it.
-    encode_hist: OnceLock<Arc<AtomicHistogram>>,
 }
 
 impl EmbeddingCache {
@@ -67,15 +60,7 @@ impl EmbeddingCache {
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            encode_hist: OnceLock::new(),
         }
-    }
-
-    /// Record every encoder forward pass (cache miss) into `hist` —
-    /// the `pge_serve_stage_encode_seconds` feed. First caller wins;
-    /// later installs are ignored.
-    pub fn install_encode_histogram(&self, hist: Arc<AtomicHistogram>) {
-        let _ = self.encode_hist.set(hist);
     }
 
     fn shard_idx(&self, text: &str) -> usize {
@@ -107,7 +92,7 @@ impl EmbeddingCache {
         let cap = self.shard_caps[idx];
         if cap == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            out.extend_from_slice(&self.timed_compute(f));
+            out.extend_from_slice(&f());
             return;
         }
         let shard = &self.shards[idx];
@@ -124,7 +109,7 @@ impl EmbeddingCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let vec = self.timed_compute(f);
+        let vec = f();
         out.extend_from_slice(&vec);
         let mut map = shard.write();
         // A racing thread may have inserted meanwhile; keep whichever
@@ -196,20 +181,6 @@ impl EmbeddingCache {
             .collect();
         let (_, &mut threshold, _) = stamps.select_nth_unstable(batch - 1);
         map.retain(|_, e| e.stamp.load(Ordering::Relaxed) > threshold);
-    }
-
-    /// Run the encoder, observing its wall time when a histogram is
-    /// installed.
-    fn timed_compute(&self, f: impl FnOnce() -> Vec<f32>) -> Vec<f32> {
-        match self.encode_hist.get() {
-            Some(h) => {
-                let start = Instant::now();
-                let vec = f();
-                h.observe(start.elapsed().as_secs_f64());
-                vec
-            }
-            None => f(),
-        }
     }
 
     pub fn hits(&self) -> u64 {
@@ -421,24 +392,6 @@ mod tests {
         c.get_or_compute(same[2], counted(&calls)); // evicts [1], not [0]
         c.get_or_compute(same[0], counted(&calls)); // still cached
         assert_eq!(calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn encode_histogram_observes_misses_only() {
-        let c = EmbeddingCache::new(64);
-        let h = Arc::new(AtomicHistogram::exponential(1e-6, 2.0, 20));
-        c.install_encode_histogram(h.clone());
-        let calls = AtomicUsize::new(0);
-        c.get_or_compute("apple", counted(&calls)); // miss → observed
-        c.get_or_compute("apple", counted(&calls)); // hit → not observed
-        c.get_or_compute("pear", counted(&calls)); // miss → observed
-        assert_eq!(h.count(), 2);
-        // Later installs are ignored; the first histogram keeps feeding.
-        let other = Arc::new(AtomicHistogram::exponential(1e-6, 2.0, 20));
-        c.install_encode_histogram(other.clone());
-        c.get_or_compute("plum", counted(&calls));
-        assert_eq!(h.count(), 3);
-        assert_eq!(other.count(), 0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! `pge-gateway` — an async sharded serving tier in front of the PGE
-//! error-detection model.
+//! `pge-gateway` — the serving tier in front of the PGE
+//! error-detection model; `pge serve` (alias `pge gateway`) runs it.
 //!
-//! Where `pge-serve` is a thread-per-connection server, the gateway
-//! is built for fleets of keep-alive clients: a single epoll event
+//! It is built for fleets of keep-alive clients: a single epoll event
 //! loop (direct FFI, no runtime) multiplexes thousands of
 //! connections, parses HTTP/1.1 incrementally — pipelining included —
 //! and fans scoring work out to N replicas picked by consistent hash
@@ -12,7 +11,7 @@
 //!   replica, so each replica's LRU embedding-cache shard stays hot
 //!   for its slice of the catalog and shards never duplicate entries;
 //! * **zero-downtime hot-swap** — `POST /admin/reload` (or SIGHUP via
-//!   the `pge gateway` CLI) loads a CRC-validated snapshot off the
+//!   the `pge serve` CLI) loads a CRC-validated snapshot off the
 //!   event loop and atomically swaps each replica's model + cache +
 //!   threshold; in-flight batches finish on the snapshot they started
 //!   with, so no request is ever dropped or failed by a swap;
@@ -24,8 +23,8 @@
 //! scored, and the pure text → embedding path makes *where*
 //! irrelevant to the result.
 //!
-//! Endpoints: `POST /v1/score` (same contract as `pge-serve`),
-//! `GET /healthz`, `GET /metrics`, `GET /admin/version`,
+//! Endpoints: `POST /v1/score` (the `pge_serve::items` contract),
+//! `GET /healthz`, `GET /debug/trace`, `GET /metrics`, `GET /admin/version`,
 //! `POST /admin/reload`. [`client`] is the other end of the reload:
 //! it pushes a snapshot to a running gateway.
 //!

@@ -55,7 +55,7 @@ pub struct GatewayMetrics {
 impl GatewayMetrics {
     pub fn new(replicas: usize) -> Self {
         let r = MetricsRegistry::new();
-        // 100µs … ~6.5s in ×2 steps, same grid as pge-serve.
+        // 100µs … ~6.5s in ×2 steps.
         let latency_bounds = || {
             let mut v = Vec::with_capacity(16);
             let mut b = 1e-4;

@@ -1,6 +1,5 @@
 //! A small JSON parser/serializer shared by the run-log sink, the
-//! `pge report` reader, and `pge-serve`'s wire protocol (which
-//! re-exports this module).
+//! `pge report` reader, and the `/v1/score` wire protocol.
 //!
 //! The build environment is offline, so there is no serde; this
 //! implements RFC 8259 minus two liberties we don't need to take:

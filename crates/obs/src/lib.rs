@@ -15,10 +15,10 @@
 //! * [`runlog`] — the [`RunLog`] JSONL event sink and the typed
 //!   events it records (run manifest, per-epoch training telemetry
 //!   with the Eq. 6 confidence-polarization diagnostic, eval results,
-//!   serve snapshots, span totals);
+//!   serving snapshots, span totals);
 //! * [`report`] — the `pge report` renderer over a run log;
-//! * [`json`] — the shared JSON parser/serializer (re-exported by
-//!   `pge-serve` for its wire protocol);
+//! * [`json`] — the shared JSON parser/serializer (the `/v1/score`
+//!   wire protocol decodes and renders through it);
 //! * [`manifest`] — wall-clock and git-revision stamps.
 //!
 //! Metric naming convention: `pge_<subsystem>_<name>{_unit}` — see
@@ -40,8 +40,8 @@ pub use registry::{global, validate_exposition, Counter, Gauge, MetricsRegistry}
 pub use report::{render_report, render_traces, sparkline};
 pub use runlog::{
     checkpoint_event, epoch_event, eval_event, gateway_event, ingest_event, manifest_event,
-    scan_event, serve_event, spans_event, trace_event, ConfidenceTelemetry, EpochTelemetry,
-    EvalTelemetry, RunLog,
+    scan_event, spans_event, trace_event, ConfidenceTelemetry, EpochTelemetry, EvalTelemetry,
+    RunLog,
 };
 pub use span::{
     reset_spans, set_spans_enabled, span, span_snapshot, spans_enabled, SpanGuard, SpanRecord,

@@ -2,7 +2,7 @@
 //! Prometheus text renderer (exposition format 0.0.4).
 //!
 //! Naming convention: `pge_<subsystem>_<name>{_unit}` — e.g.
-//! `pge_serve_stage_encode_seconds`, `pge_train_epochs_total`. The
+//! `pge_gateway_stage_score_seconds`, `pge_train_epochs_total`. The
 //! registry enforces the character set (Prometheus' `[a-zA-Z0-9_:]`)
 //! and that one name keeps one kind for the life of the process.
 //!
@@ -86,7 +86,7 @@ struct Entry {
 }
 
 /// A set of named metrics rendered together. Most binaries use one
-/// registry per process ([`global`]); `pge-serve` owns one per server
+/// registry per process ([`global`]); the gateway owns one per server
 /// so concurrently running servers (e.g. in tests) don't share state.
 #[derive(Default)]
 pub struct MetricsRegistry {

@@ -1,6 +1,7 @@
 //! `pge report` — turn a JSONL run log into a human-readable summary:
 //! loss-curve sparkline, confidence-polarization trend, eval metrics,
-//! serve latency quantiles, and the hottest spans.
+//! incremental-ingest windows, serving latency quantiles, and the
+//! hottest spans.
 
 use crate::json::{parse, Json};
 use std::fmt::Write as _;
@@ -45,6 +46,7 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
     let mut gateways: Vec<Json> = Vec::new();
     let mut scans: Vec<Json> = Vec::new();
     let mut checkpoints: Vec<Json> = Vec::new();
+    let mut ingests: Vec<Json> = Vec::new();
     let mut spans: Vec<Json> = Vec::new();
     let mut traces: Vec<Json> = Vec::new();
     let mut bad_lines = 0usize;
@@ -61,6 +63,7 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
             Some("gateway") => gateways.push(v),
             Some("scan") => scans.push(v),
             Some("checkpoint") => checkpoints.push(v),
+            Some("ingest") => ingests.push(v),
             Some("spans") => spans.push(v),
             Some("trace") => traces.push(v),
             _ => bad_lines += 1,
@@ -73,6 +76,7 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
         && gateways.is_empty()
         && scans.is_empty()
         && checkpoints.is_empty()
+        && ingests.is_empty()
         && traces.is_empty()
     {
         return Err("no recognizable run-log events".into());
@@ -182,6 +186,33 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
         }
     }
 
+    // Incremental ingest: one record per delta window.
+    if let Some(last) = ingests.last() {
+        let total = |k: &str| ingests.iter().filter_map(|e| num(e, k)).sum::<f64>();
+        let _ = writeln!(
+            w,
+            "\nincremental: {} windows, {} added, {} retracted",
+            ingests.len(),
+            total("added"),
+            total("retracted")
+        );
+        if let Some(loss) = num(last, "mean_loss") {
+            let _ = writeln!(w, "  last window mean loss {loss:.4}");
+        }
+        // `push_version` is -1 for a window that was not pushed.
+        let pushed: Vec<String> = ingests
+            .iter()
+            .filter_map(|e| num(e, "push_version"))
+            .filter(|&v| v >= 0.0)
+            .map(|v| v.to_string())
+            .collect();
+        if pushed.is_empty() {
+            let _ = writeln!(w, "  not pushed to a gateway");
+        } else {
+            let _ = writeln!(w, "  pushed generations {}", pushed.join(", "));
+        }
+    }
+
     for e in &evals {
         let _ = write!(w, "\neval: ");
         match num(e, "pr_auc") {
@@ -201,6 +232,8 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
         );
     }
 
+    // `serve` snapshots come from logs written before `pge serve` ran
+    // the gateway; they still render.
     for s in &serves {
         let _ = writeln!(
             w,
@@ -440,7 +473,7 @@ pub fn render_traces(jsonl: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::runlog::{
-        epoch_event, eval_event, manifest_event, serve_event, ConfidenceTelemetry, EpochTelemetry,
+        epoch_event, eval_event, ingest_event, manifest_event, ConfidenceTelemetry, EpochTelemetry,
         EvalTelemetry,
     };
 
@@ -477,17 +510,13 @@ mod tests {
             })
             .to_string(),
         );
+        // A serving snapshot as logs from the retired serve tier hold it.
         lines.push(
-            serve_event(&[
-                ("requests_total", 120.0),
-                ("items_total", 480.0),
-                ("batches_total", 30.0),
-                ("rejected_total", 0.0),
-                ("latency_p50_ms", 2.1),
-                ("latency_p99_ms", 8.4),
-                ("cache_hits", 400.0),
-                ("cache_misses", 80.0),
-            ])
+            concat!(
+                r#"{"event":"serve","ts_ms":1,"requests_total":120,"items_total":480,"#,
+                r#""batches_total":30,"rejected_total":0,"latency_p50_ms":2.1,"#,
+                r#""latency_p99_ms":8.4,"cache_hits":400,"cache_misses":80}"#
+            )
             .to_string(),
         );
         lines.join("\n") + "\n"
@@ -560,6 +589,39 @@ mod tests {
             report.contains("gateway: 1 model hot-swaps (serving version 3)"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn ingest_events_render_an_incremental_section() {
+        let log: String = [
+            (0.0, 40.0, 5.0, 0.61, -1.0),
+            (1.0, 38.0, 9.0, 0.55, 4.0),
+            (2.0, 41.0, 7.0, 0.52, 5.0),
+        ]
+        .iter()
+        .map(|&(window, added, retracted, loss, push)| {
+            ingest_event(&[
+                ("window", window),
+                ("added", added),
+                ("retracted", retracted),
+                ("missed_retractions", 0.0),
+                ("train_len", 900.0),
+                ("mean_loss", loss),
+                ("secs", 0.2),
+                ("push_version", push),
+            ])
+            .to_string()
+                + "\n"
+        })
+        .collect();
+        let report = render_report(&log).unwrap();
+        assert!(
+            report.contains("incremental: 3 windows, 119 added, 21 retracted"),
+            "{report}"
+        );
+        assert!(report.contains("last window mean loss 0.5200"), "{report}");
+        assert!(report.contains("pushed generations 4, 5"), "{report}");
+        assert!(!report.contains("corrupt"), "{report}");
     }
 
     #[test]

@@ -11,13 +11,19 @@
 //!   confidence-score distribution with its polarization fraction —
 //!   the direct Eq. 6 diagnostic;
 //! * `eval` — PR AUC, the chosen threshold, validation accuracy;
-//! * `serve` — a serving snapshot: counters and latency quantiles;
+//! * `gateway` — a serving snapshot at shutdown (counters, latency
+//!   quantiles, routing skew) and one record per model hot-swap;
 //! * `scan` — a bulk-scan snapshot: rows scored, shards committed,
 //!   quarantine counts, throughput;
+//! * `checkpoint`, `ingest` — trainer checkpoints and incremental
+//!   delta windows;
+//! * `trace` — a tail-sampled request, chunk or epoch waterfall;
 //! * `spans` — accumulated span timings (see [`crate::span`]).
 //!
 //! Events append; one file can hold a whole train → eval → serve
-//! pipeline and `pge report` will summarize all of it.
+//! pipeline and `pge report` will summarize all of it. Logs written
+//! before `pge serve` ran the gateway also hold `serve` snapshots,
+//! which `pge report` still renders.
 
 use crate::json::Json;
 use crate::manifest::{git_rev, peak_rss_bytes, unix_time_ms};
@@ -148,16 +154,6 @@ pub fn eval_event(t: &EvalTelemetry) -> Json {
     pairs.push(("threshold".into(), Json::Num(t.threshold)));
     pairs.push(("valid_accuracy".into(), Json::Num(t.valid_accuracy)));
     pairs.push(("test_triples".into(), Json::Num(t.test_triples as f64)));
-    Json::Obj(pairs)
-}
-
-/// A serving snapshot from counter/quantile pairs, e.g.
-/// `[("requests_total", 120.0), ("latency_p99_ms", 8.5)]`.
-pub fn serve_event(stats: &[(&str, f64)]) -> Json {
-    let mut pairs = base("serve");
-    for (k, v) in stats {
-        pairs.push((k.to_string(), Json::Num(*v)));
-    }
     Json::Obj(pairs)
 }
 
@@ -411,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_and_serve_events_round_trip() {
+    fn eval_and_gateway_events_round_trip() {
         let buf = SharedBuf::default();
         let log = RunLog::to_writer(buf.clone());
         log.write(&eval_event(&EvalTelemetry {
@@ -420,14 +416,14 @@ mod tests {
             valid_accuracy: 0.95,
             test_triples: 40,
         }));
-        log.write(&serve_event(&[("requests_total", 12.0), ("p99_ms", 8.5)]));
+        log.write(&gateway_event(&[("requests_total", 12.0), ("p99_ms", 8.5)]));
         let text = contents(&buf);
         let lines: Vec<&str> = text.lines().collect();
         let eval = parse(lines[0]).unwrap();
         assert_eq!(eval.get("pr_auc").unwrap().as_f64(), Some(0.91));
         assert_eq!(eval.get("threshold").unwrap().as_f64(), Some(-3.25));
-        let serve = parse(lines[1]).unwrap();
-        assert_eq!(serve.get("event").unwrap().as_str(), Some("serve"));
-        assert_eq!(serve.get("p99_ms").unwrap().as_f64(), Some(8.5));
+        let gateway = parse(lines[1]).unwrap();
+        assert_eq!(gateway.get("event").unwrap().as_str(), Some("gateway"));
+        assert_eq!(gateway.get("p99_ms").unwrap().as_f64(), Some(8.5));
     }
 }

@@ -27,8 +27,8 @@
 //!   ring (an O(capacity) scan, paid only for slow requests) into
 //!   [`RetainedTrace`]s in a bounded FIFO.
 //!
-//! The same recorder covers the gateway's request path, `pge-serve`,
-//! the scan chunk pipeline, and the trainer's epoch phases — one
+//! The same recorder covers the gateway's request path, the scan
+//! chunk pipeline, and the trainer's epoch phases — one
 //! mechanism for online, batch, and training workloads.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};

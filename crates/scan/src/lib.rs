@@ -7,8 +7,9 @@
 //! every shard so a killed scan resumes where it left off and still
 //! produces **byte-identical** output to an uninterrupted run.
 //!
-//! This is the offline half of the deployment story; [`pge-serve`]
-//! (online, latency-bound micro-batching) is the other. Both reuse
+//! This is the offline half of the deployment story; `pge serve`
+//! ([`pge-gateway`], online, latency-bound micro-batching) is the
+//! other. Both reuse
 //! the same [`pge_core`] scoring path and sharded embedding cache, so
 //! a score computed by a bulk scan and one computed by the service
 //! agree bit-for-bit.
@@ -24,7 +25,7 @@
 //! # Ok(()) }
 //! ```
 //!
-//! [`pge-serve`]: ../pge_serve/index.html
+//! [`pge-gateway`]: ../pge_gateway/index.html
 
 pub mod checkpoint;
 pub mod pipeline;

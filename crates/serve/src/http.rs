@@ -7,8 +7,7 @@
 //!
 //! Two front ends share one parser core:
 //!
-//! * [`read_request`] — blocking, line-at-a-time from a `BufRead`
-//!   (the thread-per-connection `pge-serve` path);
+//! * [`read_request`] — blocking, line-at-a-time from a `BufRead`;
 //! * [`try_parse_request`] — incremental, over whatever bytes a
 //!   non-blocking socket has delivered so far (the `pge-gateway`
 //!   event-loop path). It either yields a complete request plus the

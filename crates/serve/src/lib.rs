@@ -1,34 +1,26 @@
-//! `pge-serve` — an online error-detection service.
+//! `pge-serve` — the pieces of online error detection that sit below
+//! the serving tier (`pge-gateway`):
 //!
-//! Wraps a trained [`pge_core::PgeModel`] in a small threaded HTTP
-//! server:
+//! * [`http`] — HTTP/1.1 framing over byte buffers, pipelining
+//!   included;
+//! * [`queue`] — the bounded job queue whose overflow is shed with
+//!   `503 Retry-After`;
+//! * [`items`] — the `/v1/score` contract: decode a body into
+//!   [`ScoreItem`]s, score them through the cached door
+//!   `CachedModel::score_text_triple_scratch` ([`score_items`]), and
+//!   render the answer ([`render_scores`]);
+//! * [`signal`] — SIGINT/SIGTERM shutdown and SIGHUP reload flags for
+//!   the CLI.
 //!
-//! * `POST /v1/score` — score a JSON array of `{title, attr, value}`
-//!   triples; each answer carries the plausibility and the `is_error`
-//!   verdict under the fitted threshold;
-//! * `GET /healthz` — liveness;
-//! * `GET /metrics` — Prometheus text: request/batch/reject counters,
-//!   embedding-cache hits/misses, and a request-latency histogram.
-//!
-//! Requests flow through a bounded queue (overflow is shed with
-//! `503 Retry-After`) into a worker pool that drains micro-batches.
-//! Each worker scores every job through [`score_items`], the loop the
-//! gateway's replicas share: the cached door
-//! `CachedModel::score_text_triple_scratch`, with a sharded LRU
-//! embedding cache in front of the text encoder. See `DESIGN.md`
-//! ("Serving architecture") for the full picture.
+//! See `DESIGN.md` ("Serving architecture") for the full picture.
 
 pub mod http;
-pub mod metrics;
+pub mod items;
 pub mod queue;
-pub mod server;
 pub mod signal;
 
-pub use metrics::Metrics;
+pub use items::{render_scores, score_items, ItemScore, ScoreItem};
 pub use queue::{BoundedQueue, PushError};
-pub use server::{
-    render_scores, score_items, start, ItemScore, ScoreItem, ServeConfig, ServerHandle,
-};
 pub use signal::{
     install_handlers, request_reload, request_shutdown, shutdown_requested, take_reload_request,
 };

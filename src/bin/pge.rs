@@ -11,9 +11,9 @@
 //!              --out bank.pge [--mmap auto|on|off]
 //! pge detect   --data data.tsv --model model.pge [--top N] [--runlog run.jsonl]
 //! pge eval     --data data.tsv --model model.pge [--runlog run.jsonl]
-//! pge serve    --data data.tsv --model model.pge [--addr HOST:PORT]
-//!              [--threads N] [--cache-cap N] [--queue-cap N] [--no-cache]
-//!              [--mmap auto|on|off] [--runlog run.jsonl]
+//! pge serve    --data data.tsv --model model.pge [--addr HOST:PORT] [--replicas N]
+//!              [--vnodes N] [--cache-cap N] [--queue-cap N] [--max-batch N]
+//!              [--no-cache] [--trace-slow MS] [--mmap auto|on|off] [--runlog run.jsonl]
 //! pge scan     --data data.tsv --model model.pge --input raw.tsv|catalog.bin
 //!              --out-dir DIR
 //!              [--jobs N] [--chunk-size N] [--shard-chunks N] [--cache-cap N]
@@ -27,8 +27,11 @@
 //! `generate` writes a synthetic labeled dataset; `train` fits
 //! PGE(CNN) on its training split and saves the model; `detect` ranks
 //! the dataset's test triples by suspicion; `eval` reports PR AUC,
-//! R@P, and thresholded accuracy; `serve` answers scoring requests
-//! over HTTP (see `pge-serve`); `scan` streams a raw
+//! R@P, and thresholded accuracy; `serve` (alias `gateway`) answers
+//! scoring requests over HTTP through the sharded gateway (see
+//! `pge-gateway`): replicas behind a consistent-hash ring, hot-swap
+//! on SIGHUP or `POST /admin/reload`, graceful drain on SIGTERM;
+//! `scan` streams a raw
 //! `title \t attr \t value` file through the model and writes sharded
 //! scores with a checkpoint after every shard (see `pge-scan`) —
 //! killed scans rerun with `--resume` and produce byte-identical
@@ -62,7 +65,7 @@
 //! fixed seed — see DESIGN.md on gradient-lane reduction.
 //!
 //! `--runlog` appends structured JSONL telemetry (run manifest,
-//! per-epoch training records, eval results, serve snapshots, span
+//! per-epoch training records, eval results, serving snapshots, span
 //! timings) to the given file; successive commands can share one file
 //! and `pge report` summarizes it.
 
@@ -86,7 +89,6 @@ use pge::obs::{
     Tracer,
 };
 use pge::scan::ScanConfig;
-use pge::serve::ServeConfig;
 use pge::store::{
     BankBuilder, CatalogReader, CatalogWriter, MmapMode, SnapshotWriter, DEFAULT_RESIDENT_BUDGET,
 };
@@ -109,15 +111,13 @@ fn usage() -> ! {
          [--mmap auto|on|off]   (write model + precomputed embedding bank snapshot)\n  \
          pge detect   --data data.tsv --model model.pge [--top N] [--mmap auto|on|off] [--runlog run.jsonl]\n  \
          pge eval     --data data.tsv --model model.pge [--mmap auto|on|off] [--runlog run.jsonl]\n  \
-         pge serve    --data data.tsv --model model.pge [--addr HOST:PORT]\n               \
-         [--threads N] [--cache-cap N] [--queue-cap N] [--no-cache]\n               \
-         [--trace-slow MS] [--mmap auto|on|off] [--runlog run.jsonl]\n  \
          pge scan     --data data.tsv --model model.pge --input raw.tsv|catalog.bin --out-dir DIR\n               \
          [--jobs N] [--chunk-size N] [--shard-chunks N] [--cache-cap N]\n               \
          [--resume] [--max-shards N] [--mmap auto|on|off] [--runlog run.jsonl]\n  \
-         pge gateway  --data data.tsv --model model.pge [--addr HOST:PORT] [--replicas N]\n               \
+         pge serve    --data data.tsv --model model.pge [--addr HOST:PORT] [--replicas N]\n               \
          [--vnodes N] [--cache-cap N] [--queue-cap N] [--max-batch N] [--no-cache]\n               \
-         [--trace-slow MS] [--mmap auto|on|off] [--runlog run.jsonl]   (SIGHUP hot-swaps --model from disk)\n  \
+         [--trace-slow MS] [--mmap auto|on|off] [--runlog run.jsonl]   (SIGHUP hot-swaps --model from disk;\n               \
+         `pge gateway` is the same command)\n  \
          pge report   run.jsonl\n  \
          pge trace    run.jsonl        (per-stage waterfalls of retained slow traces)\n  \
          pge check-metrics metrics.txt (lint a scraped /metrics exposition)"
@@ -725,46 +725,17 @@ fn main() {
                 log.write(&spans_event());
             }
         }
-        "serve" => {
-            let data = load_dataset(&require("data"));
-            let model = load_model_file(&require("model"), &data.graph, parse_mmap(&flags));
-            let det = Detector::fit(&model, &data.graph, &data.valid);
-            let threshold = det.threshold;
-            println!(
-                "threshold {:.3} (validation accuracy {:.3})",
-                det.threshold, det.valid_accuracy
-            );
-            let parsed =
-                |k: &str, default: usize| get(k).and_then(|s| s.parse().ok()).unwrap_or(default);
-            let defaults = ServeConfig::default();
-            let cfg = ServeConfig {
-                addr: get("addr").unwrap_or(defaults.addr),
-                workers: parsed("threads", defaults.workers),
-                cache_cap: if flags.contains_key("no-cache") {
-                    0
-                } else {
-                    parsed("cache-cap", defaults.cache_cap)
-                },
-                queue_cap: parsed("queue-cap", defaults.queue_cap).max(1),
-                trace_slow: get("trace-slow")
-                    .and_then(|s| s.parse().ok())
-                    .map_or(defaults.trace_slow, std::time::Duration::from_millis),
-                runlog_path: get("runlog"),
-                ..defaults
-            };
-            let handle = pge::serve::start(model, threshold, cfg).unwrap_or_else(|e| {
-                eprintln!("cannot start server: {e}");
-                exit(1)
-            });
-            pge::serve::install_handlers();
-            println!("serving on http://{} — ctrl-c to stop", handle.local_addr());
-            while !pge::serve::shutdown_requested() {
-                std::thread::sleep(std::time::Duration::from_millis(200));
+        "serve" | "gateway" => {
+            // `serve --threads` sized the retired thread-per-connection
+            // server's worker pool, workers sharing one cache. Replicas
+            // each own a cache shard, so the flag does not carry over,
+            // and an unknown flag would otherwise be dropped silently.
+            if cmd == "serve" && flags.contains_key("threads") {
+                eprintln!(
+                    "pge serve runs the gateway: --threads is gone, size it with --replicas N"
+                );
+                exit(2);
             }
-            println!("shutting down, draining in-flight requests ...");
-            handle.shutdown();
-        }
-        "gateway" => {
             let model_path = require("model");
             let data = load_dataset(&require("data"));
             let model = load_model_file(&model_path, &data.graph, parse_mmap(&flags));
@@ -805,7 +776,7 @@ fn main() {
                 });
             pge::serve::install_handlers();
             println!(
-                "gateway on http://{} ({replicas} replicas) — SIGHUP to hot-swap {model_path}, ctrl-c to stop",
+                "serving on http://{} ({replicas} replicas) — SIGHUP to hot-swap {model_path}, ctrl-c to stop",
                 handle.local_addr()
             );
             while !pge::serve::shutdown_requested() {

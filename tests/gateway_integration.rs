@@ -12,6 +12,10 @@
 //!   with hundreds of keep-alive connections in the epoll set;
 //! * **pipelined responses come back in request order**;
 //! * **graceful shutdown** answers every admitted request;
+//! * **the `/v1/score` contract holds byte for byte** at one replica,
+//!   the shape `pge serve --replicas 1` runs: golden body, empty
+//!   batch, malformed bodies answered 400, run-log records;
+//! * **a pipelined backlog drains in linear time**;
 //! * **a corrupt or retired-format snapshot is rejected** and the old
 //!   model keeps serving;
 //! * **a stalled replica is observable** — tail sampling retains its
@@ -268,6 +272,132 @@ fn served_scores_bit_identical_to_offline_at_every_replica_count() {
         }
         handle.shutdown();
     }
+}
+
+/// A gateway over the tiny model at one replica, the shape `pge
+/// serve` runs with `--replicas 1`.
+fn one_replica(data: &Dataset, runlog_path: Option<String>) -> (Vec<f32>, f32, GatewayHandle) {
+    let (model, threshold) = tiny_model(data, 2);
+    let offline = offline_scores(data, &model);
+    let handle = gateway(
+        data,
+        model,
+        threshold,
+        GatewayConfig {
+            addr: "127.0.0.1:0".into(),
+            replicas: 1,
+            runlog_path,
+            ..GatewayConfig::default()
+        },
+    );
+    (offline, threshold, handle)
+}
+
+#[test]
+fn golden_request_response_round_trip() {
+    let data = tiny_data();
+    let (offline, threshold, handle) = one_replica(&data, None);
+    let addr = handle.local_addr();
+
+    // One known triple and one with an attribute the model never saw.
+    let t = data.test[0].triple;
+    let request = Json::Arr(vec![
+        Json::Obj(vec![
+            (
+                "title".into(),
+                Json::Str(data.graph.title(t.product).into()),
+            ),
+            (
+                "attr".into(),
+                Json::Str(data.graph.attr_name(t.attr).into()),
+            ),
+            (
+                "value".into(),
+                Json::Str(data.graph.value_text(t.value).into()),
+            ),
+        ]),
+        Json::Obj(vec![
+            ("title".into(), Json::Str("acme widget".into())),
+            ("attr".into(), Json::Str("no-such-attribute".into())),
+            ("value".into(), Json::Str("blue".into())),
+        ]),
+    ])
+    .to_string();
+
+    let (status, body) = post_score(addr, &request);
+    assert_eq!(status, 200, "body: {body}");
+    let golden = Json::Arr(vec![
+        Json::Obj(vec![
+            ("plausibility".into(), Json::Num(offline[0] as f64)),
+            ("is_error".into(), Json::Bool(offline[0] <= threshold)),
+        ]),
+        Json::Obj(vec![
+            ("plausibility".into(), Json::Null),
+            ("is_error".into(), Json::Null),
+            ("detail".into(), Json::Str("unknown attribute".into())),
+        ]),
+    ])
+    .to_string();
+    assert_eq!(body, golden);
+
+    // An empty batch is a successful no-op.
+    let (status, body) = post_score(addr, "[]");
+    assert_eq!(status, 200);
+    assert_eq!(body, "[]");
+    handle.shutdown();
+}
+
+#[test]
+fn malformed_requests_get_4xx_not_5xx() {
+    let data = tiny_data();
+    let (_offline, _threshold, handle) = one_replica(&data, None);
+    let addr = handle.local_addr();
+    for bad in [
+        "{not json",
+        "{\"title\": \"a\"}",                    // object, not array
+        "[{\"title\": \"a\", \"attr\": \"b\"}]", // missing value
+        "[{\"title\": 3, \"attr\": \"b\", \"value\": \"c\"}]", // non-string field
+    ] {
+        let (status, body) = post_score(addr, bad);
+        assert_eq!(status, 400, "payload {bad:?} got body {body}");
+        assert!(body.contains("error"), "no error field in {body}");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn runlog_records_manifest_and_gateway_snapshot() {
+    let dir = std::env::temp_dir().join(format!("pge-gw-runlog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("gateway.jsonl");
+    let data = tiny_data();
+    let (_offline, _threshold, handle) =
+        one_replica(&data, Some(path.to_string_lossy().into_owned()));
+    let (status, _) = post_score(handle.local_addr(), &body_for(&data, &[0, 1]));
+    assert_eq!(status, 200);
+    handle.shutdown();
+
+    let text = std::fs::read_to_string(&path).expect("runlog written");
+    let events: Vec<Json> = text
+        .lines()
+        .map(|l| json::parse(l).expect("valid JSON line"))
+        .collect();
+    let kind = |e: &Json| e.get("event").and_then(Json::as_str).map(String::from);
+    assert_eq!(kind(&events[0]).as_deref(), Some("manifest"));
+    assert_eq!(
+        events[0].get("kind").and_then(Json::as_str),
+        Some("gateway"),
+        "manifest kind"
+    );
+    let snapshot = events
+        .iter()
+        .find(|e| kind(e).as_deref() == Some("gateway") && e.get("requests_total").is_some())
+        .expect("gateway shutdown snapshot");
+    let n = |k: &str| snapshot.get(k).and_then(Json::as_f64).unwrap_or(-1.0);
+    assert_eq!(n("requests_total"), 1.0);
+    assert_eq!(n("responses_total"), 1.0);
+    assert!(n("latency_p99_ms") >= 0.0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Write a pipelined pair of single-triple requests on every
