@@ -668,9 +668,9 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
 /// Parse every complete pipelined request sitting in the read buffer.
 /// Returns `Err(())` when the connection must be dropped on the spot.
 ///
-/// Requests parse from a cursor and the buffer is drained once at the
-/// end: draining per request made a backlog of N pipelined requests
-/// cost O(N²) in byte moves on the loop thread.
+/// Requests parse from a cursor and the buffer drains once at the
+/// end, so a backlog of N pipelined requests costs the loop thread
+/// O(N) byte moves, not O(N²).
 fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(), ()> {
     let mut consumed = 0;
     while conn.close_after.is_none() {

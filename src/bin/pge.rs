@@ -726,10 +726,9 @@ fn main() {
             }
         }
         "serve" | "gateway" => {
-            // `serve --threads` sized the retired thread-per-connection
-            // server's worker pool, workers sharing one cache. Replicas
-            // each own a cache shard, so the flag does not carry over,
-            // and an unknown flag would otherwise be dropped silently.
+            // `serve --threads` meant workers sharing one cache; replicas
+            // each own a cache shard, so the flag has no equivalent, and
+            // unknown flags are otherwise ignored silently.
             if cmd == "serve" && flags.contains_key("threads") {
                 eprintln!(
                     "pge serve runs the gateway: --threads is gone, size it with --replicas N"

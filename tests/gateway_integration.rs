@@ -1092,10 +1092,10 @@ fn pipelined_backlog_time(addr: SocketAddr, data: &Dataset, n: usize) -> Duratio
 }
 
 /// A backlog of pipelined requests on one connection drains in time
-/// linear in its depth. The loop thread once front-drained the read
-/// buffer per request and copied and sorted the whole trace ring per
-/// slow completion, so 16k requests took ~50× longer per request than
-/// 1k. Best of three, interleaved so a busy moment hits both sizes.
+/// linear in its depth: the loop thread must pay O(1) per request in
+/// its read buffer and, once a backlog makes completions slow enough
+/// to be tail-sampled, in the trace ring. Best of three, interleaved
+/// so a busy moment hits both sizes.
 #[test]
 fn pipelined_backlog_drains_in_linear_time() {
     let data = tiny_data();
