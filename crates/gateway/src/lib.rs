@@ -24,9 +24,9 @@
 //! irrelevant to the result.
 //!
 //! Endpoints: `POST /v1/score` (the `pge_serve::items` contract),
-//! `GET /healthz`, `GET /debug/trace`, `GET /metrics`, `GET /admin/version`,
-//! `POST /admin/reload`. [`client`] is the other end of the reload:
-//! it pushes a snapshot to a running gateway.
+//! `GET /healthz`, `GET /metrics`, `GET /debug/trace`,
+//! `GET /admin/version`, `POST /admin/reload`. [`client`] is the other
+//! end of the reload: it pushes a snapshot to a running gateway.
 //!
 //! Linux-only: the event loop speaks `epoll(7)` directly.
 
