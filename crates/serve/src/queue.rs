@@ -1,8 +1,8 @@
 //! Bounded MPMC job queue with batch draining.
 //!
-//! Producers (connection threads) never block: `try_push` fails fast
-//! when the queue is at capacity so the caller can shed load with a
-//! `503 Retry-After`. Consumers (scoring workers) block in
+//! Producers (the gateway's event loop) never block: `try_push` fails
+//! fast when the queue is at capacity so the caller can shed load with
+//! a `503 Retry-After`. Consumers (replica workers) block in
 //! `pop_batch`, which drains up to a whole micro-batch per wakeup —
 //! the batching lever that amortizes per-request overhead.
 

@@ -3,7 +3,7 @@
 //! There is no `libc` crate in the build environment, so the handler
 //! registration goes through a direct FFI declaration of `signal(2)`.
 //! The handlers only store to atomics — the one thing that is
-//! async-signal-safe — and the serving loops poll the flags.
+//! async-signal-safe — and the `pge serve` loop polls the flags.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
