@@ -666,12 +666,11 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
 }
 
 /// Parse every complete pipelined request sitting in the read buffer.
-/// Returns `Err(())` when the connection must be dropped on the spot.
 ///
 /// Requests parse from a cursor and the buffer drains once at the
 /// end, so a backlog of N pipelined requests costs the loop thread
 /// O(N) byte moves, not O(N²).
-fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(), ()> {
+fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) {
     let mut consumed = 0;
     while conn.close_after.is_none() {
         match http::try_parse_request(&conn.rbuf[consumed..]) {
@@ -703,11 +702,9 @@ fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
                 );
                 break;
             }
-            Err(_) => return Err(()),
         }
     }
     conn.rbuf.drain(..consumed);
-    Ok(())
 }
 
 /// Non-blocking read into the connection buffer, then parse.
@@ -725,7 +722,8 @@ fn read_and_parse(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
             Err(_) => return Err(()),
         }
     }
-    parse_buffered(conn, token, shared)
+    parse_buffered(conn, token, shared);
+    Ok(())
 }
 
 /// Write as much of the pending response bytes as the socket accepts,
@@ -889,15 +887,9 @@ fn run_event_loop(listener: TcpListener, shared: &Arc<Shared>) {
             drain_deadline = Instant::now() + shared.cfg.drain_timeout;
             let _ = epoll.delete(listener.as_raw_fd());
             // Requests already buffered still count as accepted work.
-            let tokens: Vec<u64> = conns.keys().copied().collect();
-            for token in tokens {
-                let conn = conns.get_mut(&token).expect("present");
-                if parse_buffered(conn, token, shared).is_err() {
-                    let conn = conns.remove(&token).expect("present");
-                    let _ = epoll.delete(conn.stream.as_raw_fd());
-                } else {
-                    touched.push(token);
-                }
+            for (&token, conn) in conns.iter_mut() {
+                parse_buffered(conn, token, shared);
+                touched.push(token);
             }
         }
 

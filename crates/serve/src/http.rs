@@ -1,25 +1,23 @@
-//! Minimal HTTP/1.1 framing over blocking streams *and* byte buffers.
+//! Minimal HTTP/1.1 framing over byte buffers.
 //!
 //! Enough of RFC 9112 for a JSON API behind a trusted load balancer:
 //! request line + headers + `Content-Length` bodies, keep-alive, and
 //! hard limits on head and body size. No chunked transfer coding
 //! (`411 Length Required` is returned when a body has no length).
 //!
-//! Two front ends share one parser core:
-//!
-//! * [`read_request`] — blocking, line-at-a-time from a `BufRead`;
-//! * [`try_parse_request`] — incremental, over whatever bytes a
-//!   non-blocking socket has delivered so far (the `pge-gateway`
-//!   event-loop path). It either yields a complete request plus the
-//!   number of bytes consumed, reports that more bytes are needed, or
-//!   rejects malformed framing — so pipelined requests parse straight
-//!   out of a connection's read buffer.
+//! [`try_parse_request`] parses incrementally, over whatever bytes a
+//! non-blocking socket has delivered so far (the `pge-gateway` event
+//! loop). It either yields a complete request plus the number of bytes
+//! consumed, reports that more bytes are needed, or rejects malformed
+//! framing — so pipelined requests parse straight out of a
+//! connection's read buffer. [`render_response`] frames the answer
+//! into an owned buffer.
 //!
 //! `Connection` headers are matched token-wise and case-insensitively
 //! (`Close`, `keep-alive, Upgrade`, ...); unknown tokens are ignored
 //! per RFC 9110 §7.6.1.
 
-use std::io::{self, BufRead, Write};
+use std::io::Write;
 
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
@@ -46,21 +44,9 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum ReadError {
-    /// Clean EOF before any bytes: the peer closed an idle connection.
-    Closed,
     /// Malformed framing; the connection should be dropped after the
     /// given status is sent.
-    Bad {
-        status: u16,
-        reason: &'static str,
-    },
-    Io(io::Error),
-}
-
-impl From<io::Error> for ReadError {
-    fn from(e: io::Error) -> Self {
-        ReadError::Io(e)
-    }
+    Bad { status: u16, reason: &'static str },
 }
 
 fn bad(status: u16, reason: &'static str) -> ReadError {
@@ -106,7 +92,7 @@ fn connection_disposition(value: &str) -> Option<bool> {
 }
 
 /// Assemble a bodyless [`Request`] from parsed head parts and decide
-/// how many body bytes must follow. Shared by both parser front ends.
+/// how many body bytes must follow.
 fn finish_head(
     method: String,
     path: String,
@@ -138,44 +124,6 @@ fn finish_head(
     Ok((req, len))
 }
 
-/// Read one request from `reader`, blocking until it is complete.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(ReadError::Closed);
-    }
-    if line.len() > MAX_HEAD_BYTES {
-        return Err(bad(431, "request line too long"));
-    }
-    let (method, path, http11) = parse_request_line(&line)?;
-
-    let mut headers = Vec::new();
-    let mut head_bytes = line.len();
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            return Err(bad(400, "eof in headers"));
-        }
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(bad(431, "headers too large"));
-        }
-        let h = h.trim_end_matches(['\r', '\n']);
-        if h.is_empty() {
-            break;
-        }
-        headers.push(parse_header_line(h)?);
-    }
-
-    let (mut req, len) = finish_head(method, path, http11, headers)?;
-    if len > 0 {
-        let mut body = vec![0u8; len];
-        io::Read::read_exact(reader, &mut body)?;
-        req.body = body;
-    }
-    Ok(req)
-}
-
 /// Try to parse one request from the front of `buf` without blocking.
 ///
 /// * `Ok(Some((req, consumed)))` — a complete request; the caller
@@ -184,9 +132,8 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
 /// * `Ok(None)` — the buffer holds only a prefix; read more bytes.
 /// * `Err(_)` — malformed framing; send the error status and close.
 ///
-/// Line framing matches [`read_request`]: lines end at `\n`, an
-/// optional preceding `\r` is trimmed, and an empty line ends the
-/// head.
+/// Lines end at `\n`, an optional preceding `\r` is trimmed, and an
+/// empty line ends the head.
 pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, ReadError> {
     let mut pos = 0usize;
     let mut lines: Vec<&[u8]> = Vec::new();
@@ -251,33 +198,8 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a response with the given extra headers.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write!(w, "HTTP/1.1 {} {}\r\n", status, status_reason(status))?;
-    write!(w, "content-type: {content_type}\r\n")?;
-    write!(w, "content-length: {}\r\n", body.len())?;
-    write!(
-        w,
-        "connection: {}\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    )?;
-    for (k, v) in extra_headers {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Render a response to an owned byte buffer (the event-loop path,
-/// where responses queue in a per-connection write buffer).
+/// Render a response to an owned byte buffer; responses queue in a
+/// per-connection write buffer.
 pub fn render_response(
     status: u16,
     content_type: &str,
@@ -286,25 +208,34 @@ pub fn render_response(
     keep_alive: bool,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + body.len());
-    write_response(
-        &mut out,
-        status,
-        content_type,
-        extra_headers,
-        body,
-        keep_alive,
-    )
-    .expect("writing to a Vec cannot fail");
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n\
+         content-length: {}\r\nconnection: {connection}\r\n",
+        status_reason(status),
+        body.len()
+    );
+    for (k, v) in extra_headers {
+        let _ = write!(out, "{k}: {v}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parse one complete request that must use every byte of `raw`.
     fn req(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        try_parse_request(raw.as_bytes()).map(|parsed| {
+            let (r, consumed) = parsed.expect("a complete request");
+            assert_eq!(consumed, raw.len());
+            r
+        })
     }
 
     #[test]
@@ -351,11 +282,6 @@ mod tests {
         // close wins over keep-alive when both appear.
         let r = req("GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n").unwrap();
         assert!(!r.keep_alive);
-    }
-
-    #[test]
-    fn eof_reports_closed() {
-        assert!(matches!(req(""), Err(ReadError::Closed)));
     }
 
     #[test]
@@ -410,23 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_semantics() {
-        for raw in [
-            "GET / HTTP/1.1\r\nConnection: Close\r\n\r\n",
-            "GET / HTTP/1.0\r\nConnection: Keep-Alive, Upgrade\r\n\r\n",
-            "GET / HTTP/1.1\r\nConnection: closed\r\n\r\n",
-            "POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc",
-        ] {
-            let blocking = req(raw).unwrap();
-            let (incr, consumed) = try_parse_request(raw.as_bytes()).unwrap().unwrap();
-            assert_eq!(consumed, raw.len());
-            assert_eq!(incr.keep_alive, blocking.keep_alive, "{raw:?}");
-            assert_eq!(incr.body, blocking.body);
-            assert_eq!(incr.method, blocking.method);
-        }
-    }
-
-    #[test]
     fn incremental_parse_rejects_malformed() {
         assert!(matches!(
             try_parse_request(b"GARBAGE\r\n\r\n"),
@@ -454,25 +363,11 @@ mod tests {
 
     #[test]
     fn response_framing() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
-            503,
-            "text/plain",
-            &[("retry-after", "1")],
-            b"busy",
-            false,
-        )
-        .unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
-        assert!(s.contains("retry-after: 1\r\n"));
-        assert!(s.contains("content-length: 4\r\n"));
-        assert!(s.contains("connection: close\r\n"));
-        assert!(s.ends_with("\r\nbusy"));
+        let out = render_response(503, "text/plain", &[("retry-after", "1")], b"busy", false);
         assert_eq!(
-            render_response(503, "text/plain", &[("retry-after", "1")], b"busy", false),
-            s.as_bytes()
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: text/plain\r\n\
+             content-length: 4\r\nconnection: close\r\nretry-after: 1\r\n\r\nbusy"
         );
     }
 }
