@@ -4,6 +4,7 @@
 
 use crate::api::{plausibility_parallel, ErrorDetector};
 use crate::model::PgeModel;
+use crate::threshold::best_threshold;
 use pge_graph::{LabeledTriple, ProductGraph, Triple};
 use pge_obs::span;
 
@@ -100,47 +101,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(1)
-}
-
-/// Accuracy-maximizing threshold over `(score, is_correct)` pairs
-/// (same contract as `pge_eval::best_accuracy_threshold`, duplicated
-/// here because `pge-core` stays independent of the eval crate).
-fn best_threshold(pairs: &[(f32, bool)]) -> (f32, f32) {
-    if pairs.is_empty() {
-        return (0.0, 0.0);
-    }
-    // NaN scores never satisfy `score > θ` (always predicted
-    // incorrect), so they add a constant to the accuracy and must be
-    // excluded from the sweep — a NaN group would never advance the
-    // dedup loop below (`NaN == NaN` is false) and `fit` used to hang.
-    let nan_hits = pairs.iter().filter(|(s, c)| s.is_nan() && !*c).count() as f32;
-    let n = pairs.len() as f32;
-    let mut sorted: Vec<(f32, bool)> = pairs.iter().copied().filter(|(s, _)| !s.is_nan()).collect();
-    if sorted.is_empty() {
-        return (0.0, nan_hits / n);
-    }
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut hits = sorted.iter().filter(|(_, c)| *c).count() as f32 + nan_hits;
-    let mut best_acc = hits / n;
-    let mut best_theta = sorted[0].0 - 1.0;
-    let mut i = 0;
-    while i < sorted.len() {
-        let s = sorted[i].0;
-        while i < sorted.len() && sorted[i].0 == s {
-            hits += if sorted[i].1 { -1.0 } else { 1.0 };
-            i += 1;
-        }
-        let acc = hits / n;
-        if acc > best_acc {
-            best_acc = acc;
-            best_theta = if i < sorted.len() {
-                (s + sorted[i].0) / 2.0
-            } else {
-                s + 1.0
-            };
-        }
-    }
-    (best_theta, best_acc)
 }
 
 #[cfg(test)]

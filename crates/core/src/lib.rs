@@ -33,6 +33,7 @@ pub mod model;
 pub mod persist;
 mod pool;
 pub mod score;
+mod threshold;
 pub mod trainer;
 
 pub use api::ErrorDetector;

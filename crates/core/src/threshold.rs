@@ -2,7 +2,8 @@
 //!
 //! A triple is classified correct when its plausibility score
 //! `f_a(t,v)` exceeds θ; θ is chosen to maximize classification
-//! accuracy on the validation set.
+//! accuracy on the validation set. [`crate::Detector::fit`] runs this
+//! sweep for detect, eval, scan and the gateway.
 
 /// Find `(θ, accuracy)` maximizing accuracy of the rule
 /// `predict correct ⇔ score > θ` over `(score, is_correct)` pairs.
@@ -10,7 +11,7 @@
 /// Candidate thresholds are midpoints between adjacent distinct scores
 /// plus sentinels below/above all scores. Returns `(0.0, 0.0)` for an
 /// empty input.
-pub fn best_accuracy_threshold(pairs: &[(f32, bool)]) -> (f32, f32) {
+pub(crate) fn best_threshold(pairs: &[(f32, bool)]) -> (f32, f32) {
     if pairs.is_empty() {
         return (0.0, 0.0);
     }
@@ -69,23 +70,23 @@ pub fn best_accuracy_threshold(pairs: &[(f32, bool)]) -> (f32, f32) {
     (best_theta, best_hits as f32 / n as f32)
 }
 
-/// Accuracy of `predict correct ⇔ score > θ` on `(score, is_correct)`.
-pub fn accuracy_at(pairs: &[(f32, bool)], theta: f32) -> f32 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let hits = pairs.iter().filter(|(s, c)| (*s > theta) == *c).count();
-    hits as f32 / pairs.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Accuracy of `predict correct ⇔ score > θ` on `(score, is_correct)`.
+    fn accuracy_at(pairs: &[(f32, bool)], theta: f32) -> f32 {
+        if pairs.is_empty() {
+            return 0.0;
+        }
+        let hits = pairs.iter().filter(|(s, c)| (*s > theta) == *c).count();
+        hits as f32 / pairs.len() as f32
+    }
+
     #[test]
     fn separable_data_achieves_perfect_accuracy() {
         let pairs = [(0.9, true), (0.8, true), (0.2, false), (0.1, false)];
-        let (theta, acc) = best_accuracy_threshold(&pairs);
+        let (theta, acc) = best_threshold(&pairs);
         assert!((acc - 1.0).abs() < 1e-6);
         assert!(theta > 0.2 && theta < 0.8, "theta={theta}");
         assert!((accuracy_at(&pairs, theta) - 1.0).abs() < 1e-6);
@@ -102,7 +103,7 @@ mod tests {
             (0.2, false),
             (0.1, false),
         ];
-        let (theta, acc) = best_accuracy_threshold(&pairs);
+        let (theta, acc) = best_threshold(&pairs);
         // θ between 0.2 and 0.3 gets 5/6 (only 0.7-incorrect wrong).
         assert!((acc - 5.0 / 6.0).abs() < 1e-6, "acc={acc}");
         assert!(theta > 0.2 && theta < 0.3, "theta={theta}");
@@ -110,19 +111,19 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert_eq!(best_accuracy_threshold(&[]), (0.0, 0.0));
+        assert_eq!(best_threshold(&[]), (0.0, 0.0));
         assert_eq!(accuracy_at(&[], 0.0), 0.0);
     }
 
     #[test]
     fn all_one_class() {
         let all_correct = [(0.5, true), (0.7, true)];
-        let (theta, acc) = best_accuracy_threshold(&all_correct);
+        let (theta, acc) = best_threshold(&all_correct);
         assert!((acc - 1.0).abs() < 1e-6);
         assert!(theta < 0.5); // predicts everything correct
 
         let all_wrong = [(0.5, false), (0.7, false)];
-        let (theta2, acc2) = best_accuracy_threshold(&all_wrong);
+        let (theta2, acc2) = best_threshold(&all_wrong);
         assert!((acc2 - 1.0).abs() < 1e-6);
         assert!(theta2 >= 0.7); // predicts everything incorrect
     }
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn tied_scores_handled() {
         let pairs = [(0.5, true), (0.5, false), (0.5, true)];
-        let (_, acc) = best_accuracy_threshold(&pairs);
+        let (_, acc) = best_threshold(&pairs);
         assert!((acc - 2.0 / 3.0).abs() < 1e-6);
     }
 
@@ -144,7 +145,7 @@ mod tests {
             (0.2, false),
             (f32::NAN, true),
         ];
-        let (theta, acc) = best_accuracy_threshold(&pairs);
+        let (theta, acc) = best_threshold(&pairs);
         assert!(theta.is_finite());
         // NaN is never > θ: the NaN-incorrect item is always a hit and
         // the NaN-correct one never is; θ in (0.2, 0.9) gets the rest.
@@ -154,12 +155,12 @@ mod tests {
 
     #[test]
     fn all_nan_scores() {
-        let (theta, acc) = best_accuracy_threshold(&[(f32::NAN, true)]);
+        let (theta, acc) = best_threshold(&[(f32::NAN, true)]);
         assert!(theta.is_finite());
         assert_eq!(acc, 0.0);
 
         let all_wrong = [(f32::NAN, false), (f32::NAN, false)];
-        let (theta2, acc2) = best_accuracy_threshold(&all_wrong);
+        let (theta2, acc2) = best_threshold(&all_wrong);
         assert!(theta2.is_finite());
         assert!((acc2 - 1.0).abs() < 1e-6);
     }
@@ -170,7 +171,7 @@ mod tests {
         // θ ∈ (0.1, 0.2) and θ ∈ (0.3, 0.4). The sweep must pick the
         // lower midpoint, exactly, regardless of input order.
         let base = [(0.1, false), (0.2, true), (0.3, false), (0.4, true)];
-        let (theta, acc) = best_accuracy_threshold(&base);
+        let (theta, acc) = best_threshold(&base);
         assert_eq!(theta, (0.1 + 0.2) / 2.0);
         assert!((acc - 0.75).abs() < 1e-6);
         // All 24 permutations return bit-identical (θ, accuracy).
@@ -184,7 +185,7 @@ mod tests {
         ];
         for p in perms {
             let shuffled: Vec<_> = p.iter().map(|&i| base[i]).collect();
-            let (t, a) = best_accuracy_threshold(&shuffled);
+            let (t, a) = best_threshold(&shuffled);
             assert_eq!(t.to_bits(), theta.to_bits(), "perm {p:?}");
             assert_eq!(a.to_bits(), acc.to_bits(), "perm {p:?}");
         }
@@ -199,7 +200,7 @@ mod tests {
             (0.5, false),
             (0.45, true),
         ];
-        let (_, best) = best_accuracy_threshold(&pairs);
+        let (_, best) = best_threshold(&pairs);
         for probe in [-1.0, 0.0, 0.42, 0.47, 0.55, 0.7, 1.0] {
             assert!(accuracy_at(&pairs, probe) <= best + 1e-6);
         }

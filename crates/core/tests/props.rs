@@ -1,5 +1,5 @@
-//! Property-based tests for scoring functions and the confidence
-//! mechanism, and a mutation fuzz of the model and checkpoint
+//! Property-based tests for scoring functions, the confidence
+//! mechanism and the validation-threshold sweep, and a mutation fuzz of the model and checkpoint
 //! decoders.
 //!
 //! The fuzz's tier-1 run takes 2,000 cases; the ignored run takes
@@ -14,10 +14,10 @@ mod mutator;
 
 use pge_core::{
     load_model_auto_path, save_model_store, train_pge, train_pge_resumable, Checkpoint,
-    CheckpointOptions, ConfidenceStore, EmbeddingCache, PersistError, PgeConfig, ScoreKind, Scorer,
-    CHECKPOINT_FILE,
+    CheckpointOptions, ConfidenceStore, Detector, EmbeddingCache, ErrorDetector, PersistError,
+    PgeConfig, ScoreKind, Scorer, CHECKPOINT_FILE,
 };
-use pge_graph::{Dataset, ProductGraph};
+use pge_graph::{AttrId, Dataset, LabeledTriple, ProductGraph, ProductId, Triple, ValueId};
 use pge_nn::gradcheck;
 use pge_store::{MmapMode, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
@@ -146,6 +146,68 @@ proptest! {
             high.update(0, alpha * 2.0);
         }
         prop_assert!(high.get(0) <= low.get(0) + 1e-6);
+    }
+}
+
+/// Plausibility = a fixed score per triple, looked up by value id.
+struct ScoreTable(Vec<f32>);
+
+impl ErrorDetector for ScoreTable {
+    fn name(&self) -> String {
+        "score-table".into()
+    }
+    fn plausibility(&self, _g: &ProductGraph, t: &Triple) -> f32 {
+        self.0[t.value.0 as usize]
+    }
+}
+
+/// `(θ, accuracy)` that [`Detector::fit`] picks for `(score, is_correct)`.
+fn fit_threshold(pairs: &[(f32, bool)]) -> (f32, f32) {
+    let valid: Vec<LabeledTriple> = (0..pairs.len() as u32)
+        .map(|i| LabeledTriple {
+            triple: Triple::new(ProductId(i), AttrId(0), ValueId(i)),
+            correct: pairs[i as usize].1,
+        })
+        .collect();
+    let det = ScoreTable(pairs.iter().map(|p| p.0).collect());
+    let fit = Detector::fit(&det, &ProductGraph::new(), &valid);
+    (fit.threshold, fit.valid_accuracy)
+}
+
+/// Accuracy of `predict correct ⇔ score > θ` on `(score, is_correct)`.
+fn accuracy_at(pairs: &[(f32, bool)], theta: f32) -> f32 {
+    let hits = pairs.iter().filter(|(s, c)| (*s > theta) == *c).count();
+    hits as f32 / pairs.len() as f32
+}
+
+/// Scores that occasionally go NaN, as a diverged model produces.
+fn arb_maybe_nan_score() -> impl Strategy<Value = f32> {
+    (0u32..5, -100.0f32..100.0).prop_map(|(k, s)| if k == 0 { f32::NAN } else { s })
+}
+
+proptest! {
+    #[test]
+    fn best_threshold_beats_majority(pairs in prop::collection::vec((-10.0f32..10.0, any::<bool>()), 1..100)) {
+        let (_, acc) = fit_threshold(&pairs);
+        let correct = pairs.iter().filter(|(_, c)| *c).count() as f32 / pairs.len() as f32;
+        let majority = correct.max(1.0 - correct);
+        prop_assert!(acc + 1e-6 >= majority, "acc {acc} < majority {majority}");
+        prop_assert!(acc <= 1.0 + 1e-6);
+    }
+
+    #[test]
+    fn best_threshold_survives_nan_scores(
+        pairs in prop::collection::vec((arb_maybe_nan_score(), any::<bool>()), 1..100)
+    ) {
+        // Regression: any NaN score used to hang the sweep forever.
+        let (theta, acc) = fit_threshold(&pairs);
+        prop_assert!(theta.is_finite(), "theta={theta}");
+        prop_assert!((0.0..=1.0).contains(&acc), "acc={acc}");
+        // The reported accuracy is attained at θ and bounds any probe.
+        prop_assert!((accuracy_at(&pairs, theta) - acc).abs() < 1e-5);
+        for probe in [-200.0, 0.0, 200.0] {
+            prop_assert!(accuracy_at(&pairs, probe) <= acc + 1e-6);
+        }
     }
 }
 
