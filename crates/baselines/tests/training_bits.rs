@@ -8,17 +8,12 @@ use pge_baselines::{train_ckrl, train_kge, CkrlConfig, KgeConfig};
 use pge_core::{ErrorDetector, ScoreKind};
 use pge_datagen::{generate_catalog, CatalogConfig};
 use pge_graph::Triple;
-use pge_tensor::{set_kernel, Kernel};
+use pge_tensor::{fnv1a, set_kernel, Kernel, FNV_OFFSET};
 
-/// FNV-1a 64 over the little-endian bits of each value.
-fn fold(mut h: u64, xs: &[f32]) -> u64 {
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+/// Fold the little-endian bits of each value into `h`.
+fn fold(h: u64, xs: &[f32]) -> u64 {
+    xs.iter()
+        .fold(h, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
 }
 
 const GOLDEN_BASELINE_HASH: u64 = 0xc4d2_2fe0_ed66_18f7;
@@ -57,7 +52,7 @@ fn baseline_bits_are_pinned_under_both_kernels() {
             },
         );
         set_kernel(None);
-        let mut h = fold(0xcbf2_9ce4_8422_2325, &ckrl.confidence);
+        let mut h = fold(FNV_OFFSET, &ckrl.confidence);
         for det in [&transe as &dyn ErrorDetector, &rotate, &ckrl] {
             h = fold(h, &det.plausibility_all(&d.graph, &test));
         }

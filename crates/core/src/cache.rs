@@ -16,7 +16,7 @@
 use crate::model::{EncodeScratch, PgeModel};
 use parking_lot::RwLock;
 use pge_graph::AttrId;
-use pge_tensor::FxHashMap;
+use pge_tensor::{fnv1a, FxHashMap, FNV_OFFSET};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SHARDS: usize = 16;
@@ -64,13 +64,8 @@ impl EmbeddingCache {
     }
 
     fn shard_idx(&self, text: &str) -> usize {
-        // FNV-1a; shard count is fixed so the modulo bias is moot.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % SHARDS as u64) as usize
+        // The shard count is fixed, so the modulo bias is moot.
+        (fnv1a(FNV_OFFSET, text.as_bytes()) % SHARDS as u64) as usize
     }
 
     /// The embedding for `text`, computing it with `f` on a miss.

@@ -52,6 +52,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+// Crate-visible: the trainer's bit-pin test hashes through this path.
+pub(crate) use pge_tensor::{fnv1a, FNV_OFFSET};
+
 /// File name of the trainer checkpoint inside the checkpoint
 /// directory.
 pub const CHECKPOINT_FILE: &str = "trainer.ckpt";
@@ -140,18 +143,6 @@ pub struct Checkpoint {
     pub state: TrainerState,
     snap: Arc<Snapshot>,
 }
-
-/// FNV-1a 64-bit, the workspace's zero-dependency stable hash.
-pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv_u64(h: u64, x: u64) -> u64 {
     fnv1a(h, &x.to_le_bytes())

@@ -13,7 +13,10 @@
 //!   cache at once.
 
 /// FNV-1a over the key bytes — the same cheap hash the embedding
-/// cache shards by, applied to the routing key.
+/// cache shards by, applied to the routing key. It copies
+/// `pge_tensor::fnv1a` rather than calling it: this crate has no
+/// `pge-tensor` edge, and adding one would change the dependency graph
+/// the benchmark's lock file pins.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in bytes {

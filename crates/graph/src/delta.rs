@@ -23,6 +23,7 @@
 
 use crate::dataset::Dataset;
 use crate::store::Triple;
+use pge_tensor::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
@@ -232,17 +233,6 @@ pub fn read_delta_stream(r: impl BufRead) -> Result<Vec<DeltaWindow>, DeltaError
         }
     }
     Ok(windows)
-}
-
-// FNV-1a 64-bit — the workspace's zero-dependency stable hash.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn fnv_str(h: u64, s: &str) -> u64 {

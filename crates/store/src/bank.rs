@@ -38,6 +38,7 @@ use std::sync::Arc;
 use crate::format::{SectionKind, SnapshotWriter};
 use crate::reader::Snapshot;
 use crate::StoreError;
+use pge_tensor::{fnv1a, FNV_OFFSET};
 
 /// Section names of a bank inside a PGEBIN02 snapshot.
 pub const SEC_INDEX: &str = "bank.index";
@@ -52,12 +53,7 @@ pub const DEFAULT_RESIDENT_BUDGET: u64 = 32 << 20;
 /// 64-bit FNV-1a — the bank's key hash. Stable across platforms and
 /// versions by construction; part of the on-disk format.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// A read-only embedding bank over an open snapshot.
