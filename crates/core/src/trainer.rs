@@ -38,9 +38,7 @@ use parking_lot::Mutex;
 use pge_graph::{apply_window, Dataset, DeltaWindow, NegativeSampler, SamplingMode, Triple};
 use pge_nn::conv::CnnEncCache;
 use pge_nn::{AdamHparams, CnnConfig, CnnGrads, Embedding, SparseRowGrads};
-use pge_obs::{
-    checkpoint_event, epoch_event, global_tracer, ingest_event, span, EpochTelemetry, RunLog, Stage,
-};
+use pge_obs::{epoch_event, global_tracer, span, stats_event, EpochTelemetry, RunLog, Stage};
 use pge_tensor::ops;
 use pge_text::word2vec::{train_word2vec, Word2VecConfig};
 use rand::rngs::StdRng;
@@ -730,7 +728,7 @@ pub(crate) fn load_checkpoint(
     ck.state.verify(cfg.confidence.name(), cfg_hash, data_fp)?;
     if let Some(log) = log {
         let from = ck.state.epochs_done as f64;
-        log.write(&checkpoint_event(&[("resumed_from", from)]));
+        log.write(&stats_event("checkpoint", &[("resumed_from", from)]));
     }
     Ok((ck.restore_model()?, ck.state))
 }
@@ -943,17 +941,20 @@ pub(crate) fn run_phases<'d, 'w>(
         // A window reports in its `ingest` event, an epoch in its
         // `checkpoint` event.
         match (log, &applied, written) {
-            (Some(log), Some(applied), _) => log.write(&ingest_event(&[
-                ("window", phase.n as f64),
-                ("added", applied.added.len() as f64),
-                ("retracted", applied.retracted.len() as f64),
-                ("missed_retractions", applied.missed_retractions as f64),
-                ("train_len", dataset.train.len() as f64),
-                ("mean_loss", mean_loss as f64),
-                ("secs", phase_start.elapsed().as_secs_f64()),
-                ("push_version", push_version),
-            ])),
-            (Some(log), None, Some(written)) => log.write(&checkpoint_event(&written)),
+            (Some(log), Some(applied), _) => log.write(&stats_event(
+                "ingest",
+                &[
+                    ("window", phase.n as f64),
+                    ("added", applied.added.len() as f64),
+                    ("retracted", applied.retracted.len() as f64),
+                    ("missed_retractions", applied.missed_retractions as f64),
+                    ("train_len", dataset.train.len() as f64),
+                    ("mean_loss", mean_loss as f64),
+                    ("secs", phase_start.elapsed().as_secs_f64()),
+                    ("push_version", push_version),
+                ],
+            )),
+            (Some(log), None, Some(written)) => log.write(&stats_event("checkpoint", &written)),
             _ => {}
         }
         tracer.finish(trace, phase_start.elapsed(), false);

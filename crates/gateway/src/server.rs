@@ -34,7 +34,7 @@ use pge_graph::{LabeledTriple, ProductGraph};
 use pge_obs::json::{self, Json};
 use pge_obs::trace::{DEFAULT_RETAIN_CAP, DEFAULT_RING_CAPACITY, DEFAULT_SLOW_MS};
 use pge_obs::{
-    gateway_event, manifest_event, spans_event, trace_event, RetainedTrace, RunLog, Stage, Tracer,
+    manifest_event, spans_event, stats_event, trace_event, RetainedTrace, RunLog, Stage, Tracer,
 };
 use pge_serve::http::{self, ReadError};
 use pge_serve::ScoreItem;
@@ -178,7 +178,10 @@ impl Shared {
         self.metrics.swaps_total.inc();
         self.metrics.model_version.set(v as f64);
         if let Some(log) = &self.runlog {
-            log.write(&gateway_event(&[("swap", 1.0), ("version", v as f64)]));
+            log.write(&stats_event(
+                "gateway",
+                &[("swap", 1.0), ("version", v as f64)],
+            ));
         }
         v
     }
@@ -310,18 +313,21 @@ impl GatewayHandle {
         if let Some(log) = &self.shared.runlog {
             let m = &self.shared.metrics;
             let ms = |q: f64| m.latency.quantile(q).unwrap_or(0.0) * 1e3;
-            log.write(&gateway_event(&[
-                ("requests_total", m.requests_total.get() as f64),
-                ("responses_total", m.responses_total.get() as f64),
-                ("rejected_total", m.rejected_total.get() as f64),
-                ("bad_requests_total", m.bad_requests_total.get() as f64),
-                ("accepted_total", m.accepted_total.get() as f64),
-                ("swaps_total", m.swaps_total.get() as f64),
-                ("model_version", m.model_version.get()),
-                ("routing_skew", m.routing_skew()),
-                ("latency_p50_ms", ms(0.5)),
-                ("latency_p99_ms", ms(0.99)),
-            ]));
+            log.write(&stats_event(
+                "gateway",
+                &[
+                    ("requests_total", m.requests_total.get() as f64),
+                    ("responses_total", m.responses_total.get() as f64),
+                    ("rejected_total", m.rejected_total.get() as f64),
+                    ("bad_requests_total", m.bad_requests_total.get() as f64),
+                    ("accepted_total", m.accepted_total.get() as f64),
+                    ("swaps_total", m.swaps_total.get() as f64),
+                    ("model_version", m.model_version.get()),
+                    ("routing_skew", m.routing_skew()),
+                    ("latency_p50_ms", ms(0.5)),
+                    ("latency_p99_ms", ms(0.99)),
+                ],
+            ));
             // Tail-sampled traces, oldest first, then the span totals
             // the gateway accumulated (event loop, batches, swaps) so
             // `pge report` stops skipping the gateway entirely.

@@ -39,9 +39,8 @@ pub use manifest::{current_rss_bytes, git_rev, peak_rss_bytes, unix_time_ms};
 pub use registry::{global, validate_exposition, Counter, Gauge, MetricsRegistry};
 pub use report::{render_report, render_traces, sparkline};
 pub use runlog::{
-    checkpoint_event, epoch_event, eval_event, gateway_event, ingest_event, manifest_event,
-    scan_event, spans_event, trace_event, ConfidenceTelemetry, EpochTelemetry, EvalTelemetry,
-    RunLog,
+    epoch_event, eval_event, manifest_event, spans_event, stats_event, trace_event,
+    ConfidenceTelemetry, EpochTelemetry, EvalTelemetry, RunLog,
 };
 pub use span::{
     reset_spans, set_spans_enabled, span, span_snapshot, spans_enabled, SpanGuard, SpanRecord,

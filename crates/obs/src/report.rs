@@ -473,7 +473,7 @@ pub fn render_traces(jsonl: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::runlog::{
-        epoch_event, eval_event, ingest_event, manifest_event, ConfidenceTelemetry, EpochTelemetry,
+        epoch_event, eval_event, manifest_event, stats_event, ConfidenceTelemetry, EpochTelemetry,
         EvalTelemetry,
     };
 
@@ -544,24 +544,25 @@ mod tests {
     fn gateway_events_render_their_own_section() {
         let mut log = String::new();
         for v in [1.0, 2.0] {
-            log.push_str(
-                &crate::runlog::gateway_event(&[("swap", 1.0), ("version", v)]).to_string(),
-            );
+            log.push_str(&stats_event("gateway", &[("swap", 1.0), ("version", v)]).to_string());
             log.push('\n');
         }
         log.push_str(
-            &crate::runlog::gateway_event(&[
-                ("requests_total", 50_000.0),
-                ("responses_total", 50_000.0),
-                ("rejected_total", 12.0),
-                ("bad_requests_total", 3.0),
-                ("accepted_total", 10_000.0),
-                ("swaps_total", 2.0),
-                ("model_version", 2.0),
-                ("routing_skew", 1.08),
-                ("latency_p50_ms", 1.4),
-                ("latency_p99_ms", 9.7),
-            ])
+            &stats_event(
+                "gateway",
+                &[
+                    ("requests_total", 50_000.0),
+                    ("responses_total", 50_000.0),
+                    ("rejected_total", 12.0),
+                    ("bad_requests_total", 3.0),
+                    ("accepted_total", 10_000.0),
+                    ("swaps_total", 2.0),
+                    ("model_version", 2.0),
+                    ("routing_skew", 1.08),
+                    ("latency_p50_ms", 1.4),
+                    ("latency_p99_ms", 9.7),
+                ],
+            )
             .to_string(),
         );
         log.push('\n');
@@ -582,8 +583,7 @@ mod tests {
         assert!(report.contains("10000 connections accepted"), "{report}");
 
         // Swap trail alone (gateway still running) renders too.
-        let only_swaps =
-            crate::runlog::gateway_event(&[("swap", 1.0), ("version", 3.0)]).to_string();
+        let only_swaps = stats_event("gateway", &[("swap", 1.0), ("version", 3.0)]).to_string();
         let report = render_report(&only_swaps).unwrap();
         assert!(
             report.contains("gateway: 1 model hot-swaps (serving version 3)"),
@@ -600,16 +600,19 @@ mod tests {
         ]
         .iter()
         .map(|&(window, added, retracted, loss, push)| {
-            ingest_event(&[
-                ("window", window),
-                ("added", added),
-                ("retracted", retracted),
-                ("missed_retractions", 0.0),
-                ("train_len", 900.0),
-                ("mean_loss", loss),
-                ("secs", 0.2),
-                ("push_version", push),
-            ])
+            stats_event(
+                "ingest",
+                &[
+                    ("window", window),
+                    ("added", added),
+                    ("retracted", retracted),
+                    ("missed_retractions", 0.0),
+                    ("train_len", 900.0),
+                    ("mean_loss", loss),
+                    ("secs", 0.2),
+                    ("push_version", push),
+                ],
+            )
             .to_string()
                 + "\n"
         })
@@ -626,16 +629,19 @@ mod tests {
 
     #[test]
     fn scan_events_render_their_own_section() {
-        let log = crate::runlog::scan_event(&[
-            ("rows_total", 1_000_000.0),
-            ("shards_total", 31.0),
-            ("errors_total", 52_110.0),
-            ("quarantined_total", 7.0),
-            ("rows_per_sec", 84_211.0),
-            ("resumed_rows", 65_536.0),
-            ("cache_hits", 900.0),
-            ("cache_misses", 100.0),
-        ])
+        let log = stats_event(
+            "scan",
+            &[
+                ("rows_total", 1_000_000.0),
+                ("shards_total", 31.0),
+                ("errors_total", 52_110.0),
+                ("quarantined_total", 7.0),
+                ("rows_per_sec", 84_211.0),
+                ("resumed_rows", 65_536.0),
+                ("cache_hits", 900.0),
+                ("cache_misses", 100.0),
+            ],
+        )
         .to_string();
         let report = render_report(&log).unwrap();
         assert!(
@@ -653,15 +659,14 @@ mod tests {
     #[test]
     fn checkpoint_events_render_provenance() {
         let mut log = sample_log();
-        log.push_str(&crate::runlog::checkpoint_event(&[("resumed_from", 2.0)]).to_string());
+        log.push_str(&stats_event("checkpoint", &[("resumed_from", 2.0)]).to_string());
         log.push('\n');
         for epoch in [3.0, 4.0] {
             log.push_str(
-                &crate::runlog::checkpoint_event(&[
-                    ("epoch", epoch),
-                    ("bytes", 81920.0),
-                    ("write_secs", 0.004),
-                ])
+                &stats_event(
+                    "checkpoint",
+                    &[("epoch", epoch), ("bytes", 81920.0), ("write_secs", 0.004)],
+                )
                 .to_string(),
             );
             log.push('\n');
@@ -676,8 +681,7 @@ mod tests {
             "{report}"
         );
         // A checkpoint-only log is still a recognizable run log.
-        let only =
-            crate::runlog::checkpoint_event(&[("epoch", 1.0), ("bytes", 1024.0)]).to_string();
+        let only = stats_event("checkpoint", &[("epoch", 1.0), ("bytes", 1024.0)]).to_string();
         assert!(render_report(&only).is_ok());
     }
 

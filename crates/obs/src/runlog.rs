@@ -157,46 +157,23 @@ pub fn eval_event(t: &EvalTelemetry) -> Json {
     Json::Obj(pairs)
 }
 
-/// A trainer-checkpoint event: one per epoch-boundary checkpoint
-/// write (`[("epoch", 3.0), ("bytes", 81920.0), ("write_secs", s)]`)
-/// plus one `[("resumed_from", k)]` record at the start of a resumed
-/// run, so `pge report` can show resume provenance.
-pub fn checkpoint_event(stats: &[(&str, f64)]) -> Json {
-    let mut pairs = base("checkpoint");
-    for (k, v) in stats {
-        pairs.push((k.to_string(), Json::Num(*v)));
-    }
-    Json::Obj(pairs)
-}
-
-/// An incremental-ingest record, one per delta window, e.g.
-/// `[("window", 3.0), ("added", 120.0), ("retracted", 8.0),
-/// ("mean_loss", 0.4), ("push_version", 5.0)]` (`push_version` is -1
-/// when the window was not pushed to a gateway).
-pub fn ingest_event(stats: &[(&str, f64)]) -> Json {
-    let mut pairs = base("ingest");
-    for (k, v) in stats {
-        pairs.push((k.to_string(), Json::Num(*v)));
-    }
-    Json::Obj(pairs)
-}
-
-/// A gateway snapshot or swap record from counter pairs, e.g.
-/// `[("requests_total", 5.0e4), ("routing_skew", 1.08)]` for the
-/// shutdown snapshot or `[("swap", 1.0), ("version", 2.0)]` per model
-/// hot-swap.
-pub fn gateway_event(stats: &[(&str, f64)]) -> Json {
-    let mut pairs = base("gateway");
-    for (k, v) in stats {
-        pairs.push((k.to_string(), Json::Num(*v)));
-    }
-    Json::Obj(pairs)
-}
-
-/// A bulk-scan snapshot from counter pairs, e.g.
-/// `[("rows_total", 1.0e6), ("shards_total", 31.0)]`.
-pub fn scan_event(stats: &[(&str, f64)]) -> Json {
-    let mut pairs = base("scan");
+/// A record of counter pairs under the event name `kind`:
+///
+/// * `checkpoint` — one per epoch-boundary checkpoint write
+///   (`[("epoch", 3.0), ("bytes", 81920.0), ("write_secs", s)]`), plus
+///   one `[("resumed_from", k)]` at the start of a resumed run, so
+///   `pge report` can show resume provenance;
+/// * `ingest` — one per incremental delta window, e.g. `[("window",
+///   3.0), ("added", 120.0), ("retracted", 8.0), ("mean_loss", 0.4),
+///   ("push_version", 5.0)]` (`push_version` is -1 when the window was
+///   not pushed to a gateway);
+/// * `gateway` — the shutdown snapshot (`[("requests_total", 5.0e4),
+///   ("routing_skew", 1.08)]`) or one `[("swap", 1.0), ("version",
+///   2.0)]` per model hot-swap;
+/// * `scan` — a bulk-scan snapshot, e.g. `[("rows_total", 1.0e6),
+///   ("shards_total", 31.0)]`.
+pub fn stats_event(kind: &str, stats: &[(&str, f64)]) -> Json {
+    let mut pairs = base(kind);
     for (k, v) in stats {
         pairs.push((k.to_string(), Json::Num(*v)));
     }
@@ -416,7 +393,10 @@ mod tests {
             valid_accuracy: 0.95,
             test_triples: 40,
         }));
-        log.write(&gateway_event(&[("requests_total", 12.0), ("p99_ms", 8.5)]));
+        log.write(&stats_event(
+            "gateway",
+            &[("requests_total", 12.0), ("p99_ms", 8.5)],
+        ));
         let text = contents(&buf);
         let lines: Vec<&str> = text.lines().collect();
         let eval = parse(lines[0]).unwrap();

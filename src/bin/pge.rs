@@ -84,9 +84,8 @@ use pge::gateway::GatewayConfig;
 use pge::graph::tsv::{from_tsv, to_tsv, write_raw_triples};
 use pge::graph::{read_delta_stream, write_delta_stream, Dataset, ProductGraph, Triple};
 use pge::obs::{
-    eval_event, global_tracer, manifest_event, render_report, render_traces, scan_event,
-    set_spans_enabled, spans_event, trace_event, validate_exposition, EvalTelemetry, RunLog,
-    Tracer,
+    eval_event, global_tracer, manifest_event, render_report, render_traces, set_spans_enabled,
+    spans_event, stats_event, trace_event, validate_exposition, EvalTelemetry, RunLog, Tracer,
 };
 use pge::scan::ScanConfig;
 use pge::store::{
@@ -869,29 +868,32 @@ fn main() {
             if let Some(log) = &log {
                 let busy = &outcome.worker_busy_sec;
                 let busy_min = busy.iter().copied().fold(f64::INFINITY, f64::min);
-                log.write(&scan_event(&[
-                    ("rows_scanned", outcome.rows_scanned as f64),
-                    ("rows_total", outcome.rows_total as f64),
-                    ("errors_total", outcome.errors_total as f64),
-                    ("quarantined_total", outcome.quarantined_total as f64),
-                    ("shards_total", outcome.shards_total as f64),
-                    ("resumed_rows", outcome.resumed_rows as f64),
-                    ("rows_per_sec", outcome.rows_per_sec),
-                    ("cache_hits", outcome.cache_hits as f64),
-                    ("cache_misses", outcome.cache_misses as f64),
-                    ("jobs", outcome.jobs as f64),
-                    ("host_cpus", outcome.host_cpus as f64),
-                    ("effective_parallelism", outcome.effective_parallelism),
-                    ("worker_busy_total_sec", busy.iter().sum::<f64>()),
-                    (
-                        "worker_busy_min_sec",
-                        if busy_min.is_finite() { busy_min } else { 0.0 },
-                    ),
-                    (
-                        "worker_busy_max_sec",
-                        busy.iter().copied().fold(0.0, f64::max),
-                    ),
-                ]));
+                log.write(&stats_event(
+                    "scan",
+                    &[
+                        ("rows_scanned", outcome.rows_scanned as f64),
+                        ("rows_total", outcome.rows_total as f64),
+                        ("errors_total", outcome.errors_total as f64),
+                        ("quarantined_total", outcome.quarantined_total as f64),
+                        ("shards_total", outcome.shards_total as f64),
+                        ("resumed_rows", outcome.resumed_rows as f64),
+                        ("rows_per_sec", outcome.rows_per_sec),
+                        ("cache_hits", outcome.cache_hits as f64),
+                        ("cache_misses", outcome.cache_misses as f64),
+                        ("jobs", outcome.jobs as f64),
+                        ("host_cpus", outcome.host_cpus as f64),
+                        ("effective_parallelism", outcome.effective_parallelism),
+                        ("worker_busy_total_sec", busy.iter().sum::<f64>()),
+                        (
+                            "worker_busy_min_sec",
+                            if busy_min.is_finite() { busy_min } else { 0.0 },
+                        ),
+                        (
+                            "worker_busy_max_sec",
+                            busy.iter().copied().fold(0.0, f64::max),
+                        ),
+                    ],
+                ));
                 // Slow chunk traces, oldest first, for `pge trace`.
                 for t in tracer.retained(usize::MAX).iter().rev() {
                     log.write(&trace_event(t));
