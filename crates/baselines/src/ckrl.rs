@@ -11,19 +11,19 @@
 //! CKRL has no access to text, which is why its confidences are
 //! "easily affected by model bias" (the paper's critique).
 
-use crate::kge::KgeModel;
-use pge_core::{ErrorDetector, ScoreKind, Scorer};
-use pge_graph::{Dataset, NegativeSampler, ProductGraph, SamplingMode, Triple};
-use pge_nn::{AdamHparams, Embedding};
+use crate::kge::{train_kge_weighted, KgeConfig, KgeModel, TripleWeights};
+use pge_core::{ErrorDetector, ScoreKind};
+use pge_graph::{Dataset, ProductGraph, SamplingMode, Triple};
 use pge_tensor::{ops, FxHashMap};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Sharpness of the LT-confidence target `σ(s · margin)` — margins on
 /// rescaled embeddings are small, so a flat sigmoid would leave all
 /// confidences indistinguishable near 0.5.
 const MARGIN_SHARPNESS: f32 = 3.0;
+
+/// Confidence kicks in at this epoch, once embeddings carry signal.
+const CONFIDENCE_FROM_EPOCH: usize = 2;
 
 /// CKRL training knobs.
 #[derive(Clone, Debug)]
@@ -88,22 +88,54 @@ impl ErrorDetector for CkrlModel {
     }
 }
 
-/// Train CKRL: TransE embeddings with per-triple confidence weighting
-/// updated during training.
+/// CKRL's per-triple confidence: LT mixed with the frequency prior.
+/// From [`CONFIDENCE_FROM_EPOCH`] on, it weighs each training triple's
+/// loss, and each step moves the triple's LT.
+struct Confidence<'a> {
+    cfg: &'a CkrlConfig,
+    /// LT confidence per training triple, initialized optimistic.
+    lt: Vec<f32>,
+    /// Frequency prior per training triple (PP/AP stand-in). A
+    /// training triple's value occurs at least once, so it is > 0 and
+    /// so is every weight: no triple is skipped.
+    prior: Vec<f32>,
+}
+
+impl Confidence<'_> {
+    fn mixed(&self, i: usize) -> f32 {
+        self.cfg.lt_weight * self.lt[i] + (1.0 - self.cfg.lt_weight) * self.prior[i]
+    }
+}
+
+impl TripleWeights for Confidence<'_> {
+    fn weight(&self, i: usize, epoch: usize) -> f32 {
+        if epoch >= CONFIDENCE_FROM_EPOCH {
+            self.mixed(i)
+        } else {
+            1.0
+        }
+    }
+
+    fn observe(&mut self, i: usize, epoch: usize, f_pos: f32, f_negs: &[f32]) {
+        if epoch < CONFIDENCE_FROM_EPOCH {
+            return;
+        }
+        // LT update (CKRL Eq. 5-style): positive margins over
+        // corruptions raise confidence, negative margins lower it. The
+        // sharpness factor keeps the sigmoid from saturating flat
+        // around margin ≈ 0.
+        let margin_sum = f_negs.iter().fold(0.0f32, |s, &f_neg| s + (f_pos - f_neg));
+        let mean_margin = margin_sum * (1.0 / f_negs.len() as f32);
+        let target = ops::sigmoid(MARGIN_SHARPNESS * mean_margin);
+        self.lt[i] = (self.lt[i] + self.cfg.lt_lr * (target - self.lt[i])).clamp(0.0, 1.0);
+    }
+}
+
+/// Train CKRL: TransE embeddings through the id-based KGE loop, with
+/// per-triple confidence weighting updated during training.
 pub fn train_ckrl(dataset: &Dataset, cfg: &CkrlConfig) -> CkrlModel {
     let start = Instant::now();
-    let graph = &dataset.graph;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let scorer = Scorer::new(ScoreKind::TransE, cfg.gamma);
-    let mut heads = Embedding::new_xavier(&mut rng, graph.num_products().max(1), cfg.dim);
-    let mut tails = Embedding::new_xavier(&mut rng, graph.num_values().max(1), cfg.dim);
-    let mut rels =
-        Embedding::new_xavier(&mut rng, graph.num_attrs().max(1), scorer.rel_dim(cfg.dim));
-    let sampler = NegativeSampler::new(graph, cfg.sampling);
-    let hp = AdamHparams::with_lr(cfg.lr);
-
-    // Frequency prior (PP/AP stand-in).
-    let counts = graph.attr_value_counts();
+    let counts = dataset.graph.attr_value_counts();
     let mut max_per_attr: FxHashMap<u16, u32> = FxHashMap::default();
     for (&(a, _), &c) in &counts {
         let e = max_per_attr.entry(a.0).or_insert(0);
@@ -114,112 +146,28 @@ pub fn train_ckrl(dataset: &Dataset, cfg: &CkrlConfig) -> CkrlModel {
         let m = max_per_attr.get(&t.attr.0).copied().unwrap_or(1) as f32;
         (c / m.max(1.0)).sqrt() // sqrt softens the skew
     };
-
-    // LT confidence, initialized optimistic.
-    let mut lt = vec![1.0f32; dataset.train.len()];
-
-    let k = cfg.negatives.max(1);
-    let mut order: Vec<usize> = (0..dataset.train.len()).collect();
-    let mut step = 0u64;
-    let mut dh = vec![0.0f32; cfg.dim];
-    let mut dr = vec![0.0f32; cfg.dim];
-    let mut dt = vec![0.0f32; cfg.dim];
-    for epoch in 0..cfg.epochs {
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        // Confidence kicks in once embeddings carry signal.
-        let conf_active = epoch >= 2;
-        for batch in order.chunks(cfg.batch.max(1)) {
-            step += 1;
-            for &i in batch {
-                let triple = dataset.train[i];
-                let w = if conf_active {
-                    cfg.lt_weight * lt[i] + (1.0 - cfg.lt_weight) * prior(&triple)
-                } else {
-                    1.0
-                };
-                let negs = sampler.sample(&mut rng, &triple, k);
-                if negs.is_empty() {
-                    continue;
-                }
-                let h = heads.row(triple.product.0).to_vec();
-                let r = rels.row(triple.attr.0 as u32).to_vec();
-                let t = tails.row(triple.value.0).to_vec();
-                let f_pos = scorer.score(&h, &r, &t);
-                dh.iter_mut().for_each(|x| *x = 0.0);
-                dr.iter_mut().for_each(|x| *x = 0.0);
-                dt.iter_mut().for_each(|x| *x = 0.0);
-                if w > 0.0 {
-                    scorer.backward(
-                        &h,
-                        &r,
-                        &t,
-                        -w * ops::sigmoid(-f_pos),
-                        &mut dh,
-                        &mut dr,
-                        &mut dt,
-                    );
-                    tails.accumulate_grad(triple.value.0, &dt);
-                }
-                let mut margin_sum = 0.0f32;
-                let inv_k = 1.0 / negs.len() as f32;
-                for &neg in &negs {
-                    let tn = tails.row(neg.0).to_vec();
-                    let f_neg = scorer.score(&h, &r, &tn);
-                    margin_sum += f_pos - f_neg;
-                    if w > 0.0 {
-                        dt.iter_mut().for_each(|x| *x = 0.0);
-                        scorer.backward(
-                            &h,
-                            &r,
-                            &tn,
-                            w * inv_k * ops::sigmoid(f_neg),
-                            &mut dh,
-                            &mut dr,
-                            &mut dt,
-                        );
-                        tails.accumulate_grad(neg.0, &dt);
-                    }
-                }
-                if w > 0.0 {
-                    heads.accumulate_grad(triple.product.0, &dh);
-                    rels.accumulate_grad(triple.attr.0 as u32, &dr);
-                }
-                if conf_active {
-                    // LT update (CKRL Eq. 5-style): positive margins
-                    // over corruptions raise confidence, negative
-                    // margins lower it. The sharpness factor keeps the
-                    // sigmoid from saturating flat around margin ≈ 0.
-                    let mean_margin = margin_sum * inv_k;
-                    let target = ops::sigmoid(MARGIN_SHARPNESS * mean_margin);
-                    lt[i] = (lt[i] + cfg.lt_lr * (target - lt[i])).clamp(0.0, 1.0);
-                }
-            }
-            heads.adam_step(&hp, step);
-            tails.adam_step(&hp, step);
-            rels.adam_step(&hp, step);
-        }
-    }
-
-    let confidence: Vec<f32> = dataset
-        .train
-        .iter()
-        .enumerate()
-        .map(|(i, t)| cfg.lt_weight * lt[i] + (1.0 - cfg.lt_weight) * prior(t))
-        .collect();
-    let train_secs = start.elapsed().as_secs_f64();
+    let mut conf = Confidence {
+        cfg,
+        lt: vec![1.0; dataset.train.len()],
+        prior: dataset.train.iter().map(prior).collect(),
+    };
+    let kge_cfg = KgeConfig {
+        dim: cfg.dim,
+        score: ScoreKind::TransE,
+        gamma: cfg.gamma,
+        epochs: cfg.epochs,
+        batch: cfg.batch,
+        negatives: cfg.negatives,
+        lr: cfg.lr,
+        sampling: cfg.sampling,
+        adversarial_temp: None,
+        seed: cfg.seed,
+    };
+    let kge = train_kge_weighted(dataset, &kge_cfg, &mut conf, "CKRL".into());
     CkrlModel {
-        kge: KgeModel {
-            heads,
-            tails,
-            rels,
-            scorer,
-            train_secs,
-            name: "CKRL".into(),
-        },
-        confidence,
-        train_secs,
+        kge,
+        confidence: (0..dataset.train.len()).map(|i| conf.mixed(i)).collect(),
+        train_secs: start.elapsed().as_secs_f64(),
     }
 }
 
@@ -227,6 +175,8 @@ pub fn train_ckrl(dataset: &Dataset, cfg: &CkrlConfig) -> CkrlModel {
 mod tests {
     use super::*;
     use pge_graph::inject_noise;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Cluster-consistent dataset: each product belongs to a latent
     /// cluster that determines the value of all three attributes, so

@@ -92,18 +92,32 @@ impl ErrorDetector for KgeModel {
 }
 
 /// Train an id-based KGE baseline on the dataset's training split.
-///
-/// `weights`, when given, is a per-training-triple loss weight
-/// (parallel to `dataset.train`); CKRL reuses this entry point with
-/// its confidence weights.
 pub fn train_kge(dataset: &Dataset, cfg: &KgeConfig) -> KgeModel {
-    train_kge_weighted(dataset, cfg, None, cfg.score.name().to_string())
+    train_kge_weighted(dataset, cfg, &mut (), cfg.score.name().to_string())
 }
 
+/// A per-training-triple hook into [`train_kge_weighted`]'s loop. CKRL
+/// weights each triple's loss by its confidence and moves that
+/// confidence by the scores the step computed; `()` is the plain loop.
+pub(crate) trait TripleWeights {
+    /// Loss weight of training triple `i` in `epoch`. A triple that
+    /// weighs ≤ 0 is skipped before it samples its negatives.
+    fn weight(&self, _i: usize, _epoch: usize) -> f32 {
+        1.0
+    }
+
+    /// Triple `i`'s positive score and its negatives' scores, seen
+    /// once its gradients are accumulated.
+    fn observe(&mut self, _i: usize, _epoch: usize, _f_pos: f32, _f_negs: &[f32]) {}
+}
+
+impl TripleWeights for () {}
+
+/// The id-based training loop, with `weights` hooked in per triple.
 pub(crate) fn train_kge_weighted(
     dataset: &Dataset,
     cfg: &KgeConfig,
-    weights: Option<&[f32]>,
+    weights: &mut impl TripleWeights,
     name: String,
 ) -> KgeModel {
     let start = Instant::now();
@@ -133,7 +147,7 @@ pub(crate) fn train_kge_weighted(
     let mut dh = vec![0.0f32; cfg.dim];
     let mut dr = vec![0.0f32; scorer.rel_dim(cfg.dim)];
     let mut dt = vec![0.0f32; cfg.dim];
-    for _epoch in 0..cfg.epochs {
+    for epoch in 0..cfg.epochs {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.gen_range(0..=i));
         }
@@ -141,7 +155,7 @@ pub(crate) fn train_kge_weighted(
             step += 1;
             for &i in batch {
                 let triple = dataset.train[i];
-                let w = weights.map_or(1.0, |ws| ws[i]);
+                let w = weights.weight(i, epoch);
                 if w <= 0.0 {
                     continue;
                 }
@@ -189,6 +203,7 @@ pub(crate) fn train_kge_weighted(
                 }
                 heads.accumulate_grad(triple.product.0, &dh);
                 rels.accumulate_grad(triple.attr.0 as u32, &dr);
+                weights.observe(i, epoch, f_pos, &f_negs);
             }
             heads.adam_step(&hp, step);
             tails.adam_step(&hp, step);
@@ -280,14 +295,22 @@ mod tests {
         }
     }
 
+    /// Weighs every triple 0.
+    struct Zero;
+
+    impl TripleWeights for Zero {
+        fn weight(&self, _i: usize, _epoch: usize) -> f32 {
+            0.0
+        }
+    }
+
     #[test]
     fn zero_weight_triples_are_skipped() {
         let d = parity_dataset();
-        let weights = vec![0.0; d.train.len()];
-        let m = train_kge_weighted(&d, &KgeConfig::tiny(), Some(&weights), "w0".into());
+        let m = train_kge_weighted(&d, &KgeConfig::tiny(), &mut Zero, "w0".into());
         // With all weights zero no embedding moves: scores for two
         // different runs must be identical to a fresh init.
-        let m2 = train_kge_weighted(&d, &KgeConfig::tiny(), Some(&weights), "w0".into());
+        let m2 = train_kge_weighted(&d, &KgeConfig::tiny(), &mut Zero, "w0".into());
         let t = d.test[0].triple;
         assert_eq!(m.score(&t), m2.score(&t));
     }
