@@ -115,15 +115,6 @@ impl ConfidenceStore {
         self.c.push(1.0);
     }
 
-    /// The regularization contribution `α Σ(1−C) + β Σ 2C(1−C)` —
-    /// reported in diagnostics.
-    pub fn regularizer(&self) -> f32 {
-        self.c
-            .iter()
-            .map(|&c| self.alpha * (1.0 - c) + self.beta * 2.0 * c * (1.0 - c))
-            .sum()
-    }
-
     /// Fraction of triples currently marked down (C < 0.5).
     pub fn fraction_marked_down(&self) -> f32 {
         if self.c.is_empty() {
@@ -455,18 +446,6 @@ mod tests {
         s.update(1, -100.0);
         assert_eq!(s.get(0), 0.0);
         assert_eq!(s.get(1), 1.0);
-    }
-
-    #[test]
-    fn regularizer_zero_at_poles() {
-        let mut s = ConfidenceStore::new(2, 0.5, 0.1, 0.05);
-        // C = 1 and C = 0: α(1−1)+0 and α·1+0.
-        s.update(0, 1000.0); // slam to 0 over updates
-        for _ in 0..100 {
-            s.update(0, 1000.0);
-        }
-        let r = s.regularizer();
-        assert!((r - s.alpha).abs() < 1e-4, "r={r}");
     }
 
     #[test]

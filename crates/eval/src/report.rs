@@ -43,10 +43,6 @@ impl Table {
         self.row(&cells)
     }
 
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with box-drawing-free ASCII (stable under diffing).
     pub fn render(&self) -> String {
         let cols = self.header.len();

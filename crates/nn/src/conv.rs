@@ -589,11 +589,6 @@ impl TextCnnEncoder {
         total += (self.proj.input_dim() * self.proj.output_dim()) as u64;
         total
     }
-
-    /// Borrow the word-embedding table (tests / analysis).
-    pub fn word_embeddings(&self) -> &Embedding {
-        &self.words
-    }
 }
 
 impl HasParams for TextCnnEncoder {

@@ -15,7 +15,7 @@
 //! order" produces bit-identical floats regardless of how many OS
 //! threads actually ran the workers.
 
-use pge_tensor::{ops, FxHashMap, Matrix};
+use pge_tensor::{ops, FxHashMap};
 
 /// A sparse row-wise gradient buffer for an embedding table.
 ///
@@ -87,16 +87,6 @@ impl SparseRowGrads {
         &mut self.grads[slot]
     }
 
-    /// Scatter a sequence-gradient matrix (one row per token) back
-    /// onto its source rows.
-    pub fn add_seq(&mut self, ids: &[u32], grad: &Matrix) {
-        debug_assert_eq!(ids.len(), grad.rows());
-        debug_assert_eq!(self.dim, grad.cols());
-        for (r, &id) in ids.iter().enumerate() {
-            self.add_row(id as usize, grad.row(r));
-        }
-    }
-
     /// Touched rows with their gradients, in first-touch order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[f32])> {
         self.rows
@@ -137,14 +127,5 @@ mod tests {
         g.add_row(9, &[1.0]);
         let got: Vec<(usize, Vec<f32>)> = g.iter().map(|(r, v)| (r, v.to_vec())).collect();
         assert_eq!(got, vec![(9, vec![1.0])]);
-    }
-
-    #[test]
-    fn add_seq_scatters_by_token() {
-        let mut g = SparseRowGrads::new(2);
-        let m = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0], vec![1.0, 1.0]]);
-        g.add_seq(&[4, 4, 2], &m);
-        let got: Vec<(usize, Vec<f32>)> = g.iter().map(|(r, v)| (r, v.to_vec())).collect();
-        assert_eq!(got, vec![(4, vec![1.0, 2.0]), (2, vec![1.0, 1.0])]);
     }
 }

@@ -127,22 +127,6 @@ impl Param {
         out
     }
 
-    /// Plain SGD step (used by word2vec pre-training where Adam's
-    /// memory per vocabulary row is not worth it), then clears grads.
-    pub fn sgd_step(&mut self, lr: f32) {
-        let value = self.value.as_mut_slice();
-        let grad = self.grad.as_mut_slice();
-        for i in 0..value.len() {
-            value[i] -= lr * grad[i];
-            grad[i] = 0.0;
-        }
-    }
-
-    /// L2 norm of the accumulated gradient (diagnostics, tests).
-    pub fn grad_norm(&self) -> f32 {
-        self.grad.frobenius_norm()
-    }
-
     /// Borrow the Adam `(first, second)` moment estimates — read by
     /// trainer checkpointing, which must persist the full optimizer
     /// state for a resumed run to be bit-identical to an
@@ -314,15 +298,6 @@ mod tests {
         // the moments but must not blow up.
         assert!(p.value.row(0)[0] < before[0]);
         assert!(p.value.row(0)[0].is_finite());
-    }
-
-    #[test]
-    fn sgd_step_basic() {
-        let mut p = Param::new(Matrix::full(1, 1, 2.0));
-        p.grad.as_mut_slice()[0] = 0.5;
-        p.sgd_step(1.0);
-        assert_eq!(p.value.as_slice()[0], 1.5);
-        assert_eq!(p.grad.as_slice()[0], 0.0);
     }
 
     #[test]

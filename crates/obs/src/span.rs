@@ -61,16 +61,6 @@ pub struct SpanRecord {
     pub total_secs: f64,
 }
 
-impl SpanRecord {
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_secs / self.count as f64
-        }
-    }
-}
-
 /// Accumulated totals for every span path seen so far, sorted by
 /// path.
 pub fn span_snapshot() -> Vec<SpanRecord> {
@@ -190,7 +180,6 @@ mod tests {
         assert_eq!(epoch.count, 2);
         assert!(epoch.total_secs >= 0.002, "{}", epoch.total_secs);
         assert!(snap[0].total_secs >= epoch.total_secs);
-        assert!(epoch.mean_secs() > 0.0);
     }
 
     #[test]

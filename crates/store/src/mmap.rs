@@ -23,7 +23,6 @@ use std::os::unix::io::AsRawFd;
 const PROT_READ: i32 = 0x1;
 const MAP_PRIVATE: i32 = 0x02;
 const MADV_DONTNEED: i32 = 4;
-const MADV_SEQUENTIAL: i32 = 2;
 const MADV_RANDOM: i32 = 1;
 
 const MAP_FAILED: *mut u8 = usize::MAX as *mut u8;
@@ -122,11 +121,6 @@ impl Mmap {
         // Safety: ptr is a live PROT_READ mapping of exactly `len`
         // bytes, valid until drop.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Tell the kernel a byte range will be read once, front to back.
-    pub fn advise_sequential(&self, offset: usize, len: usize) {
-        self.advise(offset, len, MADV_SEQUENTIAL);
     }
 
     /// Tell the kernel a byte range is accessed at random.

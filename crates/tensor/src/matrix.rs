@@ -112,11 +112,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -129,22 +124,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Two disjoint mutable rows (used by in-place row swaps/updates).
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of range.
-    pub fn rows_mut2(&mut self, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
-        assert!(a != b && a < self.rows && b < self.rows);
-        let c = self.cols;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * c);
-            (&mut lo[a * c..a * c + c], &mut hi[..c])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * c);
-            (&mut hi[..c], &mut lo[b * c..b * c + c])
-        }
     }
 
     /// Set every element to zero, keeping the allocation.
@@ -325,21 +304,6 @@ mod tests {
     fn transpose_is_involution() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transposed().transposed(), a);
-    }
-
-    #[test]
-    fn rows_mut2_disjoint_both_orders() {
-        let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        {
-            let (a, b) = m.rows_mut2(0, 2);
-            a[0] = 10.0;
-            b[1] = 60.0;
-        }
-        {
-            let (a, b) = m.rows_mut2(2, 0);
-            assert_eq!(a[1], 60.0);
-            assert_eq!(b[0], 10.0);
-        }
     }
 
     #[test]

@@ -145,11 +145,6 @@ pub fn variance(a: &[f32]) -> f32 {
     a.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / a.len() as f32
 }
 
-/// Clamp every element into `[lo, hi]` in place.
-pub fn clamp_inplace(a: &mut [f32], lo: f32, hi: f32) {
-    a.iter_mut().for_each(|x| *x = x.clamp(lo, hi));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,8 +245,5 @@ mod tests {
         tanh_inplace(&mut t);
         assert_eq!(t, [0.0]);
         assert!(close(tanh_deriv_from_output(0.0), 1.0));
-        let mut c = [-2.0, 0.5, 2.0];
-        clamp_inplace(&mut c, 0.0, 1.0);
-        assert_eq!(c, [0.0, 0.5, 1.0]);
     }
 }
