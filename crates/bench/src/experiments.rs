@@ -7,7 +7,7 @@
 use crate::methods::{epochs_trained, pge_config, train_method, Method, TrainedMethod};
 use crate::scale::Scale;
 use pge_core::api::plausibility_parallel;
-use pge_core::{train_pge, Detector, ErrorDetector};
+use pge_core::{default_scoring_threads, train_pge, Detector, ErrorDetector};
 use pge_eval::{average_precision, recall_at_precision, Histogram, Scored, Table};
 use pge_graph::{Dataset, LabeledTriple, Triple};
 use rand::rngs::StdRng;
@@ -32,7 +32,7 @@ pub fn evaluate_detector(
     precisions: &[f32],
 ) -> (f32, Vec<f32>) {
     let triples: Vec<Triple> = split.iter().map(|lt| lt.triple).collect();
-    let scores = plausibility_parallel(det, &dataset.graph, &triples, threads());
+    let scores = plausibility_parallel(det, &dataset.graph, &triples, default_scoring_threads());
     let scored: Vec<Scored> = scores
         .iter()
         .zip(split)
@@ -44,12 +44,6 @@ pub fn evaluate_detector(
         .map(|&p| recall_at_precision(&scored, p))
         .collect();
     (pr_auc, r_at_p)
-}
-
-fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
 }
 
 fn eval_method(tm: &TrainedMethod, dataset: &Dataset, precisions: &[f32]) -> MethodScores {

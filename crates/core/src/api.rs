@@ -31,6 +31,14 @@ pub trait ErrorDetector: Sync {
     }
 }
 
+/// The scoring thread count when none is asked for: the available
+/// parallelism, capped at 8.
+pub fn default_scoring_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(1)
+}
+
 /// Score `triples` in parallel across `threads` crossbeam workers.
 /// Detectors expose `&self` inference, so sharing is free.
 pub fn plausibility_parallel(

@@ -2,7 +2,7 @@
 //! selection on validation accuracy, classification, and error
 //! ranking.
 
-use crate::api::{plausibility_parallel, ErrorDetector};
+use crate::api::{default_scoring_threads, plausibility_parallel, ErrorDetector};
 use crate::model::PgeModel;
 use crate::threshold::best_threshold;
 use pge_graph::{LabeledTriple, ProductGraph, Triple};
@@ -42,7 +42,7 @@ impl<'a, D: ErrorDetector> Detector<'a, D> {
     pub fn fit(method: &'a D, graph: &ProductGraph, valid: &[LabeledTriple]) -> Self {
         let _s = span("detect.fit");
         let triples: Vec<Triple> = valid.iter().map(|lt| lt.triple).collect();
-        let scores = plausibility_parallel(method, graph, &triples, default_threads());
+        let scores = plausibility_parallel(method, graph, &triples, default_scoring_threads());
         let pairs: Vec<(f32, bool)> = scores
             .iter()
             .zip(valid)
@@ -68,7 +68,7 @@ impl<'a, D: ErrorDetector> Detector<'a, D> {
     /// Score a batch (parallel) and return plausibilities.
     pub fn scores(&self, graph: &ProductGraph, triples: &[Triple]) -> Vec<f32> {
         let _s = span("detect.score");
-        plausibility_parallel(self.method, graph, triples, default_threads())
+        plausibility_parallel(self.method, graph, triples, default_scoring_threads())
     }
 
     /// Rank triples most-suspicious first: returns indices into
@@ -95,12 +95,6 @@ impl<'a, D: ErrorDetector> Detector<'a, D> {
             .count();
         hits as f32 / test.len() as f32
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub mod score;
 mod threshold;
 pub mod trainer;
 
-pub use api::ErrorDetector;
+pub use api::{default_scoring_threads, ErrorDetector};
 pub use cache::{CachedModel, EmbeddingCache, ScoreScratch};
 pub use checkpoint::{
     config_hash, data_fingerprint, Checkpoint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,

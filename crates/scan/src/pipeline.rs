@@ -115,11 +115,16 @@ impl ScanConfig {
     }
 
     /// The worker count a scan with this config will actually use:
-    /// `jobs` when explicit, otherwise the host's available
-    /// parallelism capped at 8. Lets callers log the resolved value
-    /// up front instead of echoing the `0 = auto` sentinel.
+    /// `jobs` when explicit, otherwise
+    /// [`pge_core::default_scoring_threads`]. Lets callers log the
+    /// resolved value up front instead of echoing the `0 = auto`
+    /// sentinel.
     pub fn resolved_jobs(&self) -> usize {
-        resolve_jobs(self.jobs)
+        if self.jobs > 0 {
+            self.jobs
+        } else {
+            pge_core::default_scoring_threads()
+        }
     }
 }
 
@@ -198,15 +203,6 @@ struct ScoredChunk {
     end_offset: u64,
     trace: u64,
     born: Instant,
-}
-
-fn resolve_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
 }
 
 /// An output shard being accumulated, not yet durable.
@@ -656,7 +652,7 @@ pub fn scan_with_tracer(
     // Input, positioned just past the last committed shard.
     let reader = TripleSource::open(input, manifest.lines_done, manifest.input_bytes)?;
 
-    let jobs = resolve_jobs(cfg.jobs);
+    let jobs = cfg.resolved_jobs();
     let cache = EmbeddingCache::new(cfg.cache_cap);
     let cached = CachedModel::new(model, &cache);
     let reg = pge_obs::global();
