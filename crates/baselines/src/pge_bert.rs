@@ -1,5 +1,5 @@
 //! PGE(BERT): PGE's objective (Eq. 3) and its noise-aware confidence
-//! weighting (Eq. 6) over a deep Transformer text encoder with [CLS]
+//! weighting (Eq. 6) over a deep Transformer text encoder with `[CLS]`
 //! pooling instead of the CNN. It exists for one row of the paper's
 //! Table 5 (§4.6), the cost contrast that runs out of budget beyond
 //! 10 % of the catalog.

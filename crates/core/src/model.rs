@@ -114,7 +114,7 @@ impl PgeModel {
         self.encode_text(text, scratch)
     }
 
-    /// [`Self::embed_text_with`] bypassing the bank — always runs the
+    /// `embed_text_with` bypassing the bank — always runs the
     /// encoder. `pge embed` builds banks with this (a bank row must
     /// come from the encoder, not from a previously attached bank),
     /// and bit-identity tests compare the two paths.

@@ -95,7 +95,7 @@ pub(crate) fn triple_stream_seed(seed: u64, epoch: usize, index: usize) -> u64 {
 /// one RNG threaded across epochs — so a resumed run regenerates epoch
 /// k's order without replaying epochs `0..k` and without serializing
 /// any RNG state. The domain constant (`"SHUF"`) keeps this stream
-/// disjoint from [`triple_stream_seed`]'s. Every PGE trainer visits
+/// disjoint from `triple_stream_seed`'s. Every PGE trainer visits
 /// its triples in this order, PGE(BERT) in `pge-baselines` included.
 pub fn shuffle_into(
     order: &mut [usize],

@@ -35,7 +35,7 @@ impl Histogram {
     }
 
     /// Add one observation; out-of-range values clamp to the edge
-    /// bins (confidence scores are clamped to [0,1] anyway).
+    /// bins (confidence scores are clamped to `[0, 1]` anyway).
     pub fn add(&mut self, x: f32) {
         let bins = self.counts.len();
         let t = ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);

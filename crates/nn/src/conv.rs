@@ -156,7 +156,7 @@ pub struct CnnConfig {
     /// Word-embedding dimension.
     pub word_dim: usize,
     /// Filter widths of the parallel convolutions. The paper sweeps
-    /// widths in {1,2,3,4} across three CNNs; we default to [1,2,3].
+    /// widths in {1,2,3,4} across three CNNs; we default to `[1, 2, 3]`.
     pub widths: Vec<usize>,
     /// Feature maps per convolution.
     pub filters_per_width: usize,

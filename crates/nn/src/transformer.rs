@@ -1,4 +1,4 @@
-//! Transformer encoder with [CLS] pooling.
+//! Transformer encoder with `[CLS]` pooling.
 //!
 //! Serves two roles in the reproduction: the "Transformer" NLP
 //! baseline (1–2 shallow layers) and the "BERT-style" deep text
@@ -397,7 +397,7 @@ pub struct TransformerCache {
 }
 
 /// Transformer encoder; the sequence encoding is the final-LN output
-/// at position 0, so callers should place a [CLS]-style token first
+/// at position 0, so callers should place a `[CLS]`-style token first
 /// (see [`TransformerEncoder::CLS`]).
 #[derive(Clone, Debug)]
 pub struct TransformerEncoder {
@@ -409,7 +409,7 @@ pub struct TransformerEncoder {
 }
 
 impl TransformerEncoder {
-    /// Conventional id of the [CLS] token. Generators reserve ids 0
+    /// Conventional id of the `[CLS]` token. Generators reserve ids 0
     /// (pad) and 1 (cls) in every vocabulary.
     pub const CLS: u32 = 1;
 
@@ -462,7 +462,7 @@ impl TransformerEncoder {
         x
     }
 
-    /// Inference-only [CLS] encoding.
+    /// Inference-only `[CLS]` encoding.
     pub fn infer(&self, tokens: &[u32]) -> Vec<f32> {
         let padded = self.pad(tokens);
         let mut x = self.embed(&padded);
@@ -472,7 +472,7 @@ impl TransformerEncoder {
         self.ln_f.infer(&x).row(0).to_vec()
     }
 
-    /// Training forward: [CLS] encoding plus cache.
+    /// Training forward: `[CLS]` encoding plus cache.
     pub fn forward(&self, tokens: &[u32]) -> (Vec<f32>, TransformerCache) {
         let padded = self.pad(tokens);
         let mut x = self.embed(&padded);

@@ -7,7 +7,7 @@
 //!   and histograms with a Prometheus text renderer;
 //! * [`hist`] — the lock-free [`AtomicHistogram`] (moved here from
 //!   `pge-eval`, which re-exports it);
-//! * [`span`] — hierarchical [`span`](span()) timers with near-zero
+//! * [`mod@span`] — hierarchical [`span`](span()) timers with near-zero
 //!   cost while disabled;
 //! * [`trace`] — the always-on per-request flight recorder
 //!   ([`Tracer`]): a lock-free event ring plus tail-based sampling of

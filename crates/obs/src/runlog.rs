@@ -18,7 +18,7 @@
 //! * `checkpoint`, `ingest` — trainer checkpoints and incremental
 //!   delta windows;
 //! * `trace` — a tail-sampled request, chunk or epoch waterfall;
-//! * `spans` — accumulated span timings (see [`crate::span`]).
+//! * `spans` — accumulated span timings (see [`mod@crate::span`]).
 //!
 //! Events append; one file can hold a whole train → eval → serve
 //! pipeline and `pge report` will summarize all of it. Logs written

@@ -1,6 +1,6 @@
 //! Per-worker busy/idle accounting for worker-pool pipelines.
 //!
-//! The span machinery ([`crate::span`]) times *code paths*, but a
+//! The span machinery ([`mod@crate::span`]) times *code paths*, but a
 //! span around a worker's scoring loop silently includes the time the
 //! worker spends blocked on channel handoff — which is exactly how
 //! the scan pipeline's serialization bug (every worker pulling from

@@ -3,7 +3,7 @@
 //! Three pieces, all zero-dependency (direct `mmap(2)` FFI instead of
 //! a mapping crate, matching the workspace's vendored-only policy):
 //!
-//! * **PGEBIN02** ([`format`], [`reader`]): a sectioned snapshot
+//! * **PGEBIN02** ([`mod@format`], [`reader`]): a sectioned snapshot
 //!   container — fixed header, 64-byte-aligned raw f32 LE sections,
 //!   per-section CRC-32, name string table — designed to be memory-
 //!   mapped and read in place. [`Snapshot`] validates everything at
