@@ -53,6 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 // Crate-visible: the trainer's bit-pin test hashes through this path.
+use pge_tensor::fnv1a_str;
 pub(crate) use pge_tensor::{fnv1a, FNV_OFFSET};
 
 /// File name of the trainer checkpoint inside the checkpoint
@@ -148,11 +149,6 @@ fn fnv_u64(h: u64, x: u64) -> u64 {
     fnv1a(h, &x.to_le_bytes())
 }
 
-fn fnv_str(h: u64, s: &str) -> u64 {
-    // Length-prefixed so "ab","c" and "a","bc" hash differently.
-    fnv1a(fnv_u64(h, s.len() as u64), s.as_bytes())
-}
-
 /// Hash every training-relevant field of the config **except**
 /// `threads`: thread count only decides who computes a gradient lane,
 /// never the result, so a checkpoint taken at `--threads 8` resumes
@@ -169,8 +165,8 @@ pub fn config_hash(cfg: &PgeConfig) -> u64 {
     h = fnv_u64(h, cfg.max_len as u64);
     // The retired encoder knob's slot: every checkpoint on disk hashed
     // the CNN's name here.
-    h = fnv_str(h, "CNN");
-    h = fnv_str(h, cfg.score.name());
+    h = fnv1a_str(h, "CNN");
+    h = fnv1a_str(h, cfg.score.name());
     h = fnv_u64(h, cfg.gamma.to_bits() as u64);
     h = fnv_u64(h, cfg.epochs as u64);
     h = fnv_u64(h, cfg.batch as u64);
@@ -185,7 +181,7 @@ pub fn config_hash(cfg: &PgeConfig) -> u64 {
     h = fnv_u64(h, cfg.beta.to_bits() as u64);
     h = fnv_u64(h, cfg.confidence_lr.to_bits() as u64);
     h = fnv_u64(h, cfg.confidence_warmup as u64);
-    h = fnv_str(h, cfg.confidence.name());
+    h = fnv1a_str(h, cfg.confidence.name());
     h = fnv_u64(h, cfg.word2vec_epochs as u64);
     h = fnv_u64(h, cfg.rotate_phase_init as u64);
     h = fnv_u64(h, cfg.seed);
@@ -203,13 +199,13 @@ pub fn data_fingerprint(dataset: &Dataset) -> u64 {
     h = fnv_u64(h, g.num_attrs() as u64);
     h = fnv_u64(h, g.num_values() as u64);
     for i in 0..g.num_products() {
-        h = fnv_str(h, g.title(pge_graph::ProductId(i as u32)));
+        h = fnv1a_str(h, g.title(pge_graph::ProductId(i as u32)));
     }
     for i in 0..g.num_attrs() {
-        h = fnv_str(h, g.attr_name(pge_graph::AttrId(i as u16)));
+        h = fnv1a_str(h, g.attr_name(pge_graph::AttrId(i as u16)));
     }
     for i in 0..g.num_values() {
-        h = fnv_str(h, g.value_text(pge_graph::ValueId(i as u32)));
+        h = fnv1a_str(h, g.value_text(pge_graph::ValueId(i as u32)));
     }
     h = fnv_u64(h, dataset.train.len() as u64);
     for t in &dataset.train {

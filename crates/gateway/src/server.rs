@@ -690,7 +690,7 @@ fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) {
                 dispatch(conn, token, seq, req, shared);
             }
             Ok(None) => break,
-            Err(ReadError::Bad { status, reason }) => {
+            Err(ReadError { status, reason }) => {
                 shared.metrics.bad_requests_total.inc();
                 let seq = conn.claim_seq();
                 // Malformed framing poisons everything after it on

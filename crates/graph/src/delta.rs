@@ -23,7 +23,7 @@
 
 use crate::dataset::Dataset;
 use crate::store::Triple;
-use pge_tensor::{fnv1a, FNV_OFFSET};
+use pge_tensor::{fnv1a, fnv1a_str, FNV_OFFSET};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
@@ -235,20 +235,15 @@ pub fn read_delta_stream(r: impl BufRead) -> Result<Vec<DeltaWindow>, DeltaError
     Ok(windows)
 }
 
-fn fnv_str(h: u64, s: &str) -> u64 {
-    // Length-prefixed so "ab","c" and "a","bc" hash differently.
-    fnv1a(fnv1a(h, &(s.len() as u64).to_le_bytes()), s.as_bytes())
-}
-
 /// Fold one window into a running fingerprint.
 pub fn window_fingerprint(mut h: u64, w: &DeltaWindow) -> u64 {
     h = fnv1a(h, &(w.index as u64).to_le_bytes());
     h = fnv1a(h, &(w.ops.len() as u64).to_le_bytes());
     for d in &w.ops {
-        h = fnv_str(h, d.op.name());
-        h = fnv_str(h, &d.title);
-        h = fnv_str(h, &d.attr);
-        h = fnv_str(h, &d.value);
+        h = fnv1a_str(h, d.op.name());
+        h = fnv1a_str(h, &d.title);
+        h = fnv1a_str(h, &d.attr);
+        h = fnv1a_str(h, &d.value);
     }
     h
 }

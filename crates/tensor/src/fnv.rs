@@ -17,6 +17,13 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Fold `s` into `h` length-prefixed, so that `"ab", "c"` and
+/// `"a", "bc"` hash differently.
+#[inline]
+pub fn fnv1a_str(h: u64, s: &str) -> u64 {
+    fnv1a(fnv1a(h, &(s.len() as u64).to_le_bytes()), s.as_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -31,5 +38,7 @@ mod tests {
             fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
             0x8594_4171_f739_67e8
         );
+        let str_pair = |a, b| fnv1a_str(fnv1a_str(FNV_OFFSET, a), b);
+        assert_ne!(str_pair("ab", "c"), str_pair("a", "bc"));
     }
 }

@@ -24,7 +24,7 @@ pub mod matrix;
 pub mod ops;
 
 pub use crc32::{crc32, Crc32};
-pub use fnv::{fnv1a, FNV_OFFSET};
+pub use fnv::{fnv1a, fnv1a_str, FNV_OFFSET};
 pub use fx::{FxHashMap, FxHashSet};
 pub use kernels::{active_kernel, set_kernel, simd_supported, Kernel};
 pub use matrix::Matrix;
