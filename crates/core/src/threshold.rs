@@ -37,9 +37,9 @@ pub(crate) fn best_threshold(pairs: &[(f32, bool)]) -> (f32, f32) {
     // Hit counts are integers end to end, and a candidate wins only on
     // a strictly greater count, so ties between equal-accuracy
     // plateaus always resolve to the *lowest* θ — exactly, for any
-    // input size. (The old `f32` accumulator rounded above 2^24 items
-    // and compared quotients, where a rounding quirk could flip which
-    // plateau "won" depending on input order.)
+    // input size. An `f32` count would round above 2^24 items, and
+    // comparing quotients could then flip which plateau wins with the
+    // input order.
     let correct_total = sorted.iter().filter(|(_, c)| *c).count();
     // Start: everything (except NaN items) predicted correct.
     let mut hits = correct_total + nan_hits;
