@@ -48,12 +48,12 @@ use crate::persist::{
 use crate::trainer::PgeConfig;
 use pge_graph::Dataset;
 use pge_store::{MmapMode, Snapshot, SnapshotWriter, StoreError};
+use pge_tensor::fnv1a_str;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 // Crate-visible: the trainer's bit-pin test hashes through this path.
-use pge_tensor::fnv1a_str;
 pub(crate) use pge_tensor::{fnv1a, FNV_OFFSET};
 
 /// File name of the trainer checkpoint inside the checkpoint
