@@ -537,6 +537,40 @@ mod tests {
         assert_eq!(bits(&loaded), bits(&model));
     }
 
+    /// A model file is replaced only when its writer finishes. A writer
+    /// dropped mid-file, which is what a kill or a full disk leaves,
+    /// keeps the saved model and no temporary file. A reader that
+    /// mapped the saved model keeps reading its bytes after another
+    /// model is saved over the path.
+    #[test]
+    fn an_unfinished_save_keeps_the_saved_model() {
+        let (a, d) = trained(1);
+        let (b, _) = trained(2);
+        let path = tmp("replaced.pgebin");
+        save_model_store(&a, &path).unwrap();
+        let a_bytes = std::fs::read(&path).unwrap();
+        let mapped = Snapshot::open(&path, MmapMode::On).unwrap();
+        assert!(mapped.is_mapped());
+
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        w.add_bytes(SEC_MODEL_HEADER, b"torn").unwrap();
+        drop(w);
+        assert!(std::fs::read(&path).unwrap() == a_bytes, "model A torn");
+        load(&path, &d).unwrap();
+        assert!(!tmp("replaced.pgebin.tmp").exists());
+
+        save_model_store(&b, &path).unwrap();
+        let b_bytes = std::fs::read(&path).unwrap();
+        assert_eq!(b_bytes.len(), a_bytes.len(), "same shapes, same size");
+        assert!(b_bytes != a_bytes);
+        for m in mapped.sections() {
+            let s = mapped.section(&m.name).unwrap();
+            let (at, len) = (m.offset as usize, m.len as usize);
+            assert!(s.bytes == &a_bytes[at..at + len], "{} changed", m.name);
+            assert_eq!(pge_tensor::crc32(s.bytes), m.crc32, "{}", m.name);
+        }
+    }
+
     /// Headers that used to reach a constructor `assert!` or size an
     /// allocation from an unchecked number are typed errors that name
     /// the header line.
