@@ -24,10 +24,10 @@
 //! * `ckpt.aux` — the confidence backend's auxiliary state.
 //!
 //! Every section carries its own CRC, so corruption is reported
-//! against a named section. The writer streams into `{file}.tmp`,
-//! fsyncs it, and renames it over the previous checkpoint, so a kill
-//! at any instant leaves either the previous checkpoint or the new one
-//! — never a torn file.
+//! against a named section. The writer commits through
+//! [`pge_store::Commit`] (`{file}.tmp`, fsync, rename), so a kill at
+//! any instant leaves either the previous checkpoint or the new one —
+//! never a torn file.
 //!
 //! Two fingerprints are stored and verified on resume:
 //!
@@ -276,10 +276,10 @@ impl TrainerState {
 
     /// Durably replace the checkpoint at `path` (its directory is
     /// created if missing) with this state plus `model`'s parameters
-    /// and Adam moments: write `{path}.tmp`, fsync, rename. Gradients
-    /// are zero at an epoch boundary (every batch applies and clears
-    /// them), so parameters + moments + step are the complete
-    /// optimizer state. Returns the checkpoint size in bytes.
+    /// and Adam moments. Gradients are zero at an epoch boundary (every
+    /// batch applies and clears them), so parameters + moments + step
+    /// are the complete optimizer state. Returns the checkpoint size
+    /// in bytes.
     pub fn store(&self, model: &PgeModel, path: &Path) -> Result<u64, PersistError> {
         let io = |what: &str, e: std::io::Error| {
             PersistError::Io(format!("{what} {}: {e}", path.display()))
@@ -287,9 +287,7 @@ impl TrainerState {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir).map_err(|e| io("create the directory of", e))?;
         }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let mut w = SnapshotWriter::create(Path::new(&tmp)).map_err(|e| io("create", e))?;
+        let mut w = SnapshotWriter::create(path).map_err(|e| io("create", e))?;
         write_model_sections(model, &mut w)?;
         let row = |w: &mut SnapshotWriter, name: &str, xs: &[f32]| {
             w.add_f32s(name, 1, xs.len() as u64, xs).map_err(io_err)
@@ -306,7 +304,6 @@ impl TrainerState {
         row(&mut w, "ckpt.confidence", &self.confidence)?;
         row(&mut w, "ckpt.aux", &self.aux)?;
         w.finish().map_err(|e| io("write", e))?;
-        fs::rename(&tmp, path).map_err(|e| io("rename onto", e))?;
         Ok(fs::metadata(path).map_err(|e| io("stat", e))?.len())
     }
 }

@@ -2,8 +2,8 @@
 //! shard.
 //!
 //! `checkpoint.json` lives in the scan's output directory and is
-//! rewritten atomically (write to a temp file, fsync, rename) each
-//! time a shard becomes durable. It records exactly how far the scan
+//! rewritten through [`pge_store::Commit`] (temp file, fsync, rename)
+//! each time a shard becomes durable. It records exactly how far the scan
 //! has progressed — input byte offset, line count, quarantine byte
 //! length — plus a CRC-32 per committed shard, so a killed scan can
 //! resume from the last durable shard, verify that nothing on disk
@@ -12,9 +12,10 @@
 
 use crate::pipeline::ScanError;
 use pge_obs::json::{parse, Json};
+use pge_store::Commit;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Manifest file name inside the scan output directory.
 pub const MANIFEST_FILE: &str = "checkpoint.json";
@@ -200,19 +201,17 @@ impl Manifest {
         Manifest::from_json(&json).map(Some)
     }
 
-    /// Durably replace the manifest in `out_dir`: write a temp file,
-    /// fsync it, rename over the old one. A kill at any point leaves
-    /// either the previous manifest or this one — never a torn file.
+    /// Durably replace the manifest in `out_dir`. A kill at any point
+    /// leaves either the previous manifest or this one — never a torn
+    /// file.
     pub fn store(&self, out_dir: &Path) -> Result<(), ScanError> {
-        let tmp: PathBuf = out_dir.join(format!("{MANIFEST_FILE}.tmp"));
-        let final_path = out_dir.join(MANIFEST_FILE);
+        let path = out_dir.join(MANIFEST_FILE);
         let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
+            let mut f = Commit::create(&path)?;
             writeln!(f, "{}", self.to_json())?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)
+            f.finish()
         };
-        write().map_err(|e| ScanError::io(format!("write {}", final_path.display()), e))
+        write().map_err(|e| ScanError::io(format!("write {}", path.display()), e))
     }
 }
 

@@ -7,9 +7,9 @@
 //! sharded [`EmbeddingCache`]); the committer (the calling thread)
 //! restores chunk order, appends rows to the current shard, routes
 //! malformed and unknown-attribute lines to the quarantine file, and
-//! after every `shard_chunks` chunks makes the shard durable
-//! (flush + fsync + rename) and atomically rewrites the checkpoint
-//! manifest.
+//! after every `shard_chunks` chunks commits the shard through
+//! [`pge_store::Commit`] and rewrites the checkpoint manifest the same
+//! way.
 //!
 //! **Determinism.** Scoring is a pure function of the row text (cache
 //! hits return byte-identical vectors), chunk boundaries depend only
@@ -37,11 +37,11 @@ use crate::checkpoint::{shard_file_name, Manifest, ShardEntry, MANIFEST_FILE, QU
 use pge_core::{CachedModel, EmbeddingCache, PgeModel, ScoreScratch};
 use pge_graph::{RawTriple, RawTripleError, RawTripleReader};
 use pge_obs::{span, Stage, Tracer, WorkerLedger};
-use pge_store::{CatalogReader, CatalogRecords, StoreError, CAT_MAGIC};
+use pge_store::{CatalogReader, CatalogRecords, Commit, StoreError, CAT_MAGIC};
 use pge_tensor::Crc32;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Seek, SeekFrom, Write as _};
+use std::io::{self, BufReader, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -207,8 +207,7 @@ struct ScoredChunk {
 
 /// An output shard being accumulated, not yet durable.
 struct ShardInProgress {
-    tmp: PathBuf,
-    file: BufWriter<File>,
+    file: Commit,
     crc: Crc32,
     bytes: u64,
     rows: u64,
@@ -242,17 +241,13 @@ struct Committer<'a> {
 impl<'a> Committer<'a> {
     fn shard(&mut self) -> Result<&mut ShardInProgress, ScanError> {
         if self.cur.is_none() {
-            let tmp = self.out_dir.join(format!(
-                "{}.tmp",
-                shard_file_name(self.manifest.shards.len())
-            ));
-            let file = File::create(&tmp)
-                .map_err(|e| ScanError::io(format!("create {}", tmp.display()), e))?;
+            let path = self
+                .out_dir
+                .join(shard_file_name(self.manifest.shards.len()));
+            let file = Commit::create(&path)
+                .map_err(|e| ScanError::io(format!("create {}.tmp", path.display()), e))?;
             self.cur = Some(ShardInProgress {
-                tmp,
-                // 256 KiB batches ~2k scored rows per write syscall;
-                // the stock 8 KiB buffer paid one every ~70 rows.
-                file: BufWriter::with_capacity(256 << 10, file),
+                file,
                 crc: Crc32::new(),
                 bytes: 0,
                 rows: 0,
@@ -336,24 +331,17 @@ impl<'a> Committer<'a> {
             .is_some_and(|s| s.chunks >= self.manifest.shard_chunks)
     }
 
-    /// Make the current shard durable and checkpoint: flush + fsync,
-    /// rename to its final name, fsync the quarantine, atomically
-    /// rewrite the manifest.
+    /// Make the current shard durable and checkpoint: commit the
+    /// shard, fsync the quarantine, commit the manifest.
     fn commit(&mut self) -> Result<(), ScanError> {
         let Some(sp) = self.cur.take() else {
             return Ok(());
         };
         let _s = span("scan.commit");
         let name = shard_file_name(self.manifest.shards.len());
-        let final_path = self.out_dir.join(&name);
-        let file = sp
-            .file
-            .into_inner()
-            .map_err(|e| ScanError::io(format!("flush {name}"), e.into_error()))?;
-        file.sync_all()
-            .map_err(|e| ScanError::io(format!("fsync {name}"), e))?;
-        drop(file);
-        fs::rename(&sp.tmp, &final_path).map_err(|e| ScanError::io(format!("rename {name}"), e))?;
+        sp.file
+            .finish()
+            .map_err(|e| ScanError::io(format!("commit {name}"), e))?;
         if self.q_bytes != self.q_synced_bytes {
             self.quarantine
                 .sync_all()

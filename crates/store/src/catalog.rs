@@ -23,20 +23,21 @@
 //!   bytes of title, attribute and value
 //! ```
 //!
-//! The writer streams records through a [`pge_tensor::Crc32`] and
-//! patches the header on [`CatalogWriter::finish`] — the commit
-//! point, exactly like the PGEBIN02 writer. The reader verifies the
+//! The writer streams records through a [`pge_tensor::Crc32`] into a
+//! [`Commit`] and patches the header on [`CatalogWriter::finish`] —
+//! the commit point, exactly like the PGEBIN02 writer. The reader verifies the
 //! whole body CRC at open (a tampered or truncated blob is rejected
 //! with a typed error before any record is served) and then iterates
 //! records from any byte offset, which is what lets a bulk scan
 //! resume mid-catalog.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use pge_tensor::Crc32;
 
+use crate::commit::Commit;
 use crate::StoreError;
 
 /// Magic bytes opening every PGECAT01 file.
@@ -55,7 +56,7 @@ pub struct CatalogSummary {
 
 /// Streaming PGECAT01 writer.
 pub struct CatalogWriter {
-    file: BufWriter<File>,
+    file: Commit,
     seed: u64,
     crc: Crc32,
     body_len: u64,
@@ -64,9 +65,14 @@ pub struct CatalogWriter {
 }
 
 impl CatalogWriter {
-    /// Start a new catalog at `path` (truncating).
+    /// Start a new catalog that replaces `path` only at [`finish`].
+    ///
+    /// [`finish`]: CatalogWriter::finish
     pub fn create(path: &Path, seed: u64) -> io::Result<CatalogWriter> {
-        let mut file = BufWriter::new(File::create(path)?);
+        CatalogWriter::over(Commit::create(path)?, seed)
+    }
+
+    pub(crate) fn over(mut file: Commit, seed: u64) -> io::Result<CatalogWriter> {
         file.write_all(&[0u8; CAT_HEADER_LEN as usize])?;
         Ok(CatalogWriter {
             file,
@@ -121,8 +127,8 @@ impl CatalogWriter {
         Ok(())
     }
 
-    /// Seal the catalog: write the header and flush. Not valid until
-    /// this returns `Ok`.
+    /// Seal the catalog: write the header and commit the file over
+    /// the path. Not valid until this returns `Ok`.
     pub fn finish(mut self) -> io::Result<CatalogSummary> {
         let body_crc = self.crc.finish();
         let mut header = [0u8; CAT_HEADER_LEN as usize];
@@ -137,8 +143,7 @@ impl CatalogWriter {
         header[52..56].copy_from_slice(&hcrc.to_le_bytes());
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header)?;
-        self.file.flush()?;
-        self.file.get_ref().sync_all()?;
+        self.file.finish()?;
         Ok(CatalogSummary {
             products: self.products,
             triples: self.triples,

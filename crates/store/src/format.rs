@@ -39,11 +39,12 @@
 //! CRC-32 so corruption is pinned to a named section instead of a
 //! whole-file failure.
 
-use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use pge_tensor::Crc32;
+
+use crate::commit::Commit;
 
 /// Magic bytes opening every PGEBIN02 file.
 pub const MAGIC2: &[u8; 8] = b"PGEBIN02";
@@ -110,21 +111,27 @@ struct PendingSection {
 /// Sections are written front to back without buffering payloads in
 /// memory — a multi-hundred-MB embedding bank streams straight to
 /// disk. The index and header are written by [`finish`], which is the
-/// commit point: a crashed writer leaves a file whose header is all
-/// zeros and is rejected by the reader as `UnknownFormat`.
+/// commit point: the file is written through a [`Commit`], so a
+/// crashed writer leaves only a `.tmp` sibling and the path keeps the
+/// snapshot it held.
 ///
 /// [`finish`]: SnapshotWriter::finish
 pub struct SnapshotWriter {
-    file: io::BufWriter<File>,
+    file: Commit,
     pos: u64,
     done: Vec<PendingSection>,
     open: Option<PendingSection>,
 }
 
 impl SnapshotWriter {
-    /// Start a new snapshot at `path` (truncating).
+    /// Start a new snapshot that replaces `path` only at [`finish`].
+    ///
+    /// [`finish`]: SnapshotWriter::finish
     pub fn create(path: &Path) -> io::Result<SnapshotWriter> {
-        let mut file = io::BufWriter::new(File::create(path)?);
+        SnapshotWriter::over(Commit::create(path)?)
+    }
+
+    pub(crate) fn over(mut file: Commit) -> io::Result<SnapshotWriter> {
         // Header placeholder; patched by finish().
         file.write_all(&[0u8; HEADER_LEN as usize])?;
         Ok(SnapshotWriter {
@@ -225,8 +232,8 @@ impl SnapshotWriter {
         self.end_section()
     }
 
-    /// Write the index, patch the header, and flush. The snapshot is
-    /// not valid until this returns `Ok`.
+    /// Write the index, patch the header, and commit the file over
+    /// the path. The snapshot is not valid until this returns `Ok`.
     pub fn finish(mut self) -> io::Result<()> {
         assert!(self.open.is_none(), "open section at finish");
         self.pad_to_alignment()?;
@@ -265,8 +272,7 @@ impl SnapshotWriter {
 
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header)?;
-        self.file.flush()?;
-        self.file.get_ref().sync_all()
+        self.file.finish()
     }
 
     fn pad_to_alignment(&mut self) -> io::Result<()> {

@@ -16,6 +16,10 @@
 //!   triples for paper-scale datagen and bulk scans, with whole-body
 //!   CRC verification at open.
 //!
+//! Every writer of the stack commits its file through [`Commit`]
+//! (temporary sibling, fsync, rename, directory fsync), so no file
+//! is replaced until it is whole.
+//!
 //! Heap fallbacks exist for every mapped path (`--mmap off`), and the
 //! two backings are bit-identical by construction: rows on disk are
 //! the exact bit patterns the encoder produced.
@@ -28,6 +32,7 @@ compile_error!("pge-store serves PGEBIN02 sections in place and requires a littl
 
 pub mod bank;
 pub mod catalog;
+pub mod commit;
 pub mod format;
 pub mod mmap;
 pub mod reader;
@@ -36,6 +41,7 @@ pub use bank::{BankBuilder, EmbeddingBank, DEFAULT_RESIDENT_BUDGET};
 pub use catalog::{
     CatalogReader, CatalogRecord, CatalogRecords, CatalogSummary, CatalogWriter, CAT_MAGIC,
 };
+pub use commit::Commit;
 pub use format::{SectionKind, SnapshotWriter, MAGIC2};
 pub use mmap::{page_size, MmapMode};
 pub use reader::{peek_magic, Snapshot};

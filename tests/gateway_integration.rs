@@ -726,9 +726,10 @@ fn reload_swaps_snapshot_and_rejects_corrupt_one() {
 /// A reload pointed at a PGEBIN02 snapshot that is still being
 /// written (truncated prefix on disk) answers a retryable 503, leaves
 /// `reload_busy` clear so the retry is admitted, and the retry against
-/// the completed file swaps cleanly. This is the exact sequence the
-/// incremental trainer's push loop produces when it races the
-/// writer's rename-free snapshot publication. The client retries on
+/// the completed file swaps cleanly. The stack's own writers commit
+/// by rename, so a torn snapshot reaches a reload only from outside
+/// the program (a copy in progress, a full disk); it stays a
+/// retryable answer, not a fatal one. The client retries on
 /// one keep-alive connection the moment each answer is read, 67
 /// times per cut: `reload_busy` must be clear by then, never a 409.
 #[test]
