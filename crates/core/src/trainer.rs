@@ -38,7 +38,9 @@ use parking_lot::Mutex;
 use pge_graph::{apply_window, Dataset, DeltaWindow, NegativeSampler, SamplingMode, Triple};
 use pge_nn::conv::CnnEncCache;
 use pge_nn::{AdamHparams, CnnConfig, CnnGrads, Embedding, SparseRowGrads};
-use pge_obs::{epoch_event, global_tracer, span, stats_event, EpochTelemetry, RunLog, Stage};
+use pge_obs::{
+    epoch_event, global_tracer, span, splitmix64, stats_event, EpochTelemetry, RunLog, Stage,
+};
 use pge_tensor::ops;
 use pge_text::word2vec::{train_word2vec, Word2VecConfig};
 use rand::rngs::StdRng;
@@ -72,14 +74,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         requested.min(cpus)
     };
     n.clamp(1, GRAD_LANES)
-}
-
-/// SplitMix64 finalizer — decorrelates nearby seed inputs.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Seed of the private RNG stream for one training triple in one

@@ -36,13 +36,6 @@ impl Table {
         self
     }
 
-    /// Convenience: label + f32 metrics formatted to 3 decimals.
-    pub fn metric_row(&mut self, label: &str, values: &[f32]) -> &mut Self {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.3}")));
-        self.row(&cells)
-    }
-
     /// Render with box-drawing-free ASCII (stable under diffing).
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -92,8 +85,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new("Demo", &["Method", "PR AUC", "R@P=0.7"]);
-        t.metric_row("PGE(CNN)-RotatE", &[0.745, 0.729]);
-        t.metric_row("RotatE", &[0.597, 0.405]);
+        t.row(&["PGE(CNN)-RotatE".into(), "0.745".into(), "0.729".into()]);
+        t.row(&["RotatE".into(), "0.597".into(), "0.405".into()]);
         let r = t.render();
         assert!(r.contains("== Demo =="));
         assert!(r.contains("PGE(CNN)-RotatE"));

@@ -12,6 +12,8 @@
 //!   slice spread evenly), so a scale-out does not cold-start every
 //!   cache at once.
 
+use pge_obs::splitmix64;
+
 /// FNV-1a over the key bytes — the same cheap hash the embedding
 /// cache shards by, applied to the routing key. It copies
 /// `pge_tensor::fnv1a` rather than calling it: this crate has no
@@ -24,14 +26,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
-}
-
-/// splitmix64 — mixes the (replica, vnode) pair into a ring point.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 /// A fixed consistent-hash ring over `replicas` replicas.

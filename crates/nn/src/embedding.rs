@@ -179,8 +179,8 @@ impl Embedding {
         out
     }
 
-    /// Rows currently touched (for tests/diagnostics).
-    pub fn touched_rows(&self) -> &[usize] {
+    #[cfg(test)]
+    fn touched_rows(&self) -> &[usize] {
         &self.touched
     }
 

@@ -46,6 +46,6 @@ pub use span::{
     reset_spans, set_spans_enabled, span, span_snapshot, spans_enabled, SpanGuard, SpanRecord,
 };
 pub use trace::{
-    global_tracer, FlightRecorder, RetainedTrace, Stage, TraceEvent, TraceIdGen, Tracer,
+    global_tracer, splitmix64, FlightRecorder, RetainedTrace, Stage, TraceEvent, TraceIdGen, Tracer,
 };
 pub use worker::{WorkerLedger, WorkerStats};

@@ -219,7 +219,8 @@ impl Matrix {
     }
 
     /// Maximum absolute element (0 for an empty matrix).
-    pub fn max_abs(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, x| m.max(x.abs()))
     }
 }

@@ -207,19 +207,6 @@ fn sgns_pair<O: Ops>(
     kern.axpy(-lr * g, vi, vo);
 }
 
-/// Most similar words to `id` by cosine over the vector table
-/// (excluding reserved ids and `id` itself).
-pub fn most_similar(vectors: &Matrix, id: u32, top_k: usize) -> Vec<(u32, f32)> {
-    let target = vectors.row(id as usize);
-    let mut sims: Vec<(u32, f32)> = (3..vectors.rows() as u32)
-        .filter(|&j| j != id)
-        .map(|j| (j, ops::cosine(target, vectors.row(j as usize))))
-        .collect();
-    sims.sort_by(|a, b| b.1.total_cmp(&a.1));
-    sims.truncate(top_k);
-    sims
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,28 +253,6 @@ mod tests {
             intra1 > inter && intra2 > inter,
             "intra1={intra1} intra2={intra2} inter={inter}"
         );
-    }
-
-    #[test]
-    fn most_similar_finds_cluster_mates() {
-        let mut vocab = Vocab::new();
-        let sentences = cluster_corpus(&mut vocab);
-        let cfg = Word2VecConfig {
-            epochs: 8,
-            ..Default::default()
-        };
-        let vecs = train_word2vec(&vocab, &sentences, &cfg);
-        let spicy = vocab.get("spicy").unwrap();
-        let top: Vec<String> = most_similar(&vecs, spicy, 3)
-            .into_iter()
-            .map(|(id, _)| vocab.word(id).to_string())
-            .collect();
-        let spicy_cluster = ["pepper", "chipotle", "cayenne", "hot", "jalapeno", "heat"];
-        let hits = top
-            .iter()
-            .filter(|w| spicy_cluster.contains(&w.as_str()))
-            .count();
-        assert!(hits >= 2, "nearest to 'spicy' were {top:?}");
     }
 
     #[test]
