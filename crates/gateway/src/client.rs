@@ -65,8 +65,8 @@ fn push_once(addr: &str, snapshot: &Path) -> Result<(u16, String), String> {
 ///
 /// Retried (consuming one attempt each): connection/transport errors,
 /// `409` (another reload in flight), and `503` (the gateway classed
-/// the failure retryable — e.g. the snapshot's CRC check raced a
-/// writer that had not patched the header yet). Any other non-200 is
+/// the failure retryable — e.g. the snapshot is torn, copied in from
+/// outside and not yet whole). Any other non-200 is
 /// a hard error. The backoff doubles per retry from
 /// `backoff_ms`, capped at two seconds.
 ///

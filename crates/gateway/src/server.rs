@@ -632,9 +632,9 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
                             ])
                             .to_string(),
                         ),
-                        // 503 + retryable: the snapshot is likely
-                        // still being written; clients back off and
-                        // resend. Hard failures are 500 and say so.
+                        // 503 + retryable: the snapshot is torn,
+                        // likely still being copied in; clients back
+                        // off and resend. Hard failures are 500.
                         Err(e) => (
                             if e.retryable { 503 } else { 500 },
                             Json::Obj(vec![

@@ -244,7 +244,9 @@ impl<'a> Committer<'a> {
             let path = self
                 .out_dir
                 .join(shard_file_name(self.manifest.shards.len()));
-            let file = Commit::create(&path)
+            // 256 KiB batches ~2k scored rows per write syscall;
+            // the stock 8 KiB buffer paid one every ~70 rows.
+            let file = Commit::with_capacity(256 << 10, &path)
                 .map_err(|e| ScanError::io(format!("create {}.tmp", path.display()), e))?;
             self.cur = Some(ShardInProgress {
                 file,

@@ -65,14 +65,9 @@ pub struct CatalogWriter {
 }
 
 impl CatalogWriter {
-    /// Start a new catalog that replaces `path` only at [`finish`].
-    ///
-    /// [`finish`]: CatalogWriter::finish
+    /// Start a new catalog that replaces `path` only at [`finish`](Self::finish).
     pub fn create(path: &Path, seed: u64) -> io::Result<CatalogWriter> {
-        CatalogWriter::over(Commit::create(path)?, seed)
-    }
-
-    pub(crate) fn over(mut file: Commit, seed: u64) -> io::Result<CatalogWriter> {
+        let mut file = Commit::create(path)?;
         file.write_all(&[0u8; CAT_HEADER_LEN as usize])?;
         Ok(CatalogWriter {
             file,

@@ -124,14 +124,9 @@ pub struct SnapshotWriter {
 }
 
 impl SnapshotWriter {
-    /// Start a new snapshot that replaces `path` only at [`finish`].
-    ///
-    /// [`finish`]: SnapshotWriter::finish
+    /// Start a new snapshot that replaces `path` only at [`finish`](Self::finish).
     pub fn create(path: &Path) -> io::Result<SnapshotWriter> {
-        SnapshotWriter::over(Commit::create(path)?)
-    }
-
-    pub(crate) fn over(mut file: Commit) -> io::Result<SnapshotWriter> {
+        let mut file = Commit::create(path)?;
         // Header placeholder; patched by finish().
         file.write_all(&[0u8; HEADER_LEN as usize])?;
         Ok(SnapshotWriter {

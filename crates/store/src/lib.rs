@@ -16,9 +16,7 @@
 //!   triples for paper-scale datagen and bulk scans, with whole-body
 //!   CRC verification at open.
 //!
-//! Every writer of the stack commits its file through [`Commit`]
-//! (temporary sibling, fsync, rename, directory fsync), so no file
-//! is replaced until it is whole.
+//! Every writer commits its file through [`mod@commit`].
 //!
 //! Heap fallbacks exist for every mapped path (`--mmap off`), and the
 //! two backings are bit-identical by construction: rows on disk are

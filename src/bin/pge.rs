@@ -124,15 +124,23 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// `or_exit!(result, "format", args..)`: the result's value, or exit 1
+/// with `format: error` on stderr.
+macro_rules! or_exit {
+    ($res:expr, $($what:tt)+) => {
+        $res.unwrap_or_else(|e| {
+            eprintln!("{}: {e}", format_args!($($what)+));
+            exit(1)
+        })
+    };
+}
+
 /// Open the `--runlog` sink if requested, enabling span timers for
 /// the rest of the process (they stay disabled — near-zero cost —
 /// otherwise).
 fn open_runlog(path: Option<String>) -> Option<RunLog> {
     let path = path?;
-    let log = RunLog::create(&path).unwrap_or_else(|e| {
-        eprintln!("cannot open runlog {path}: {e}");
-        exit(1)
-    });
+    let log = or_exit!(RunLog::create(&path), "cannot open runlog {path}");
     set_spans_enabled(true);
     Some(log)
 }
@@ -177,30 +185,22 @@ fn parse_mmap(flags: &HashMap<String, String>) -> MmapMode {
 
 /// Read a PGEBIN02 model snapshot; `mode` picks its backing.
 fn load_model_file(path: &str, graph: &ProductGraph, mode: MmapMode) -> PgeModel {
-    load_model_auto_path(Path::new(path), graph, mode, DEFAULT_RESIDENT_BUDGET).unwrap_or_else(
-        |e| {
-            eprintln!("cannot load model {path}: {e}");
-            exit(1)
-        },
+    or_exit!(
+        load_model_auto_path(Path::new(path), graph, mode, DEFAULT_RESIDENT_BUDGET),
+        "cannot load model {path}",
     )
 }
 
 fn save_model_file(model: &PgeModel, path: &str) {
-    save_model_store(model, Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1)
-    });
+    or_exit!(
+        save_model_store(model, Path::new(path)),
+        "cannot write {path}",
+    );
 }
 
 fn load_dataset(path: &str) -> Dataset {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1)
-    });
-    from_tsv(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        exit(1)
-    })
+    let text = or_exit!(std::fs::read_to_string(path), "cannot read {path}");
+    or_exit!(from_tsv(&text), "cannot parse {path}")
 }
 
 fn main() {
@@ -210,10 +210,7 @@ fn main() {
     // which parse_flags rejects.
     if cmd == "report" || cmd == "trace" || cmd == "check-metrics" {
         let [_, path] = args.as_slice() else { usage() };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
+        let text = or_exit!(std::fs::read_to_string(path), "cannot read {path}");
         let rendered = match cmd.as_str() {
             "report" => render_report(&text),
             "trace" => render_traces(&text),
@@ -224,13 +221,7 @@ fn main() {
                 format!("{path}: OK ({families} metric families)\n")
             }),
         };
-        match rendered {
-            Ok(out) => print!("{out}"),
-            Err(e) => {
-                eprintln!("cannot summarize {path}: {e}");
-                exit(1)
-            }
-        }
+        print!("{}", or_exit!(rendered, "cannot summarize {path}"));
         return;
     }
     let flags = parse_flags(&args[1..]).unwrap_or_else(|e| {
@@ -261,18 +252,14 @@ fn main() {
                     seed,
                     ..CatalogConfig::default()
                 };
-                let mut w = CatalogWriter::create(Path::new(&cat_out), seed).unwrap_or_else(|e| {
-                    eprintln!("cannot create {cat_out}: {e}");
-                    exit(1)
-                });
-                let stats = stream_catalog(&cfg, &mut w).unwrap_or_else(|e| {
-                    eprintln!("cannot write {cat_out}: {e}");
-                    exit(1)
-                });
-                let summary = w.finish().unwrap_or_else(|e| {
-                    eprintln!("cannot finish {cat_out}: {e}");
-                    exit(1)
-                });
+                // Errors return through the closure, so the writer's
+                // `.tmp` is removed before the process exits.
+                let written = (|| -> std::io::Result<_> {
+                    let mut w = CatalogWriter::create(Path::new(&cat_out), seed)?;
+                    let stats = stream_catalog(&cfg, &mut w)?;
+                    Ok((stats, w.finish()?))
+                })();
+                let (stats, summary) = or_exit!(written, "cannot write {cat_out}");
                 println!(
                     "wrote {cat_out}: {} products, {} triples ({:.1} MB, seed {seed})",
                     stats.products,
@@ -311,22 +298,14 @@ fn main() {
                 _ => usage(),
             };
             let text = to_tsv(&dataset).expect("generated datasets serialize");
-            std::fs::write(&out, text).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                exit(1)
-            });
+            or_exit!(std::fs::write(&out, text), "cannot write {out}");
             // A raw triple dump (`title \t attr \t value`, no labels)
             // is the input format `pge scan` consumes.
             if let Some(scan_out) = get("scan-out") {
-                let file = std::fs::File::create(&scan_out).unwrap_or_else(|e| {
-                    eprintln!("cannot write {scan_out}: {e}");
-                    exit(1)
-                });
-                let n = write_raw_triples(&dataset, std::io::BufWriter::new(file)).unwrap_or_else(
-                    |e| {
-                        eprintln!("cannot write {scan_out}: {e}");
-                        exit(1)
-                    },
+                let file = or_exit!(std::fs::File::create(&scan_out), "cannot write {scan_out}");
+                let n = or_exit!(
+                    write_raw_triples(&dataset, std::io::BufWriter::new(file)),
+                    "cannot write {scan_out}",
                 );
                 println!("wrote {scan_out}: {n} raw triples for bulk scanning");
             }
@@ -354,25 +333,19 @@ fn main() {
                     ..DriftConfig::default()
                 };
                 let scenario = generate_drift(&dataset, cat_cfg, &dcfg);
-                let file = std::fs::File::create(&drift_out).unwrap_or_else(|e| {
-                    eprintln!("cannot write {drift_out}: {e}");
-                    exit(1)
-                });
-                write_delta_stream(&scenario.windows, std::io::BufWriter::new(file))
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot write {drift_out}: {e}");
-                        exit(1)
-                    });
+                let file = or_exit!(
+                    std::fs::File::create(&drift_out),
+                    "cannot write {drift_out}",
+                );
+                or_exit!(
+                    write_delta_stream(&scenario.windows, std::io::BufWriter::new(file)),
+                    "cannot write {drift_out}",
+                );
                 let eval_out = get("drift-eval-out").unwrap_or_else(|| format!("{drift_out}.eval"));
-                let file = std::fs::File::create(&eval_out).unwrap_or_else(|e| {
-                    eprintln!("cannot write {eval_out}: {e}");
-                    exit(1)
-                });
-                write_drift_eval(&scenario.eval, std::io::BufWriter::new(file)).unwrap_or_else(
-                    |e| {
-                        eprintln!("cannot write {eval_out}: {e}");
-                        exit(1)
-                    },
+                let file = or_exit!(std::fs::File::create(&eval_out), "cannot write {eval_out}");
+                or_exit!(
+                    write_drift_eval(&scenario.eval, std::io::BufWriter::new(file)),
+                    "cannot write {eval_out}",
                 );
                 let ops_total: usize = scenario.windows.iter().map(|w| w.ops.len()).sum();
                 println!(
@@ -428,15 +401,14 @@ fn main() {
                     eprintln!("--incremental needs --checkpoint DIR (the base run's checkpoint; add --resume to continue a killed ingest)");
                     exit(2)
                 };
-                let file = std::fs::File::open(&deltas_path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {deltas_path}: {e}");
-                    exit(1)
-                });
-                let windows =
-                    read_delta_stream(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-                        eprintln!("cannot parse {deltas_path}: {e}");
-                        exit(1)
-                    });
+                let file = or_exit!(
+                    std::fs::File::open(&deltas_path),
+                    "cannot read {deltas_path}",
+                );
+                let windows = or_exit!(
+                    read_delta_stream(std::io::BufReader::new(file)),
+                    "cannot parse {deltas_path}",
+                );
                 let snapshot_dir =
                     get("snapshot-dir").unwrap_or_else(|| format!("{out}.snapshots"));
                 let mut inc = IncrementalConfig::new(std::path::PathBuf::from(snapshot_dir));
@@ -486,19 +458,18 @@ fn main() {
                     );
                     Ok(Some(p.version))
                 };
-                let outcome = train_incremental_with(
-                    &data,
-                    &windows,
-                    &cfg,
-                    &inc,
-                    &ckpt,
-                    log.as_ref(),
-                    &mut push_window,
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("incremental training failed: {e}");
-                    exit(1)
-                });
+                let outcome = or_exit!(
+                    train_incremental_with(
+                        &data,
+                        &windows,
+                        &cfg,
+                        &inc,
+                        &ckpt,
+                        log.as_ref(),
+                        &mut push_window,
+                    ),
+                    "incremental training failed",
+                );
                 println!(
                     "ingested {} of {} windows in {:.1}s ({} train triples now)",
                     outcome.windows_done,
@@ -554,11 +525,10 @@ fn main() {
                         opts.dir.display()
                     );
                 }
-                let trained = train_pge_resumable(&data, &cfg, log.as_ref(), ckpt.as_ref())
-                    .unwrap_or_else(|e| {
-                        eprintln!("training failed: {e}");
-                        exit(1)
-                    });
+                let trained = or_exit!(
+                    train_pge_resumable(&data, &cfg, log.as_ref(), ckpt.as_ref()),
+                    "training failed",
+                );
                 println!(
                     "done in {:.1}s (loss {:.3} -> {:.3})",
                     trained.train_secs,
@@ -591,25 +561,19 @@ fn main() {
             let model = load_model_file(&model_path, &data.graph, parse_mmap(&flags));
             let catalog_path = require("catalog");
             let out = require("out");
-            let reader = CatalogReader::open(Path::new(&catalog_path)).unwrap_or_else(|e| {
-                eprintln!("cannot open catalog {catalog_path}: {e}");
-                exit(1)
-            });
+            let reader = or_exit!(
+                CatalogReader::open(Path::new(&catalog_path)),
+                "cannot open catalog {catalog_path}",
+            );
             println!(
                 "collecting keys from {catalog_path} ({} products, {} triples) ...",
                 reader.products(),
                 reader.triples()
             );
             let mut builder = BankBuilder::new();
-            let records = reader.records().unwrap_or_else(|e| {
-                eprintln!("cannot read catalog {catalog_path}: {e}");
-                exit(1)
-            });
+            let records = or_exit!(reader.records(), "cannot read catalog {catalog_path}");
             for rec in records {
-                let rec = rec.unwrap_or_else(|e| {
-                    eprintln!("catalog read failed: {e}");
-                    exit(1)
-                });
+                let rec = or_exit!(rec, "catalog read failed");
                 builder.add(&rec.title);
                 builder.add(&rec.value);
             }
@@ -618,31 +582,22 @@ fn main() {
                 "embedding {n_keys} distinct strings (dim {}) ...",
                 model.dim()
             );
-            let mut w = SnapshotWriter::create(Path::new(&out)).unwrap_or_else(|e| {
-                eprintln!("cannot create {out}: {e}");
-                exit(1)
-            });
-            write_model_sections(&model, &mut w).unwrap_or_else(|e| {
-                eprintln!("cannot write model sections: {e}");
-                exit(1)
-            });
             let mut done = 0usize;
-            builder
-                .write_sections(&mut w, model.dim(), |key, row| {
+            // Errors return through the closure, so the writer's `.tmp`
+            // is removed before the process exits.
+            let written = (|| -> Result<(), Box<dyn std::error::Error>> {
+                let mut w = SnapshotWriter::create(Path::new(&out))?;
+                write_model_sections(&model, &mut w)?;
+                builder.write_sections(&mut w, model.dim(), |key, row| {
                     row.extend_from_slice(&model.embed_text_uncached(key));
                     done += 1;
                     if done.is_multiple_of(100_000) {
                         println!("  {done}/{n_keys} rows");
                     }
-                })
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot write bank sections: {e}");
-                    exit(1)
-                });
-            w.finish().unwrap_or_else(|e| {
-                eprintln!("cannot finish {out}: {e}");
-                exit(1)
-            });
+                })?;
+                Ok(w.finish()?)
+            })();
+            or_exit!(written, "cannot write {out}");
             let table_mb = (n_keys * model.dim() * 4) as f64 / 1e6;
             println!("wrote {out}: model + {n_keys}-row embedding bank ({table_mb:.1} MB of rows)");
         }
@@ -767,11 +722,10 @@ fn main() {
             };
             let replicas = cfg.replicas;
             let valid = data.valid.clone();
-            let handle = pge::gateway::start(model, data.graph, valid, threshold, cfg)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot start gateway: {e}");
-                    exit(1)
-                });
+            let handle = or_exit!(
+                pge::gateway::start(model, data.graph, valid, threshold, cfg),
+                "cannot start gateway",
+            );
             pge::serve::install_handlers();
             println!(
                 "serving on http://{} ({replicas} replicas) — SIGHUP to hot-swap {model_path}, ctrl-c to stop",
@@ -837,17 +791,16 @@ fn main() {
             if let Some(ms) = get("trace-slow").and_then(|s| s.parse().ok()) {
                 tracer.set_threshold(std::time::Duration::from_millis(ms));
             }
-            let outcome = pge::scan::scan_with_tracer(
-                &model,
-                det.threshold,
-                std::path::Path::new(&input),
-                &cfg,
-                &tracer,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("scan failed: {e}");
-                exit(1)
-            });
+            let outcome = or_exit!(
+                pge::scan::scan_with_tracer(
+                    &model,
+                    det.threshold,
+                    std::path::Path::new(&input),
+                    &cfg,
+                    &tracer,
+                ),
+                "scan failed",
+            );
             println!(
                 "scanned {} rows ({:.0} rows/s): {} flagged, {} quarantined, {} shards in {out_dir}",
                 outcome.rows_scanned,
