@@ -6,7 +6,8 @@
 //! behind an `RwLock<Arc<_>>`. Workers clone the `Arc` once per
 //! micro-batch, so a swap never stalls or fails an in-flight request
 //! — jobs already picked up finish on the snapshot they started
-//! with, and the next batch sees the new one. The embedding cache
+//! with, and the next batch sees the new one. A worker holds the
+//! state of its last batch until its next batch starts. The embedding cache
 //! lives *inside* the state and is replaced with it: cached vectors
 //! are a function of the model weights, so a swapped model must start
 //! from a cold cache or it would serve stale embeddings.
@@ -47,10 +48,12 @@ impl ModelState {
         }
     }
 
-    /// Score a request's items through the replica's cache. Identical
-    /// math to offline `Detector::scores`: the cache is keyed by exact
-    /// text and the encoder is pure, so served plausibilities are
-    /// bit-identical to scoring the same triples offline.
+    /// Score a request's items through the replica's cache, in a
+    /// session of their own. Identical math to offline
+    /// `Detector::scores`: the cache is keyed by exact text and the
+    /// encoder is pure, so served plausibilities are bit-identical to
+    /// scoring the same triples offline. [`worker_loop`] scores through
+    /// the same [`score_items`] but keeps its session across jobs.
     pub fn score_items(&self, items: &[ScoreItem]) -> Vec<ItemScore> {
         let cm = CachedModel::new(&self.model, &self.cache);
         score_items(&cm, items, self.threshold, &mut ScoreScratch::default())
@@ -154,6 +157,12 @@ impl Replica {
 /// Worker loop for replica `ix`: drain micro-batches, score each job
 /// against the state current at batch start, post completions, poke
 /// the event loop. Exits when the queue is closed and empty.
+///
+/// The worker keeps one scoring session for its whole life: one
+/// [`ScoreScratch`] (title memo and encoder buffers), and one
+/// [`CachedModel`] (prepared relations and attribute index), rebuilt
+/// only when a batch starts on a new [`ModelState`]. A new session
+/// has a new memo tag, so nothing memoized crosses a swap.
 pub fn worker_loop(
     ix: usize,
     replica: &Replica,
@@ -164,6 +173,9 @@ pub fn worker_loop(
 ) {
     let mut jobs: Vec<Job> = Vec::new();
     let mut out: Vec<Completion> = Vec::new();
+    let mut scratch = ScoreScratch::default();
+    let mut state = replica.current();
+    let mut session = CachedModel::new(&state.model, &state.cache);
     while replica.queue.pop_batch(max_batch.max(1), &mut jobs) {
         let _batch_span = span("gateway.batch");
         // Fault injection: the stall runs before any job's `dequeue`
@@ -176,7 +188,12 @@ pub fn worker_loop(
         let rm = &metrics.replicas[ix];
         rm.queue_depth.set(replica.queue.len() as f64);
         // The swap boundary: state is pinned for this whole batch.
-        let state = replica.current();
+        let current = replica.current();
+        if !Arc::ptr_eq(&current, &state) {
+            drop(session);
+            state = current;
+            session = CachedModel::new(&state.model, &state.cache);
+        }
         let batch_size = jobs.len() as u64;
         for job in jobs.drain(..) {
             tracer.record(job.trace, Stage::Dequeue, ix as u64);
@@ -187,7 +204,7 @@ pub fn worker_loop(
             let (h0, m0) = (state.cache.hits(), state.cache.misses());
             tracer.record(job.trace, Stage::Score, job.items.len() as u64);
             let score_start = Instant::now();
-            let scores = state.score_items(&job.items);
+            let scores = score_items(&session, &job.items, state.threshold, &mut scratch);
             metrics
                 .stage_score
                 .observe(score_start.elapsed().as_secs_f64());
@@ -242,6 +259,102 @@ mod tests {
             arr[1].get("detail").unwrap().as_str(),
             Some("unknown attribute")
         );
+    }
+
+    #[test]
+    fn worker_session_never_crosses_a_swap() {
+        use pge_core::{train_pge, PgeConfig};
+        use pge_datagen::{generate_catalog, CatalogConfig};
+
+        let data = generate_catalog(&CatalogConfig {
+            products: 40,
+            labeled: 10,
+            seed: 17,
+            ..CatalogConfig::tiny()
+        });
+        let train = |epochs| {
+            let cfg = PgeConfig {
+                epochs,
+                ..PgeConfig::tiny()
+            };
+            Arc::new(train_pge(&data, &cfg).model)
+        };
+        let (a, b) = (train(1), train(2));
+        // One product's triples: every job shares its title, so a memo
+        // or a prepared relation kept past the swap would score a job
+        // with the other model's vectors.
+        let g = &data.graph;
+        let product = g.triples()[0].product;
+        let triples: Vec<ScoreItem> = g
+            .triples()
+            .iter()
+            .filter(|t| t.product == product)
+            .map(|t| ScoreItem {
+                title: g.title(t.product).to_string(),
+                attr: g.attr_name(t.attr).to_string(),
+                value: g.value_text(t.value).to_string(),
+            })
+            .collect();
+        assert!(triples.len() >= 2, "the test needs two attributes");
+        let bits = |model: &PgeModel, it: &ScoreItem| {
+            model
+                .score_text_triple(&it.title, &it.attr, &it.value)
+                .unwrap()
+                .to_bits()
+        };
+        assert_ne!(bits(&a, &triples[0]), bits(&b, &triples[0]));
+
+        let replica = Replica::new(ModelState::new(a.clone(), 0.0, 64, 0), 16);
+        let sink = CompletionSink::new().unwrap();
+        let metrics = GatewayMetrics::new(1);
+        let tracer = Tracer::default();
+        // Submit one job per triple, then wait for all their answers.
+        let run = |first_seq: u64| -> Vec<Completion> {
+            for (i, it) in triples.iter().enumerate() {
+                let job = Job {
+                    conn: 0,
+                    seq: first_seq + i as u64,
+                    items: vec![it.clone()],
+                    enqueued: Instant::now(),
+                    trace: 0,
+                };
+                assert!(replica.queue.try_push(job).is_ok());
+            }
+            let (mut done, start) = (Vec::new(), Instant::now());
+            while done.len() < triples.len() {
+                assert!(start.elapsed() < Duration::from_secs(30), "worker stalled");
+                std::thread::sleep(Duration::from_millis(1));
+                sink.drain_into(&mut done);
+            }
+            done.sort_by_key(|c| c.seq);
+            done
+        };
+        let check = |model: &PgeModel, done: &[Completion]| {
+            for (c, it) in done.iter().zip(&triples) {
+                let body = pge_obs::json::parse(&c.body).unwrap();
+                let served = body.as_array().unwrap()[0]
+                    .get("plausibility")
+                    .and_then(Json::as_f64)
+                    .unwrap() as f32;
+                assert_eq!(served.to_bits(), bits(model, it), "{}", it.attr);
+            }
+        };
+        // Closing the queue ends the worker, also when a check fails.
+        struct CloseOnDrop<'a>(&'a Replica);
+        impl Drop for CloseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.queue.close();
+            }
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| worker_loop(0, &replica, &sink, &metrics, &tracer, 4));
+            let _close = CloseOnDrop(&replica);
+            check(&a, &run(0));
+            replica.swap(ModelState::new(b.clone(), 0.0, 64, 1));
+            check(&b, &run(100));
+            replica.swap(ModelState::new(a.clone(), 0.0, 64, 2));
+            check(&a, &run(200));
+        });
     }
 
     #[test]

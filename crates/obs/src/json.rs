@@ -1,11 +1,14 @@
 //! A small JSON parser/serializer shared by the run-log sink, the
 //! `pge report` reader, and the `/v1/score` wire protocol.
+//! [`parse`] builds a [`Json`] tree; [`parse_records`] drives the same
+//! parser over an array of flat records and builds only the records.
 //!
 //! The build environment is offline, so there is no serde; this
 //! implements RFC 8259 minus two liberties we don't need to take:
 //! numbers are parsed as `f64`, and `\u` escapes outside the BMP must
 //! come as surrogate pairs (lone surrogates are rejected).
 
+use std::borrow::Cow;
 use std::fmt;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -96,19 +99,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a JSON string literal. Each run of characters that
+/// needs no escape goes out in one `write_str`; every escaped
+/// character is ASCII, so the runs end on char boundaries.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | ..=0x1f) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -129,18 +141,69 @@ impl std::error::Error for ParseError {}
 /// Parse one JSON document. Linear in `text.len()`: string bodies are
 /// copied one unescaped run at a time, never re-validated.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
+    p.end()?;
     Ok(v)
+}
+
+/// Why [`parse_records`] refused a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordsError {
+    /// Not JSON: exactly the error [`parse`] returns.
+    Syntax(ParseError),
+    /// Valid JSON that is not an array.
+    NotArray,
+    /// Valid JSON whose element at this index is the first that is not
+    /// an object with a string under every key.
+    Record(usize),
+}
+
+/// Decode a JSON array of objects straight into `T`s: `make` gets each
+/// element's string values under `keys`, in `keys` order. Other
+/// members are checked and dropped; no key and no dropped value is
+/// copied.
+///
+/// The answer is the one [`parse`] followed by [`Json::get`] and
+/// [`Json::as_str`] per element would give: the same errors at the
+/// same offsets, a syntax error anywhere before any shape fault, the
+/// first occurrence of a repeated key, and the same depth limit.
+pub fn parse_records<T, const N: usize>(
+    text: &str,
+    keys: [&str; N],
+    mut make: impl FnMut([String; N]) -> T,
+) -> Result<Vec<T>, RecordsError> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    let mut out = Vec::new();
+    // The first shape fault. It stands only once the whole document
+    // has parsed, so later elements are still checked, just not built.
+    let mut fault = None;
+    if p.peek() == Some(b'[') {
+        let mut index = 0;
+        p.list(b']', |p| {
+            if fault.is_none() {
+                match p.record(&keys)? {
+                    Some(fields) => out.push(make(fields)),
+                    None => fault = Some(RecordsError::Record(index)),
+                }
+            } else {
+                p.skip(1)?;
+            }
+            index += 1;
+            Ok(())
+        })
+        .map_err(RecordsError::Syntax)?;
+    } else {
+        fault = Some(RecordsError::NotArray);
+        p.skip(0).map_err(RecordsError::Syntax)?;
+    }
+    p.end().map_err(RecordsError::Syntax)?;
+    match fault {
+        Some(fault) => Err(fault),
+        None => Ok(out),
+    }
 }
 
 const MAX_DEPTH: usize = 64;
@@ -152,7 +215,15 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -168,6 +239,15 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// After the document's one value, only whitespace may follow.
+    fn end(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing data"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -196,86 +276,147 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.list(b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.list(b'}', |p| {
+                    let key = p.key()?.into_owned();
+                    pairs.push((key, p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// Check one value exactly as [`Parser::value`] would, building
+    /// nothing.
+    fn skip(&mut self, depth: usize) -> Result<(), ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.list(b']', |p| p.skip(depth + 1)),
+            Some(b'{') => self.list(b'}', |p| {
+                p.key()?;
+                p.skip(depth + 1)
+            }),
+            // A scalar's `Json` holds nothing on the heap.
+            _ => self.value(depth).map(drop),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    /// Walk the `[...]` or `{...}` whose opener is next, calling
+    /// `each` once per element or member.
+    fn list(
+        &mut self,
+        close: u8,
+        mut each: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            pairs.push((key, val));
+            each(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(());
                 }
+                _ if close == b']' => return Err(self.err("expected ',' or ']'")),
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// An object member's key and its `:`; the value is next.
+    fn key(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// One element of [`parse_records`]' array (depth 1): the string
+    /// under each of `keys` if it is an object that has them all, as
+    /// [`Json::get`] finds them; `None` otherwise. The element is
+    /// checked to its end either way.
+    fn record<const N: usize>(
+        &mut self,
+        keys: &[&str; N],
+    ) -> Result<Option<[String; N]>, ParseError> {
+        if self.peek() != Some(b'{') {
+            self.skip(1)?;
+            return Ok(None);
+        }
+        let mut seen = [false; N];
+        let mut fields: [Option<String>; N] = std::array::from_fn(|_| None);
+        self.list(b'}', |p| {
+            let key = p.key()?;
+            if let Some(k) = keys.iter().position(|k| *k == key) {
+                // Only a key's first occurrence counts.
+                if !std::mem::replace(&mut seen[k], true) && p.peek() == Some(b'"') {
+                    fields[k] = Some(p.string()?.into_owned());
+                    return Ok(());
+                }
+            }
+            p.skip(2)
+        })?;
+        Ok(fields
+            .iter()
+            .all(Option::is_some)
+            .then(|| fields.map(Option::unwrap_or_default)))
+    }
+
+    /// A string literal, borrowed from the input when it holds no
+    /// escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
+        let text = self.text;
         let mut out = String::new();
         loop {
-            // Copy the longest run that needs no decoding with one
-            // `push_str`. Its stop bytes are all ASCII, so the run ends
-            // on a char boundary and the slice is already valid UTF-8.
+            // The longest run that needs no decoding. Its stop bytes
+            // are all ASCII, so the run ends on a char boundary and the
+            // slice is already valid UTF-8.
             let run = self.bytes[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(self.bytes.len() - self.pos);
-            out.push_str(&self.text[self.pos..self.pos + run]);
+            let chunk = &text[self.pos..self.pos + run];
             self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    // Every escape pushes a char, so an empty `out`
+                    // means this is the first and only run.
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(chunk));
+                    }
+                    out.push_str(chunk);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
+                    out.push_str(chunk);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -472,6 +613,88 @@ mod tests {
             let j = Json::Num(x as f64).to_string();
             let back = parse(&j).unwrap().as_f64().unwrap() as f32;
             assert_eq!(back.to_bits(), x.to_bits(), "{x} via {j}");
+        }
+    }
+
+    const KEYS: [&str; 3] = ["title", "attr", "value"];
+
+    fn records(text: &str) -> Result<Vec<[String; 3]>, RecordsError> {
+        parse_records(text, KEYS, |fields| fields)
+    }
+
+    #[test]
+    fn records_pull_string_fields_in_key_order() {
+        let got = records(
+            r#" [{"value":"v","extra":{"title":1,"x":[null,true,-1e3]},"attr":"a","title":"t"},
+                 {"ti\u0074le":"é\n","attr":"","value":"😀","title":"second"}] "#,
+        )
+        .unwrap();
+        assert_eq!(
+            got,
+            [
+                ["t".to_string(), "a".into(), "v".into()],
+                ["é\n".to_string(), "".into(), "😀".into()],
+            ]
+        );
+        assert_eq!(records("[]"), Ok(vec![]));
+    }
+
+    #[test]
+    fn records_fault_like_tree_and_get() {
+        use RecordsError::*;
+        let syntax = |text: &str| Syntax(parse(text).unwrap_err());
+        for (text, want) in [
+            // The first occurrence of a key wins, even when it is not a
+            // string and a later one is.
+            (
+                r#"[{"title":1,"title":"t","attr":"a","value":"v"}]"#,
+                Record(0),
+            ),
+            (r#"[{"title":"t","attr":"a","value":"v"},[],{}]"#, Record(1)),
+            (r#"[{"title":"t","attr":"a","value":"v"},"x"]"#, Record(1)),
+            (r#"[{"title":"t","attr":"a"}]"#, Record(0)),
+            (r#"{"title":"t","attr":"a","value":"v"}"#, NotArray),
+            ("\"[]\"", NotArray),
+            ("null", NotArray),
+            // A syntax error anywhere wins over an earlier shape fault.
+            (
+                r#"[{"title":1},{"title":"\x"}]"#,
+                syntax(r#"[{"title":1},{"title":"\x"}]"#),
+            ),
+            (r#"[{"title":1}] x"#, syntax(r#"[{"title":1}] x"#)),
+            (r#"{"a":1"#, syntax(r#"{"a":1"#)),
+            ("", syntax("")),
+            (
+                "[{",
+                Syntax(ParseError {
+                    offset: 2,
+                    message: "expected '\"'".into(),
+                }),
+            ),
+        ] {
+            assert_eq!(records(text), Err(want), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn records_keep_the_depth_limit() {
+        // Depth counts from the top-level array (0), so a member value
+        // sits at 2; `parse` refuses the same documents at the same
+        // byte.
+        for n in [62, 63, 64, 100] {
+            let deep = "[".repeat(n) + &"]".repeat(n);
+            for doc in [
+                format!("[{{\"title\":{deep},\"attr\":\"a\",\"value\":\"v\"}}]"),
+                format!("[{deep}]"),
+                format!("{{\"k\":{deep}}}"),
+            ] {
+                let want = match parse(&doc) {
+                    Err(e) => Err(RecordsError::Syntax(e)),
+                    Ok(Json::Arr(_)) => Err(RecordsError::Record(0)),
+                    Ok(_) => Err(RecordsError::NotArray),
+                };
+                assert_eq!(records(&doc), want, "depth {n}: {doc}");
+            }
         }
     }
 

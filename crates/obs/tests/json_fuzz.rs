@@ -1,20 +1,32 @@
-//! Mutation fuzz for `pge_obs::json::parse`.
+//! Mutation fuzz for `pge_obs::json`.
 //!
 //! Generated `/v1/score` bodies are mutated with byte flips,
 //! truncations, inserted multibyte characters and inserted escapes.
-//! The decoder must never panic, and it must agree with `reference`,
-//! the earlier per-character decoder, on every `Ok` value and on every
-//! `Err` offset and message. The tier-1 run takes 2,000 cases; the
-//! ignored run takes 100,000:
+//! The decoders must never panic, and each must agree with its
+//! reference on every `Ok` value and on every `Err` offset and
+//! message:
+//!
+//! * `parse` with `reference::parse`, the earlier per-character
+//!   decoder;
+//! * `parse_records` with `records_via_tree`, which is `parse`, then
+//!   `Json::get` and `Json::as_str` per element. Its bodies also carry
+//!   shape faults: missing, repeated, escaped and non-string keys,
+//!   extra members and elements that are not objects.
+//!
+//! Each tier-1 run takes 2,000 cases; the ignored runs take 100,000:
 //!
 //! ```sh
 //! cargo test --release -p pge-obs --test json_fuzz -- --include-ignored
 //! ```
+//!
+//! The string writer is checked against `escaped_per_char`, the
+//! earlier one-`write!`-per-`char` writer, byte for byte.
 
 mod mutator;
 
-use pge_obs::json::{parse, Json};
+use pge_obs::json::{parse, parse_records, Json, RecordsError};
 use proptest::prelude::*;
+use std::fmt::Write;
 
 /// Field text: mostly ASCII words, with multibyte characters, the
 /// characters JSON must escape, and arbitrary scalars mixed in.
@@ -122,6 +134,180 @@ fn mutations_reach_both_outcomes() {
     }
     assert!(ok >= 50 && err >= 50, "ok {ok}, err {err}");
     assert!(messages.len() >= 8, "{messages:?}");
+}
+
+/// A `/v1/score`-like body with shape faults mixed in. Each element
+/// is an object holding `title`, `attr` and `value` strings plus up to
+/// three extra members at any position: repeated, escaped or unknown
+/// keys, with string, number, `null` or nested values. One element in
+/// eight is not an object, and one body in sixteen is not an array.
+fn arb_records_body() -> impl Strategy<Value = String> {
+    const KEYS: [&str; 7] = [
+        "title",
+        "attr",
+        "value",
+        r"ti\u0074le",
+        r"v\u0061lue",
+        "Title",
+        "extra",
+    ];
+    const OTHER: [&str; 6] = [
+        "-12.5e3",
+        "null",
+        "true",
+        "[]",
+        r#"{"title":"nested","attr":[1,{"value":null}]}"#,
+        r#"["title","attr","value"]"#,
+    ];
+    let extra = (
+        0..KEYS.len(),
+        any::<u32>(),
+        0u8..3,
+        arb_text(),
+        0..OTHER.len(),
+    );
+    let element = (
+        0u8..8,
+        (arb_text(), arb_text(), arb_text()),
+        prop::collection::vec(extra, 0..4),
+    )
+        .prop_map(|(kind, (t, a, v), extras)| {
+            if kind == 0 {
+                return OTHER[t.len() % OTHER.len()].to_string();
+            }
+            let mut members: Vec<String> = [("title", t), ("attr", a), ("value", v)]
+                .into_iter()
+                .map(|(k, text)| format!("\"{k}\":{}", Json::Str(text)))
+                .collect();
+            for (key, at, kind, text, other) in extras {
+                let value = match kind {
+                    0 => Json::Str(text).to_string(),
+                    _ => OTHER[other].to_string(),
+                };
+                let at = at as usize % (members.len() + 1);
+                members.insert(at, format!("\"{}\":{value}", KEYS[key]));
+            }
+            format!("{{{}}}", members.join(","))
+        });
+    (0u8..16, prop::collection::vec(element, 0..6)).prop_map(|(wrap, elements)| match wrap {
+        0 => elements.into_iter().next().unwrap_or_else(|| "{}".into()),
+        _ => format!("[{}]", elements.join(",")),
+    })
+}
+
+const RECORD_KEYS: [&str; 3] = ["title", "attr", "value"];
+
+/// The `/v1/score` decode as it was before the pull decoder: build the
+/// tree, then look each field up.
+fn records_via_tree(doc: &str) -> Result<Vec<[String; 3]>, RecordsError> {
+    let tree = parse(doc).map_err(RecordsError::Syntax)?;
+    let elements = tree.as_array().ok_or(RecordsError::NotArray)?;
+    elements
+        .iter()
+        .enumerate()
+        .map(|(i, it)| {
+            let field = |k: &str| it.get(k).and_then(Json::as_str).map(str::to_string);
+            match RECORD_KEYS.map(field) {
+                [Some(t), Some(a), Some(v)] => Ok([t, a, v]),
+                _ => Err(RecordsError::Record(i)),
+            }
+        })
+        .collect()
+}
+
+fn check_records(body: String, mutations: &[(u8, u32, u8)]) {
+    let doc = mutate(body, mutations);
+    assert_eq!(
+        parse_records(&doc, RECORD_KEYS, |fields| fields),
+        records_via_tree(&doc),
+        "{doc:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+    #[test]
+    fn mutated_records_decode_like_tree_and_get(body in arb_records_body(),
+                                                mutations in arb_mutations()) {
+        check_records(body, &mutations);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100_000))]
+    #[test]
+    #[ignore = "100,000 cases; run with --include-ignored"]
+    fn mutated_records_decode_like_tree_and_get_100k(body in arb_records_body(),
+                                                     mutations in arb_mutations()) {
+        check_records(body, &mutations);
+    }
+}
+
+#[test]
+fn record_mutations_reach_every_outcome() {
+    let mut rng = proptest::test_runner::TestRng::for_test("json_fuzz::records_mix");
+    let (mut ok, mut syntax, mut not_array, mut record) = (0, 0, 0, 0);
+    for _ in 0..1000 {
+        let mutations = arb_mutations().generate(&mut rng);
+        // Half the bodies stay whole, so the shape faults are not all
+        // masked by syntax errors.
+        let mutations = if rng.below(2) == 0 {
+            &[][..]
+        } else {
+            &mutations[..]
+        };
+        let doc = mutate(arb_records_body().generate(&mut rng), mutations);
+        match records_via_tree(&doc) {
+            Ok(_) => ok += 1,
+            Err(RecordsError::Syntax(_)) => syntax += 1,
+            Err(RecordsError::NotArray) => not_array += 1,
+            Err(RecordsError::Record(_)) => record += 1,
+        }
+    }
+    assert!(
+        ok >= 50 && syntax >= 50 && not_array >= 10 && record >= 50,
+        "ok {ok}, syntax {syntax}, not array {not_array}, record {record}"
+    );
+}
+
+/// The string writer as it was before unescaped runs went out whole:
+/// one `write!` per `char`. Kept only as the oracle of
+/// `strings_render_like_the_per_char_writer`.
+fn escaped_per_char(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => write!(out, "{c}").unwrap(),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn every_ascii_char_renders_like_the_per_char_writer() {
+    // `arb_text` rarely draws a given control character; this covers
+    // the whole escape table once.
+    let all: String = (0u8..0x80).map(char::from).collect();
+    for s in all.chars().map(String::from).chain([all.clone()]) {
+        assert_eq!(Json::Str(s.clone()).to_string(), escaped_per_char(&s));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+    #[test]
+    fn strings_render_like_the_per_char_writer(s in arb_text()) {
+        let want = escaped_per_char(&s);
+        prop_assert_eq!(Json::Str(s.clone()).to_string(), want.clone());
+        prop_assert_eq!(Json::Obj(vec![(s, Json::Null)]).to_string(), format!("{{{want}:null}}"));
+    }
 }
 
 /// The decoder as it was before string bodies were copied run by run:
