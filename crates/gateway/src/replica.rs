@@ -6,11 +6,11 @@
 //! behind an `RwLock<Arc<_>>`. Workers clone the `Arc` once per
 //! micro-batch, so a swap never stalls or fails an in-flight request
 //! — jobs already picked up finish on the snapshot they started
-//! with, and the next batch sees the new one. A worker holds the
-//! state of its last batch until its next batch starts. The embedding cache
-//! lives *inside* the state and is replaced with it: cached vectors
-//! are a function of the model weights, so a swapped model must start
-//! from a cold cache or it would serve stale embeddings.
+//! with, and the next batch sees the new one. A worker idle for
+//! `IDLE_RELEASE` holds no state. The embedding cache lives *inside*
+//! the state and is replaced with it: cached vectors are a function of
+//! the model weights, so a swapped model must start from a cold cache
+//! or it would serve stale embeddings.
 
 use crate::epoll::WakePipe;
 use crate::metrics::GatewayMetrics;
@@ -154,15 +154,23 @@ impl Replica {
     }
 }
 
+/// How long an idle worker keeps its session before it lets the state
+/// go. Under load the next job comes well within it.
+const IDLE_RELEASE: Duration = Duration::from_millis(10);
+
 /// Worker loop for replica `ix`: drain micro-batches, score each job
 /// against the state current at batch start, post completions, poke
 /// the event loop. Exits when the queue is closed and empty.
 ///
-/// The worker keeps one scoring session for its whole life: one
-/// [`ScoreScratch`] (title memo and encoder buffers), and one
-/// [`CachedModel`] (prepared relations and attribute index), rebuilt
-/// only when a batch starts on a new [`ModelState`]. A new session
-/// has a new memo tag, so nothing memoized crosses a swap.
+/// The worker keeps one [`ScoreScratch`] (title memo and encoder
+/// buffers) for its whole life. A session — a [`ModelState`] and its
+/// [`CachedModel`] (prepared relations and attribute index) — lasts
+/// while batches keep coming on one state. It ends when a batch
+/// starts on a new state, and when no job has come for
+/// `IDLE_RELEASE`: the worker then waits holding no state, so a
+/// swapped-out model and cache are freed also on a replica that gets
+/// no more traffic. A new session has a new memo tag, so nothing
+/// memoized crosses a swap.
 pub fn worker_loop(
     ix: usize,
     replica: &Replica,
@@ -171,13 +179,14 @@ pub fn worker_loop(
     tracer: &Tracer,
     max_batch: usize,
 ) {
+    let rm = &metrics.replicas[ix];
+    let max_batch = max_batch.max(1);
     let mut jobs: Vec<Job> = Vec::new();
     let mut out: Vec<Completion> = Vec::new();
     let mut scratch = ScoreScratch::default();
-    let mut state = replica.current();
-    let mut session = CachedModel::new(&state.model, &state.cache);
-    while replica.queue.pop_batch(max_batch.max(1), &mut jobs) {
-        let _batch_span = span("gateway.batch");
+    // Open the span of the batch just taken into `jobs`.
+    let begin = || {
+        let batch_span = span("gateway.batch");
         // Fault injection: the stall runs before any job's `dequeue`
         // event is recorded, so the traced timeline charges it to
         // queue time on this replica.
@@ -185,49 +194,73 @@ pub fn worker_loop(
         if stall > 0 {
             std::thread::sleep(Duration::from_nanos(stall));
         }
-        let rm = &metrics.replicas[ix];
         rm.queue_depth.set(replica.queue.len() as f64);
-        // The swap boundary: state is pinned for this whole batch.
-        let current = replica.current();
-        if !Arc::ptr_eq(&current, &state) {
-            drop(session);
-            state = current;
-            session = CachedModel::new(&state.model, &state.cache);
+        batch_span
+    };
+    let mut batch = replica.queue.pop_batch(max_batch, &mut jobs).then(begin);
+    while let Some(first_span) = batch {
+        batch = {
+            // The swap boundary: state is pinned for this whole batch,
+            // and for the batches after it that find it still current.
+            let state = replica.current();
+            let session = CachedModel::new(&state.model, &state.cache);
+            let mut batch_span = first_span;
+            loop {
+                let batch_size = jobs.len() as u64;
+                for job in jobs.drain(..) {
+                    tracer.record(job.trace, Stage::Dequeue, ix as u64);
+                    metrics
+                        .stage_queue_wait
+                        .observe(job.enqueued.elapsed().as_secs_f64());
+                    tracer.record(job.trace, Stage::BatchAssemble, batch_size);
+                    let (h0, m0) = (state.cache.hits(), state.cache.misses());
+                    tracer.record(job.trace, Stage::Score, job.items.len() as u64);
+                    let score_start = Instant::now();
+                    let scores = score_items(&session, &job.items, state.threshold, &mut scratch);
+                    metrics
+                        .stage_score
+                        .observe(score_start.elapsed().as_secs_f64());
+                    // One worker per replica, so the cache deltas are
+                    // exactly this job's activity; every miss was one
+                    // encode.
+                    let misses = state.cache.misses().saturating_sub(m0);
+                    tracer.record(
+                        job.trace,
+                        Stage::CacheHit,
+                        state.cache.hits().saturating_sub(h0),
+                    );
+                    tracer.record(job.trace, Stage::CacheMiss, misses);
+                    tracer.record(job.trace, Stage::Encode, misses);
+                    out.push(Completion {
+                        conn: job.conn,
+                        seq: job.seq,
+                        status: 200,
+                        body: render_scores(&scores),
+                        enqueued: job.enqueued,
+                        trace: job.trace,
+                    });
+                }
+                sink.push_all(out.drain(..));
+                drop(batch_span);
+                match replica
+                    .queue
+                    .pop_batch_for(max_batch, &mut jobs, IDLE_RELEASE)
+                {
+                    Some(true) => {
+                        batch_span = begin();
+                        if !Arc::ptr_eq(&replica.current(), &state) {
+                            break Some(batch_span);
+                        }
+                    }
+                    // Idle, or closed and empty.
+                    _ => break None,
+                }
+            }
+        };
+        // The session ended idle: wait for work holding no state.
+        if batch.is_none() {
+            batch = replica.queue.pop_batch(max_batch, &mut jobs).then(begin);
         }
-        let batch_size = jobs.len() as u64;
-        for job in jobs.drain(..) {
-            tracer.record(job.trace, Stage::Dequeue, ix as u64);
-            metrics
-                .stage_queue_wait
-                .observe(job.enqueued.elapsed().as_secs_f64());
-            tracer.record(job.trace, Stage::BatchAssemble, batch_size);
-            let (h0, m0) = (state.cache.hits(), state.cache.misses());
-            tracer.record(job.trace, Stage::Score, job.items.len() as u64);
-            let score_start = Instant::now();
-            let scores = score_items(&session, &job.items, state.threshold, &mut scratch);
-            metrics
-                .stage_score
-                .observe(score_start.elapsed().as_secs_f64());
-            // One worker per replica, so the cache deltas are exactly
-            // this job's activity; every miss was one encode.
-            let misses = state.cache.misses().saturating_sub(m0);
-            tracer.record(
-                job.trace,
-                Stage::CacheHit,
-                state.cache.hits().saturating_sub(h0),
-            );
-            tracer.record(job.trace, Stage::CacheMiss, misses);
-            tracer.record(job.trace, Stage::Encode, misses);
-            out.push(Completion {
-                conn: job.conn,
-                seq: job.seq,
-                status: 200,
-                body: render_scores(&scores),
-                enqueued: job.enqueued,
-                trace: job.trace,
-            });
-        }
-        sink.push_all(out.drain(..));
     }
 }
 
@@ -350,7 +383,15 @@ mod tests {
             s.spawn(|| worker_loop(0, &replica, &sink, &metrics, &tracer, 4));
             let _close = CloseOnDrop(&replica);
             check(&a, &run(0));
+            let old = Arc::downgrade(&replica.current());
             replica.swap(ModelState::new(b.clone(), 0.0, 64, 1));
+            // An idle worker lets its state go: the swapped-out one is
+            // freed with no further traffic.
+            let start = Instant::now();
+            while old.strong_count() > 0 {
+                assert!(start.elapsed() < Duration::from_secs(30), "old state kept");
+                std::thread::sleep(Duration::from_millis(1));
+            }
             check(&b, &run(100));
             replica.swap(ModelState::new(a.clone(), 0.0, 64, 2));
             check(&a, &run(200));

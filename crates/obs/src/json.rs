@@ -162,8 +162,8 @@ pub enum RecordsError {
 
 /// Decode a JSON array of objects straight into `T`s: `make` gets each
 /// element's string values under `keys`, in `keys` order. Other
-/// members are checked and dropped; no key and no dropped value is
-/// copied.
+/// members are parsed and dropped; a kept value is copied once, and a
+/// member's key not at all.
 ///
 /// The answer is the one [`parse`] followed by [`Json::get`] and
 /// [`Json::as_str`] per element would give: the same errors at the
@@ -189,7 +189,7 @@ pub fn parse_records<T, const N: usize>(
                     None => fault = Some(RecordsError::Record(index)),
                 }
             } else {
-                p.skip(1)?;
+                p.value(1)?;
             }
             index += 1;
             Ok(())
@@ -197,7 +197,7 @@ pub fn parse_records<T, const N: usize>(
         .map_err(RecordsError::Syntax)?;
     } else {
         fault = Some(RecordsError::NotArray);
-        p.skip(0).map_err(RecordsError::Syntax)?;
+        p.value(0).map_err(RecordsError::Syntax)?;
     }
     p.end().map_err(RecordsError::Syntax)?;
     match fault {
@@ -300,24 +300,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Check one value exactly as [`Parser::value`] would, building
-    /// nothing.
-    fn skip(&mut self, depth: usize) -> Result<(), ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'"') => self.string().map(drop),
-            Some(b'[') => self.list(b']', |p| p.skip(depth + 1)),
-            Some(b'{') => self.list(b'}', |p| {
-                p.key()?;
-                p.skip(depth + 1)
-            }),
-            // A scalar's `Json` holds nothing on the heap.
-            _ => self.value(depth).map(drop),
-        }
-    }
-
     /// Walk the `[...]` or `{...}` whose opener is next, calling
     /// `each` once per element or member.
     fn list(
@@ -365,7 +347,7 @@ impl<'a> Parser<'a> {
         keys: &[&str; N],
     ) -> Result<Option<[String; N]>, ParseError> {
         if self.peek() != Some(b'{') {
-            self.skip(1)?;
+            self.value(1)?;
             return Ok(None);
         }
         let mut seen = [false; N];
@@ -379,7 +361,7 @@ impl<'a> Parser<'a> {
                     return Ok(());
                 }
             }
-            p.skip(2)
+            p.value(2).map(drop)
         })?;
         Ok(fields
             .iter()

@@ -8,7 +8,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -69,18 +69,44 @@ impl<T> BoundedQueue<T> {
         let mut g = self.inner.lock();
         loop {
             if !g.items.is_empty() {
-                let n = max.max(1).min(g.items.len());
-                out.extend(g.items.drain(..n));
-                // More work may remain for sibling workers.
-                if !g.items.is_empty() {
-                    self.not_empty.notify_one();
-                }
+                self.take(&mut g, max, out);
                 return true;
             }
             if g.closed {
                 return false;
             }
             self.not_empty.wait_for(&mut g, Duration::from_millis(100));
+        }
+    }
+
+    /// [`BoundedQueue::pop_batch`] that waits at most `wait`: `None`
+    /// when no item came in that time.
+    pub fn pop_batch_for(&self, max: usize, out: &mut Vec<T>, wait: Duration) -> Option<bool> {
+        let deadline = Instant::now() + wait;
+        let mut g = self.inner.lock();
+        loop {
+            if !g.items.is_empty() {
+                self.take(&mut g, max, out);
+                return Some(true);
+            }
+            if g.closed {
+                return Some(false);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.not_empty.wait_for(&mut g, left);
+        }
+    }
+
+    /// Move up to `max` (at least one) of the queued items into `out`.
+    fn take(&self, g: &mut Inner<T>, max: usize, out: &mut Vec<T>) {
+        let n = max.max(1).min(g.items.len());
+        out.extend(g.items.drain(..n));
+        // More work may remain for sibling workers.
+        if !g.items.is_empty() {
+            self.not_empty.notify_one();
         }
     }
 
@@ -117,6 +143,19 @@ mod tests {
         out.clear();
         assert!(q.pop_batch(10, &mut out));
         assert_eq!(out, vec![3, 4]);
+    }
+
+    #[test]
+    fn pop_batch_for_gives_up_when_nothing_comes() {
+        let q = BoundedQueue::new(4);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_for(4, &mut out, Duration::ZERO), None);
+        assert_eq!(q.pop_batch_for(4, &mut out, Duration::from_millis(5)), None);
+        q.try_push(7).unwrap();
+        assert_eq!(q.pop_batch_for(4, &mut out, Duration::ZERO), Some(true));
+        assert_eq!(out, vec![7]);
+        q.close();
+        assert_eq!(q.pop_batch_for(4, &mut out, Duration::ZERO), Some(false));
     }
 
     #[test]
